@@ -19,11 +19,6 @@ things:
   bit-identical to the serial one before its throughput is reported.
   Speedups are meaningful only when the host grants the process that
   many cores — the available core count is printed alongside.
-* **generation batching** — one generation of LAC children on the
-  reference parent evaluated through the stacked-value-matrix batch
-  walk vs. the sequential incremental loop, asserted bit-identical
-  before either throughput is reported.  The bench fails if batching
-  ever drops below the sequential path it exists to beat.
 * **transport size** — pickled bytes of one shard-packed child eval
   (the unit that crosses a worker pipe every generation), next to what
   the same eval would cost with the pre-SoA per-gate timing dicts, and
@@ -65,14 +60,13 @@ from repro.core import (
 from repro.core.parallel import _pack_eval
 from repro.lake import EvalCache
 from repro.reporting import format_series
-from repro.sim import ErrorMode, ValueStore, best_switch
-from repro.sta import update_timing, update_timing_batch
+from repro.sim import ErrorMode, best_switch
 
 WIDTHS = (8, 16, 32, 64, 128)
 PARALLEL_WIDTHS = (64, 128)
 PARALLEL_JOBS = (2, 4)
-#: Children per generation for the batched-vs-sequential row (the
-#: paper's N=30 population, cones overlapping on one parent).
+#: Children per generation for the warm-cache rows (the paper's N=30
+#: population, cones overlapping on one parent).
 GENERATION_SIZE = 30
 
 
@@ -171,89 +165,6 @@ def _same_eval(a, b):
         np.array_equal(a.values[g], b.values[g])
         for g in a.circuit.gate_ids()
     )
-
-
-def run_generation_batching():
-    """Stacked-batch vs sequential-incremental generation throughput.
-
-    One generation of ``GENERATION_SIZE`` LAC children whose cones all
-    overlap on the reference parent — the workload the stacked value
-    matrices and the stacked timing frontier target.  Bit-identity
-    between the paths is asserted before any number is reported.  The
-    ``sta_*`` rows isolate the timing half: ``update_timing_batch``
-    over the whole generation vs a per-child ``update_timing`` loop on
-    the same (circuit, changed) pairs.
-    """
-    library = default_library()
-    rows = {
-        "seq_gen_evals_per_s": [],
-        "batch_gen_evals_per_s": [],
-        "batch_speedup": [],
-        "seq_sta_per_s": [],
-        "stacked_sta_per_s": [],
-        "sta_speedup": [],
-    }
-    for width in PARALLEL_WIDTHS:
-        _, ctx = _build_ctx(width, library)
-        parent = ctx.reference_eval()
-        children = _generation(ctx, GENERATION_SIZE)
-        # --- timing half in isolation: stacked frontier vs per-child ---
-        pairs = [
-            (c.copy(), c.valid_provenance().changed) for c in children
-        ]
-        stacked = update_timing_batch(ctx.sta, parent.report, pairs)
-        for (c, ch), a in zip(pairs, stacked):
-            b = update_timing(ctx.sta, c, parent.report, ch)
-            assert np.array_equal(a.arrival_a, b.arrival_a)
-            assert np.array_equal(a.slew_a, b.slew_a)
-            assert np.array_equal(a.load_a, b.load_a)
-            assert np.array_equal(a.unit_depth_a, b.unit_depth_a)
-            assert np.array_equal(a.critical_fanin_a, b.critical_fanin_a)
-        best_sta_seq = best_sta_stacked = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            for c, ch in pairs:
-                update_timing(ctx.sta, c, parent.report, ch)
-            best_sta_seq = min(best_sta_seq, time.perf_counter() - start)
-            start = time.perf_counter()
-            update_timing_batch(ctx.sta, parent.report, pairs)
-            best_sta_stacked = min(
-                best_sta_stacked, time.perf_counter() - start
-            )
-        sta_seq_rate = len(pairs) / best_sta_seq
-        sta_stacked_rate = len(pairs) / best_sta_stacked
-        rows["seq_sta_per_s"].append(sta_seq_rate)
-        rows["stacked_sta_per_s"].append(sta_stacked_rate)
-        rows["sta_speedup"].append(sta_stacked_rate / sta_seq_rate)
-        # --- full evaluation path (value walk + timing + metrics) ---
-        # Identity first (copies carry the same provenance record).
-        batch_evals = evaluate_batch(
-            ctx, [(c.copy(), (parent,)) for c in children]
-        )
-        seq_evals = [
-            evaluate_incremental(ctx, c.copy(), parent) for c in children
-        ]
-        assert all(
-            isinstance(ev.values, ValueStore) for ev in batch_evals
-        )
-        assert all(_same_eval(a, b) for a, b in zip(batch_evals, seq_evals))
-        best_seq = best_batch = float("inf")
-        for _ in range(3):
-            clones = [(c.copy(), (parent,)) for c in children]
-            start = time.perf_counter()
-            for circuit, parents in clones:
-                evaluate_incremental(ctx, circuit, parents[0])
-            best_seq = min(best_seq, time.perf_counter() - start)
-            clones = [(c.copy(), (parent,)) for c in children]
-            start = time.perf_counter()
-            evaluate_batch(ctx, clones)
-            best_batch = min(best_batch, time.perf_counter() - start)
-        seq_rate = len(children) / best_seq
-        batch_rate = len(children) / best_batch
-        rows["seq_gen_evals_per_s"].append(seq_rate)
-        rows["batch_gen_evals_per_s"].append(batch_rate)
-        rows["batch_speedup"].append(batch_rate / seq_rate)
-    return rows
 
 
 def run_warm_cache():
@@ -361,7 +272,7 @@ def run_transport_sizes():
         # The value payload alone: dense matrix (no keys on the wire)
         # vs the PR-3 keyed row packing it replaced.
         values = ev.values
-        dense = len(pickle.dumps((None, values.matrix)))
+        dense = len(pickle.dumps(values.matrix))
         keyed = len(
             pickle.dumps(
                 (
@@ -443,16 +354,6 @@ def test_runtime_scaling(benchmark):
         "\nparallel runs asserted bit-identical to serial before "
         "throughput is reported"
     )
-    generation_rows = run_generation_batching()
-    text += "\n\n" + format_series(
-        "Generation evaluation, stacked batch vs sequential incremental "
-        f"({GENERATION_SIZE} LAC children on the reference parent; "
-        "bit-identity asserted first; sta_* rows isolate "
-        "update_timing_batch vs a per-child update_timing loop)",
-        "width",
-        list(PARALLEL_WIDTHS),
-        generation_rows,
-    )
     transport_rows = run_transport_sizes()
     text += "\n\n" + format_series(
         "Per-eval shard transport (pickled kB: SoA timing arrays "
@@ -474,16 +375,9 @@ def test_runtime_scaling(benchmark):
     # The SoA packing must actually be smaller than the dict packing it
     # replaced — a transport regression fails the bench like a
     # throughput regression would.  Same for the dense value matrix vs
-    # the keyed row packing.  The stacked batch walk must never drop
-    # materially below the sequential incremental loop (the two share
-    # the timing tail, which dominates; the 5% floor absorbs container
-    # scheduling noise around the measured ~1.05-1.1x advantage).
+    # the keyed row packing.
     assert all(r < 1.0 for r in transport_rows["ratio"])
     assert all(r < 1.0 for r in transport_rows["val_ratio"])
-    assert all(r >= 0.95 for r in generation_rows["batch_speedup"])
-    # The stacked timing frontier must never drop materially below the
-    # per-child update_timing loop it batches.
-    assert all(r >= 0.95 for r in generation_rows["sta_speedup"])
     # Warm lake hits skip STA and simulation entirely; if they ever get
     # slower than the cold write-through pass, the cache lost its point.
     assert all(r >= 1.0 for r in warm_rows["warm_speedup"])

@@ -37,9 +37,8 @@ from ..registry import register_method
 class GWOConfig(DCGWOConfig):
     """Single-chase GWO shares DCGWO's knobs (relaxation forced off).
 
-    That includes the evaluation plumbing: ``use_incremental`` /
-    ``use_batch`` / ``use_parallel`` / ``jobs`` all behave exactly as
-    on :class:`~repro.core.dcgwo.DCGWOConfig`, so generation sharding
+    That includes ``jobs``, which behaves exactly as on
+    :class:`~repro.core.dcgwo.DCGWOConfig`, so generation sharding
     reaches this baseline through the same protocol funnel.
     """
 

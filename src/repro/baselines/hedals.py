@@ -34,9 +34,6 @@ class HedalsConfig:
     max_round_evals: int = 32  # similarity-ordered scan depth per round
     slack_fraction: float = 0.05  # paths within 5% of CPD are critical
     seed: int = 0
-    use_incremental: bool = True  # cone-limited candidate evaluation
-    use_parallel: bool = True  # reserved: greedy rounds evaluate serially
-    jobs: int = 0  # parallelized at Session.compare level, not per-round
     #: Evaluation-lake directory (None: session/REPRO_CACHE resolution).
     cache_dir: Optional[str] = None
 

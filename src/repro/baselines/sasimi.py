@@ -33,9 +33,6 @@ class SasimiConfig:
     max_candidates: int = 120  # targets sampled per round
     beam: int = 8  # candidates error-checked per round
     seed: int = 0
-    use_incremental: bool = True  # cone-limited candidate evaluation
-    use_parallel: bool = True  # reserved: greedy rounds evaluate serially
-    jobs: int = 0  # parallelized at Session.compare level, not per-round
     #: Evaluation-lake directory (None: session/REPRO_CACHE resolution).
     cache_dir: Optional[str] = None
 

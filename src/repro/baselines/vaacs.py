@@ -10,8 +10,8 @@ is purely depth-driven with infeasible individuals heavily penalised.
 
 Each generation's offspring are constructed first (selection and
 mutation draw only on the previous generation's evaluations) and then
-evaluated as one batch through the shared-topo-walk path, which keeps
-the seeded trajectory bit-identical to per-child evaluation.
+evaluated as one generation through the protocol's batch funnel, which
+keeps the seeded trajectory bit-identical to per-child evaluation.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ class VaacsConfig:
     mutation_rate: float = 0.8
     elitism: int = 2
     seed: int = 0
-    use_incremental: bool = True  # cone-limited child evaluation
-    use_batch: bool = True  # shared-topo-walk generation evaluation
-    use_parallel: bool = True  # allow multi-process generation sharding
     jobs: int = 0  # worker processes (0: serial unless REPRO_JOBS is set)
     #: Evaluation-lake directory (None: session/REPRO_CACHE resolution).
     cache_dir: Optional[str] = None

@@ -34,14 +34,6 @@ class CellFunction:
         name: canonical function name, e.g. ``"NAND2"``.
         arity: number of input pins.
         word_eval: evaluator over packed uint64 words (64 vectors/word).
-        word_eval_many: batched evaluator over stacked ``(B, num_words)``
-            fan-in tensors — one entry per input pin, each carrying one
-            row per (candidate, gate) pair.  **Bit-identical** to calling
-            ``word_eval`` row by row (pinned by kernel tests, the same
-            contract :func:`repro.sta.store.lookup_many` holds against
-            the scalar NLDM walk); the batched generation evaluator
-            dispatches through it once per (level, function) instead of
-            once per (gate, candidate).
         bit_eval: scalar evaluator over 0/1 ints, used as the test oracle.
         complexity: relative transistor-level size, seeds area and delay of
             the synthetic characterisation.
@@ -50,7 +42,6 @@ class CellFunction:
     name: str
     arity: int
     word_eval: WordFn
-    word_eval_many: WordFn
     bit_eval: BitFn
     complexity: float
 
@@ -68,23 +59,8 @@ class CellFunction:
         return (_function_by_name, (self.name,))
 
 
-def _fn(
-    name: str,
-    arity: int,
-    word_eval: WordFn,
-    bit_eval: BitFn,
-    complexity: float,
-    word_eval_many: WordFn = None,
-) -> CellFunction:
-    # Every library function is a pure elementwise bitwise expression,
-    # so the row kernel broadcasts over stacked (B, num_words) inputs
-    # unchanged — the batched kernel defaults to the same callable and
-    # the row-by-row bit-identity is pinned by tests rather than by
-    # divergent implementations.
-    return CellFunction(
-        name, arity, word_eval, word_eval_many or word_eval, bit_eval,
-        complexity,
-    )
+#: Short constructor name for the registry table below.
+_fn = CellFunction
 
 
 #: Registry of every combinational function in the synthetic library.

@@ -21,8 +21,8 @@ serializable :class:`~repro.core.protocol.OptimizerState`, one iteration
 is :meth:`DCGWO._step`, and the shared protocol driver provides
 streaming callbacks, pause (``stop_after``) and bit-identical resume.
 Each iteration's children are evaluated as one generation through the
-shared-topo-walk batch path (``use_batch``), falling back to
-per-candidate incremental evaluation.
+protocol's generation funnel (the batch evaluator, or the shard pool
+with ``jobs > 1``).
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ class DCGWOConfig:
     use_relaxation: bool = True  # ablation hook
     use_crowding: bool = True  # ablation hook: False = plain fitness sort
     use_reproduction: bool = True  # ablation hook: False = searching only
-    use_incremental: bool = True  # cone-limited child evaluation
-    use_batch: bool = True  # shared-topo-walk generation evaluation
-    use_parallel: bool = True  # allow multi-process generation sharding
     jobs: int = 0  # worker processes (0: serial unless REPRO_JOBS is set)
     #: Evaluation-lake directory (None: session/REPRO_CACHE resolution).
     cache_dir: Optional[str] = None

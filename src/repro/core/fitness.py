@@ -10,15 +10,18 @@ and baselines — so optimizers stay stateless and comparable.
 
 Two evaluation paths produce bit-identical results:
 
-* :func:`evaluate` — full STA + full simulation, always available;
-* :func:`evaluate_incremental` — when the circuit carries a valid
-  provenance record pointing at an already-evaluated parent, only the
-  transitive fan-out cone of the changed gates is resimulated
-  (:func:`repro.sim.resimulate_cone`) and retimed
+* :func:`evaluate` — full STA + full simulation, always available, and
+  the oracle every incremental result is tested against;
+* the per-child cone walk (:func:`_evaluate_cones`) — when the circuit
+  carries a valid provenance record pointing at an already-evaluated
+  parent, only the transitive fan-out cone of the changed gates is
+  resimulated (:func:`repro.sim.resimulate_cone`) and retimed
   (:func:`repro.sta.update_timing`), the VECBEE-style trick that makes
   per-candidate evaluation cost proportional to the perturbation rather
-  than the circuit.  It falls back to the full path whenever the
-  provenance is missing, stale, or no matching parent eval is supplied.
+  than the circuit.  :func:`evaluate_incremental` runs it for one
+  child and :func:`repro.core.batch.evaluate_batch` once per parent
+  group; both fall back to the full path whenever the provenance is
+  missing, stale, or no matching parent eval is supplied.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from ..sim import (
 )
 from ..sim.error import make_unpack_cache
 from ..sim.bitsim import ValueMap
-from ..sta import STAEngine, TimingReport, update_timing
+from ..sta import STAEngine, TimingReport, update_timing_batch
 
 #: Guard against division by zero on fully-degenerate circuits.
 _EPS = 1e-9
@@ -276,6 +279,14 @@ def evaluate(ctx: EvalContext, circuit: Circuit) -> CircuitEval:
 ParentEvals = Union["CircuitEval", Sequence["CircuitEval"], None]
 
 
+def _normalize_parents(parents: ParentEvals) -> Sequence[CircuitEval]:
+    if parents is None:
+        return ()
+    if isinstance(parents, CircuitEval):
+        return (parents,)
+    return tuple(parents)
+
+
 def _match_parent(
     circuit: Circuit, parents: Iterable[CircuitEval]
 ) -> Optional[Tuple["CircuitEval", FrozenSet[int]]]:
@@ -294,6 +305,50 @@ def _match_parent(
     return None
 
 
+def _evaluate_cones(
+    ctx: EvalContext,
+    parent: CircuitEval,
+    children: Sequence[Tuple[Circuit, FrozenSet[int]]],
+) -> List[CircuitEval]:
+    """The one incremental evaluation: per-child cone walks on a parent.
+
+    ``children`` pairs each circuit whose provenance matched ``parent``
+    with its changed-gate set.  A copy-then-mutate child shares the
+    parent's gate-ID set, so its dirty cone computed on the parent's
+    memoized fan-out map equals the child's own (changed gates are
+    seeds; edges into unchanged gates are identical in both) — the child
+    never builds an O(V+E) fan-out map just to find its cone.  Each such
+    child resimulates that cone, the group is retimed through
+    :func:`repro.sta.update_timing_batch`, and the metric tail runs
+    through :func:`_finish_eval`.  A child whose gate-ID set diverged
+    from the parent's (gates added or removed) takes :func:`evaluate`.
+    Results are bit-identical to :func:`evaluate` for every child.
+    """
+    out: List[Optional[CircuitEval]] = [None] * len(children)
+    pc = parent.circuit
+    walked = []
+    for k, (circuit, changed) in enumerate(children):
+        if not circuit.same_gid_set(pc):
+            out[k] = evaluate(ctx, circuit)
+            continue
+        dirty = set()
+        for gid in changed:
+            if gid >= 0:
+                dirty |= pc.transitive_fanout(gid, include_self=True)
+        values = resimulate_cone(
+            circuit, ctx.vectors, parent.values, changed, dirty=dirty
+        )
+        walked.append((k, circuit, changed, values))
+    reports = update_timing_batch(
+        ctx.sta,
+        parent.report,
+        [(circuit, changed) for _, circuit, changed, _ in walked],
+    )
+    for (k, circuit, _, values), report in zip(walked, reports):
+        out[k] = _finish_eval(ctx, circuit, report, values)
+    return out  # type: ignore[return-value]
+
+
 def evaluate_incremental(
     ctx: EvalContext, circuit: Circuit, parent_eval: ParentEvals = None
 ) -> CircuitEval:
@@ -306,30 +361,8 @@ def evaluate_incremental(
     bit-identical to :func:`evaluate` (pinned by property tests).  Falls
     back to the full path when no valid parent is available.
     """
-    if parent_eval is None:
-        parents: Sequence[CircuitEval] = ()
-    elif isinstance(parent_eval, CircuitEval):
-        parents = (parent_eval,)
-    else:
-        parents = tuple(parent_eval)
-    match = _match_parent(circuit, parents)
+    match = _match_parent(circuit, _normalize_parents(parent_eval))
     if match is None:
         return evaluate(ctx, circuit)
     parent, changed = match
-    # A copy-then-mutate child shares the parent's gate-ID set, so the
-    # dirty cone computed on the parent's memoized fan-out map equals
-    # the child's (changed gates are seeds; edges into unchanged gates
-    # are identical in both) — the child never builds its own O(V+E)
-    # fan-out map just to find its cone.
-    pc = parent.circuit
-    dirty = None
-    if circuit.same_gid_set(pc):
-        dirty = set()
-        for gid in changed:
-            if gid >= 0:
-                dirty |= pc.transitive_fanout(gid, include_self=True)
-    values = resimulate_cone(
-        circuit, ctx.vectors, parent.values, changed, dirty=dirty
-    )
-    report = update_timing(ctx.sta, circuit, parent.report, changed)
-    return _finish_eval(ctx, circuit, report, values)
+    return _evaluate_cones(ctx, parent, [(circuit, changed)])[0]

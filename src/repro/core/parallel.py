@@ -27,10 +27,9 @@ How determinism is preserved:
   worker-side (the parent process mirrors the cache bookkeeping, so it
   knows which worker owns which parent); subsequent generations ship
   only the children.  Workers re-stamp each child's provenance against
-  their cached parent copy and run the ordinary batch path — stacked
-  value walk plus the stacked incremental timing frontier
-  (:func:`repro.sta.update_timing_batch`) — the same code, the same
-  floats.
+  their cached parent copy and run the ordinary batch path — the
+  per-child cone walk (:func:`repro.core.batch.evaluate_batch`) — the
+  same code, the same floats.
 * **Results merge by item index**, so completion order is irrelevant.
 
 Evaluating each gate's value and timing is a pure function of circuit
@@ -192,16 +191,6 @@ def resolve_jobs(jobs: Optional[int] = None, config: Any = None) -> int:
     return 1
 
 
-def full_structure_key(circuit: Circuit) -> bytes:
-    """Back-compat shim: see :meth:`Circuit.full_structure_key`.
-
-    The digest moved onto :class:`~repro.netlist.Circuit` so the batch
-    evaluator's singles dedup can use it without importing this module
-    (which imports the batch evaluator).
-    """
-    return circuit.full_structure_key()
-
-
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
@@ -270,16 +259,12 @@ class _ContextSpec:
 # same sorted-gid row numbering as the timing arrays, so evals cross
 # the pipe with that matrix shipped raw — no per-gate keys, no dict
 # repacking — and the row index is rebuilt memoized from the circuit on
-# the receiving side (``keys is None`` marks the dense layout).  Legacy
-# dict value maps (the diverged-fallback path) still ship as a key
-# array plus stacked rows, exactly as PR 3 packed them.  Timing rides
-# the same way: the report's SoA arrays ship raw (five numpy arrays
-# instead of five per-gate dicts).
+# the receiving side.  Timing rides the same way: the report's SoA
+# arrays ship raw (five numpy arrays instead of five per-gate dicts).
 _PackedEval = Tuple[
     Circuit,  # shares identity with report.circuit through one pickle
     Tuple,  # TimingReport.pack(): five SoA arrays + structure version
-    Optional[np.ndarray],  # value-map keys (int64); None = dense store
-    np.ndarray,  # value matrix: (index.n + 2, W) dense or stacked rows
+    np.ndarray,  # value matrix: (index.n + 2, W)
     float,  # depth
     float,  # area
     float,  # error
@@ -292,22 +277,10 @@ _PackedEval = Tuple[
 
 
 def _pack_eval(ev: CircuitEval) -> _PackedEval:
-    values = ev.values
-    if isinstance(values, ValueStore):
-        keys: Optional[np.ndarray] = None
-        matrix = values.matrix
-    else:
-        keys = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
-        matrix = (
-            np.stack(list(values.values()))
-            if values
-            else np.empty((0, 0), dtype=np.uint64)
-        )
     return (
         ev.circuit,
         ev.report.pack(),
-        keys,
-        matrix,
+        ev.values.matrix,
         ev.depth,
         ev.area,
         ev.error,
@@ -323,7 +296,6 @@ def _unpack_eval(packed: _PackedEval) -> CircuitEval:
     (
         circuit,
         report_payload,
-        keys,
         matrix,
         depth,
         area,
@@ -334,21 +306,15 @@ def _unpack_eval(packed: _PackedEval) -> CircuitEval:
         fitness,
         version,
     ) = packed
-    if keys is None:
-        # Dense store: rebuild the (memoized) row index from the
-        # circuit that travelled alongside — same sorted-gid numbering
-        # the sender laid the matrix out by.  The matrix arrives
-        # writable from the pipe; republish it read-only — a shipped
-        # eval is as published as the local one it mirrors.
-        values: Any = ValueStore(
-            value_store_index(circuit), publish_array(matrix)
-        )
-    else:
-        values = {int(k): matrix[i] for i, k in enumerate(keys)}
+    # Rebuild the (memoized) row index from the circuit that travelled
+    # alongside — same sorted-gid numbering the sender laid the matrix
+    # out by.  The matrix arrives writable from the pipe; republish it
+    # read-only — a shipped eval is as published as the local one it
+    # mirrors.
     return CircuitEval(
         circuit=circuit,
         report=TimingReport.unpack(circuit, report_payload),
-        values=values,
+        values=ValueStore(value_store_index(circuit), publish_array(matrix)),
         depth=depth,
         area=area,
         error=error,
@@ -489,7 +455,7 @@ def _worker_main(conn: Connection, spec: _ContextSpec) -> None:
             if ctx is None and init_error is None:
                 try:
                     ctx = spec.build()
-                    ref_key = full_structure_key(ctx.reference)
+                    ref_key = ctx.reference.full_structure_key()
                 except BaseException as exc:  # noqa: BLE001 - report, don't die
                     init_error = exc
             if init_error is not None:
@@ -629,7 +595,7 @@ class ShardDispatcher:
         #: Reentrant because the error path closes from inside a
         #: dispatch.
         self._lock = TrackedLock("ShardDispatcher._lock", reentrant=True)
-        self._ref_key = full_structure_key(ctx.reference)
+        self._ref_key = ctx.reference.full_structure_key()
         #: Mirror of each worker's cache keys, in insertion (FIFO) order.
         self._known: List["OrderedDict[bytes, None]"] = [
             OrderedDict() for _ in range(jobs)
@@ -766,23 +732,15 @@ class ShardDispatcher:
                 return w
         return None
 
-    def _plan(
-        self, items: Sequence[BatchItem], force_full: bool
-    ) -> List[_WorkerPlan]:
+    def _plan(self, items: Sequence[BatchItem]) -> List[_WorkerPlan]:
         """Deterministically partition a generation into worker shards."""
-        if force_full:
-            groups: List = []
-            singles: List[Tuple[int, Circuit]] = [
-                (i, circuit) for i, (circuit, _) in enumerate(items)
-            ]
-        else:
-            groups, singles = group_by_parent(items)
+        groups, singles = group_by_parent(items)
         plans = [_WorkerPlan() for _ in range(self.jobs)]
         pinned: set = set()
         for parent, members in groups:
-            key = full_structure_key(parent.circuit)
+            key = parent.circuit.full_structure_key()
             packed = [
-                (i, circuit, changed, full_structure_key(circuit))
+                (i, circuit, changed, circuit.full_structure_key())
                 for i, circuit, changed in members
             ]
             if key == self._ref_key:
@@ -812,7 +770,7 @@ class ShardDispatcher:
         for i, circuit in singles:
             w = self._rr % self.jobs
             self._rr += 1
-            child_key = full_structure_key(circuit)
+            child_key = circuit.full_structure_key()
             plans[w].singles.append((i, circuit, child_key))
             self._register(w, child_key, plans[w], pinned)
         return plans
@@ -914,14 +872,8 @@ class ShardDispatcher:
             return "poison"
         return None
 
-    def evaluate_items(
-        self, items: Sequence[BatchItem], force_full: bool = False
-    ) -> List[CircuitEval]:
+    def evaluate_items(self, items: Sequence[BatchItem]) -> List[CircuitEval]:
         """Evaluate a generation across the pool; bit-identical to serial.
-
-        ``force_full`` mirrors ``use_incremental=False``: every item is
-        fully evaluated (still sharded), matching what the serial path
-        would have computed under that toggle.
 
         Self-healing: workers that die, hang past the reply deadline,
         or lose their pipe are respawned and the unmerged items
@@ -942,13 +894,13 @@ class ShardDispatcher:
             attempt = 0
             while pending:
                 if attempt > self.retries:
-                    self._serial_fallback(items, pending, force_full, out)
+                    self._serial_fallback(items, pending, out)
                     break
                 if attempt:
                     self.stats["retries"] += 1
                     time.sleep(self.backoff * attempt)
                 sub = [items[i] for i in pending]
-                plans = self._plan(sub, force_full)
+                plans = self._plan(sub)
                 active: List[int] = []
                 failed: List[int] = []
                 for w, plan in enumerate(plans):
@@ -1001,7 +953,6 @@ class ShardDispatcher:
         self,
         items: Sequence[BatchItem],
         pending: Sequence[int],
-        force_full: bool,
         out: List[Optional[CircuitEval]],
     ) -> None:
         """Last resort: evaluate the stubborn items in the parent.
@@ -1018,10 +969,7 @@ class ShardDispatcher:
             RuntimeWarning,
             stacklevel=3,
         )
-        sub: List[BatchItem] = [items[i] for i in pending]
-        if force_full:
-            sub = [(circuit, None) for circuit, _ in sub]
-        evals = evaluate_batch(self._ctx, sub)
+        evals = evaluate_batch(self._ctx, [items[i] for i in pending])
         for index, ev in zip(pending, evals):
             out[index] = ev
 

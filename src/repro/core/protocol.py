@@ -23,10 +23,9 @@ Evaluation enters through two funnels: :meth:`Optimizer._evaluate` for
 one candidate (cone-limited when provenance allows) and
 :meth:`Optimizer._evaluate_generation` for a whole generation, which
 shards the generation across a process pool when the config requests
-``jobs > 1`` (:mod:`repro.core.parallel`), prefers the in-process
-shared-topo-walk batch path (:func:`repro.core.batch.evaluate_batch`)
-otherwise, and falls back to per-candidate incremental evaluation.
-All paths are bit-identical to the full path.
+``jobs > 1`` (:mod:`repro.core.parallel`) and otherwise runs the
+in-process batch evaluator (:func:`repro.core.batch.evaluate_batch`).
+Both are bit-identical to the full path.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from .fitness import (
     CircuitEval,
     EvalContext,
     ParentEvals,
-    evaluate,
     evaluate_incremental,
 )
 from .result import IterationStats, OptimizationResult
@@ -249,14 +247,12 @@ class Optimizer(ABC):
     ) -> CircuitEval:
         """Evaluate one candidate, cone-limited when a parent is known.
 
-        With ``use_incremental`` (the default) and a valid provenance
-        record, only the changed gates' fan-out cones are resimulated
-        and retimed; results are bit-identical to the full path.
+        With a valid provenance record, only the changed gates' fan-out
+        cones are resimulated and retimed; results are bit-identical to
+        the full path.
         """
         self._evaluations += 1
-        if getattr(self.config, "use_incremental", True):
-            return evaluate_incremental(self.ctx, circuit, parents)
-        return evaluate(self.ctx, circuit)
+        return evaluate_incremental(self.ctx, circuit, parents)
 
     def _evaluate_generation(
         self, items: Sequence[Tuple[Circuit, ParentEvals]]
@@ -266,39 +262,21 @@ class Optimizer(ABC):
         The preferred entry point of the protocol: with ``jobs > 1``
         resolved from the config (or the ``REPRO_JOBS`` environment),
         the generation is sharded across the context's worker pool;
-        otherwise, when the config enables it, it goes through the
-        in-process shared-topo-walk batch evaluator; otherwise each
-        candidate is evaluated individually (still incrementally when
-        possible).  All paths are bit-identical.
+        otherwise it goes through the in-process batch evaluator.  A
+        one-candidate generation is a plain :meth:`_evaluate`.  All
+        paths are bit-identical.
         """
-        cfg = self.config
-        if (
-            len(items) > 1
-            and getattr(cfg, "use_parallel", True)
-            # use_batch=False is an ablation pin to per-candidate
-            # evaluation; the shard workers run the batch walk, so it
-            # must disable the parallel route too.
-            and getattr(cfg, "use_batch", True)
-        ):
-            from .parallel import get_dispatcher, resolve_jobs
+        if len(items) <= 1:
+            return [self._evaluate(c, p) for c, p in items]
+        from .parallel import get_dispatcher, resolve_jobs
 
-            jobs = resolve_jobs(config=cfg)
-            if jobs > 1:
-                evals = get_dispatcher(self.ctx, jobs).evaluate_items(
-                    items,
-                    force_full=not getattr(cfg, "use_incremental", True),
-                )
-                self._evaluations += len(items)
-                return evals
-        if (
-            len(items) > 1
-            and getattr(cfg, "use_incremental", True)
-            and getattr(cfg, "use_batch", True)
-        ):
+        jobs = resolve_jobs(config=self.config)
+        if jobs > 1:
+            evals = get_dispatcher(self.ctx, jobs).evaluate_items(items)
+        else:
             evals = evaluate_batch(self.ctx, items)
-            self._evaluations += len(items)
-            return evals
-        return [self._evaluate(c, p) for c, p in items]
+        self._evaluations += len(items)
+        return evals
 
     # ------------------------------------------------------------------
     # loop protocol (subclass responsibility)

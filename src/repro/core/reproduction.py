@@ -160,8 +160,11 @@ def circuit_reproduce(
     Both parents must be population members derived from the same
     accurate circuit (identical gate ID space and port lists).
     """
-    if ev_a.circuit.po_ids != ev_b.circuit.po_ids:
+    ca, cb = ev_a.circuit, ev_b.circuit
+    if ca.po_ids != cb.po_ids:
         raise ValueError("parents expose different PO sets")
+    if ca.fanins.keys() != cb.fanins.keys():
+        raise ValueError("parents carry different gate-ID sets")
     weights = weights or LevelWeights.paper_defaults(ctx)
     levels_a = po_levels(ev_a, ctx, weights)
     levels_b = po_levels(ev_b, ctx, weights)
@@ -184,63 +187,34 @@ def circuit_reproduce(
             choices.append((levels_b[po], po, ev_b.circuit))
     choices.sort(key=lambda item: (-item[0], item[1]))
 
+    # Both parents' cone masks share one row numbering (same gate-ID
+    # set), so first-write-wins reduces to `mask & ~written` per PO and
+    # only the genuinely new rows of each cone are visited.  Write order
+    # within one cone cannot matter: every write reads the same parent.
     changed: set = set()
     base_version = child.version
     writes = 0
-    ca, cb = ev_a.circuit, ev_b.circuit
-    if ca.fanins.keys() == cb.fanins.keys():
-        # Same gate-ID set (every population pair): both parents' cone
-        # masks share one row numbering, so first-write-wins reduces to
-        # `mask & ~written` per PO instead of a frozenset walk — only
-        # the genuinely new rows of each cone are ever visited.  The
-        # write set (and therefore the child and its provenance) is
-        # identical to the set-based walk: write order within one cone
-        # cannot matter, every write reads the same parent.
-        cones = {id(ca): po_cones(ca), id(cb): po_cones(cb)}
-        gids = cones[id(ca)].index.gids
-        written_mask = np.zeros(len(gids), dtype=bool)
-        for _, po, parent in choices:
-            mask = cones[id(parent)].mask(po)
-            fresh = mask & ~written_mask
-            written_mask |= mask
-            for r in np.flatnonzero(fresh):
-                gid = int(gids[r])
-                # Skip no-op writes: the child starts as a copy of
-                # ``base``, so a differing current value means "differs
-                # from base" — exactly the changed set incremental
-                # evaluation needs (and skipping identical writes
-                # avoids needless cache churn).
-                if child.fanins[gid] != parent.fanins[gid]:
-                    child.fanins[gid] = parent.fanins[gid]
-                    changed.add(gid)
-                    writes += 1
-                if (
-                    not child.is_po(gid)
-                    and child.cells[gid] != parent.cells[gid]
-                ):
-                    child.cells[gid] = parent.cells[gid]
-                    changed.add(gid)
-                    writes += 1
-    else:
-        # Gate-ID sets diverged (outside the population protocol): keep
-        # the historical per-PO set walk over the memoized TFI cones.
-        written: set = set()
-        for _, po, parent in choices:
-            for gid in parent.transitive_fanin(po, include_self=True):
-                if gid in written:
-                    continue
-                written.add(gid)
-                if child.fanins[gid] != parent.fanins[gid]:
-                    child.fanins[gid] = parent.fanins[gid]
-                    changed.add(gid)
-                    writes += 1
-                if (
-                    not child.is_po(gid)
-                    and child.cells[gid] != parent.cells[gid]
-                ):
-                    child.cells[gid] = parent.cells[gid]
-                    changed.add(gid)
-                    writes += 1
+    cones = {id(ca): po_cones(ca), id(cb): po_cones(cb)}
+    gids = cones[id(ca)].index.gids
+    written_mask = np.zeros(len(gids), dtype=bool)
+    for _, po, parent in choices:
+        mask = cones[id(parent)].mask(po)
+        fresh = mask & ~written_mask
+        written_mask |= mask
+        for r in np.flatnonzero(fresh):
+            gid = int(gids[r])
+            # Skip no-op writes: the child starts as a copy of ``base``,
+            # so a differing current value means "differs from base" —
+            # exactly the changed set incremental evaluation needs (and
+            # skipping identical writes avoids needless cache churn).
+            if child.fanins[gid] != parent.fanins[gid]:
+                child.fanins[gid] = parent.fanins[gid]
+                changed.add(gid)
+                writes += 1
+            if not child.is_po(gid) and child.cells[gid] != parent.cells[gid]:
+                child.cells[gid] = parent.cells[gid]
+                changed.add(gid)
+                writes += 1
     child.extend_provenance(changed, base_version, writes)
     return child
 

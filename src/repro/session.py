@@ -295,8 +295,17 @@ class Session:
         a fresh run's initial population by methods that support it.
         Seeding deliberately changes the search trajectory, so it is
         opt-in per call and ignored when continuing a paused run (the
-        paused population already exists).
+        paused population already exists).  A seed must carry the
+        reference circuit's gate-ID set — crossover and the cone walk
+        rely on it — or ``ValueError`` is raised.
         """
+        reference = self.ctx.reference
+        for seed in seeds or ():
+            if seed.fanins.keys() != reference.fanins.keys():
+                raise ValueError(
+                    "seed circuit's gate-ID set differs from the "
+                    "reference circuit's"
+                )
         key = get_method(method).name
         pending = self._pending.pop(key, None)
         if pending is not None:

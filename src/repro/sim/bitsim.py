@@ -8,10 +8,7 @@ and output-similarity tables.
 Values live in the structure-of-arrays :class:`~repro.sim.store.ValueStore`
 (one dense uint64 matrix laid out by the shared timing row index) rather
 than a per-gate dict; the store's mapping face keeps every historical
-``values[gid]`` consumer working.  :func:`resimulate_cone` keeps a
-dict-based fallback for base values whose gate-ID set no longer covers
-the circuit (gates added/removed since the base simulation) — results
-are bit-identical on every path.
+``values[gid]`` consumer working.
 """
 
 from __future__ import annotations
@@ -29,13 +26,6 @@ from .vectors import VectorSet
 #: Map from gate id to its packed output words — either a plain dict or
 #: the dense :class:`ValueStore` (a read-only Mapping with the same face).
 ValueMap = Mapping[int, np.ndarray]
-
-
-def _const_rows(num_words: int) -> Dict[int, np.ndarray]:
-    return {
-        CONST0: np.zeros(num_words, dtype=np.uint64),
-        CONST1: np.full(num_words, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64),
-    }
 
 
 # lint: allow[R1] publish site: fills a freshly allocated, unshared store
@@ -85,7 +75,7 @@ def resimulate_cone(
     base_values: ValueMap,
     changed: Iterable[int],
     dirty: Optional[Set[int]] = None,
-) -> ValueMap:
+) -> ValueStore:
     """Incrementally re-evaluate only the TFO of ``changed`` gates.
 
     ``base_values`` must come from a simulation of a circuit identical to
@@ -93,20 +83,23 @@ def resimulate_cone(
     incremental trick VECBEE uses to make batch LAC evaluation cheap: an
     approximate change only perturbs its transitive fan-out.
 
-    Returns a fresh value mapping; ``base_values`` is not mutated.  When
-    the base is a :class:`ValueStore` covering this circuit's gate-ID
-    set (every copy-then-mutate child qualifies), the result is a store
-    sharing the parent's row index — one matrix ``memcpy`` plus the
-    dirty rows, no per-gate dict traffic — and on gid-topological
-    circuits (every population member) the dirty rows evaluate in
-    sorted-gid order, skipping the per-child topological-order build.
-    Otherwise (gates added or removed since the base simulation) the
-    historical dict walk runs; all paths produce bit-identical rows.
+    Returns a fresh :class:`ValueStore`; ``base_values`` is not mutated.
+    The result shares the base store's row index — one matrix
+    ``memcpy`` plus the dirty rows, no per-gate dict traffic — and on
+    gid-topological circuits (every population member) the dirty rows
+    evaluate in sorted-gid order, skipping the per-child
+    topological-order build.  A base that is not a store covering this
+    circuit's gate-ID set (gates added or removed since the base
+    simulation) has no rows to reuse: the circuit is simulated in full.
 
     ``dirty`` optionally supplies the precomputed TFO of ``changed``
     (callers holding the parent's memoized cones pass it; see
-    :func:`repro.core.fitness.evaluate_incremental`).
+    :func:`repro.core.fitness._evaluate_cones`).
     """
+    if not (
+        isinstance(base_values, ValueStore) and base_values.covers(circuit)
+    ):
+        return simulate(circuit, vectors)
     if dirty is None:
         dirty = set()
         for gid in changed:
@@ -116,52 +109,32 @@ def resimulate_cone(
                 dirty |= circuit.transitive_fanout(gid, include_self=True)
     fanins = circuit.fanins
     cells = circuit.cells
-    if isinstance(base_values, ValueStore) and base_values.covers(circuit):
-        index = base_values.index
-        matrix = base_values.fork_matrix()
-        rows = value_rows(index)
-        matrix[index.n] = 0
-        matrix[index.n + 1] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        for i, pi in enumerate(circuit.pi_ids):
-            matrix[rows[pi]] = vectors.words[i]
-        if circuit.gid_order_topo():
-            schedule = sorted(dirty)
-        else:
-            schedule = [
-                gid for gid in circuit.topological_order() if gid in dirty
-            ]
-        for gid in schedule:
-            cell = cells[gid]
-            if cell == PI_CELL:
-                continue
-            fis = fanins[gid]
-            if cell == PO_CELL:
-                matrix[rows[gid]] = matrix[rows[fis[0]]]
-                continue
-            function, _ = split_cell_name(cell)
-            matrix[rows[gid]] = FUNCTIONS[function].word_eval(
-                [matrix[rows[fi]] for fi in fis]
-            )
-        return ValueStore(index, publish_array(matrix))
-    values: Dict[int, np.ndarray] = dict(base_values)
-    values.update(_const_rows(vectors.num_words))
-    for row, pi in enumerate(circuit.pi_ids):
-        values[pi] = vectors.words[row]
-    for gid in circuit.topological_order():
-        if gid not in dirty:
-            continue
+    index = base_values.index
+    matrix = base_values.fork_matrix()
+    rows = value_rows(index)
+    matrix[index.n] = 0
+    matrix[index.n + 1] = np.uint64(0xFFFFFFFFFFFFFFFF)
+    for i, pi in enumerate(circuit.pi_ids):
+        matrix[rows[pi]] = vectors.words[i]
+    if circuit.gid_order_topo():
+        schedule = sorted(dirty)
+    else:
+        schedule = [
+            gid for gid in circuit.topological_order() if gid in dirty
+        ]
+    for gid in schedule:
         cell = cells[gid]
         if cell == PI_CELL:
             continue
         fis = fanins[gid]
         if cell == PO_CELL:
-            values[gid] = values[fis[0]]
+            matrix[rows[gid]] = matrix[rows[fis[0]]]
             continue
         function, _ = split_cell_name(cell)
-        values[gid] = FUNCTIONS[function].word_eval(
-            [values[fi] for fi in fis]
+        matrix[rows[gid]] = FUNCTIONS[function].word_eval(
+            [matrix[rows[fi]] for fi in fis]
         )
-    return values
+    return ValueStore(index, publish_array(matrix))
 
 
 def po_words(circuit: Circuit, values: ValueMap) -> np.ndarray:

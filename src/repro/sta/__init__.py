@@ -16,12 +16,11 @@ from .paths import (
     slack_profile,
     worst_endpoints,
 )
-from .incremental import shared_levels_valid, update_timing, update_timing_batch
+from .incremental import update_timing, update_timing_batch
 from .power import PowerReport, estimate_power, toggle_rate
 from .report import format_path, format_summary
 
 __all__ = [
-    "shared_levels_valid",
     "update_timing",
     "update_timing_batch",
     "PowerReport",

@@ -340,8 +340,8 @@ def eval_gates_vector(
     equals the scalar table walk operation for operation, and ``argmax``
     picks the *first* index attaining the maximum arrival, matching the
     scalar ``first or at > best`` scan.  Both the full analyzer's wide
-    groups and the incremental frontier walks (sequential and stacked)
-    run through this one kernel.
+    groups and the incremental frontier walk run through this one
+    kernel.
     """
     at = a + lookup_many(cell.arc.delay, s, load[:, None])
     j = np.argmax(at, axis=1)
@@ -351,18 +351,6 @@ def eval_gates_vector(
     nd = d[pick, j] + 1
     ncf = fg[pick, j]
     return na, ns, nd, ncf
-
-
-def fork_stacked(a: np.ndarray, count: int) -> np.ndarray:
-    """``count`` independent copies of one timing array, stacked.
-
-    The ``(count, rows)`` fork the stacked incremental frontier mutates
-    per child — the tensor analogue of ``previous.<array>.copy()`` in
-    the per-child walk.
-    """
-    out = np.empty((count,) + a.shape, dtype=a.dtype)
-    out[:] = a
-    return out
 
 
 def eval_gate_scalar(cell, fan_timing, load: float, input_slew: float):

@@ -17,8 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eval_oracle import assert_matches_full_evaluation
 from reference_circuits import build_adder, build_fig3_circuit
 
+from repro.baselines import VaACS, VaacsConfig
 from repro.cells import default_library
 from repro.core import (
     DCGWO,
@@ -32,6 +34,7 @@ from repro.core import (
     is_safe,
     simplified_copy,
 )
+from repro.core.fitness import DepthMode
 from repro.core.simplify import propose_simplification
 from repro.netlist import CONST0, CONST1, Circuit, remove_dangling
 from repro.sim import (
@@ -235,30 +238,47 @@ class TestIncrementalEquivalence:
 class TestDCGWOIncrementalIdentity:
     def test_seeded_runs_identical(self, library):
         circuit = build_adder(8)
-        results = []
-        for use_incremental in (True, False):
+
+        def build():
             ctx = EvalContext.build(
                 circuit, library, ErrorMode.NMED, num_vectors=256, seed=4
             )
-            cfg = DCGWOConfig(
-                population_size=6,
-                imax=4,
-                seed=11,
-                use_incremental=use_incremental,
+            cfg = DCGWOConfig(population_size=6, imax=4, seed=11)
+            return DCGWO(ctx, 0.0244, cfg)
+
+        assert_matches_full_evaluation(build)
+
+
+class TestFullEvaluationOracle:
+    """Seeded DCGWO and VaACS runs equal their full-evaluation oracle
+    (``eval_oracle``) in both depth modes."""
+
+    @pytest.mark.parametrize(
+        "depth_mode", [DepthMode.DELAY, DepthMode.UNIT], ids=["delay", "unit"]
+    )
+    @pytest.mark.parametrize("method", ["Ours", "VaACS"])
+    def test_run_matches_full_evaluation(self, library, method, depth_mode):
+        circuit = build_adder(6)
+
+        def build():
+            ctx = EvalContext.build(
+                circuit,
+                library,
+                ErrorMode.ER,
+                num_vectors=128,
+                seed=9,
+                depth_mode=depth_mode,
             )
-            results.append(DCGWO(ctx, 0.0244, cfg).optimize())
-        inc, full = results
-        assert inc.evaluations == full.evaluations
-        assert inc.best.fitness == full.best.fitness
-        assert inc.best.area == full.best.area
-        assert inc.best.error == full.best.error
-        assert (
-            inc.best.circuit.structure_key()
-            == full.best.circuit.structure_key()
-        )
-        for a, b in zip(inc.history, full.history):
-            assert a.best_fitness == b.best_fitness
-            assert a.best_error == b.best_error
+            if method == "Ours":
+                cfg = DCGWOConfig(
+                    population_size=5, imax=3, seed=33, depth_mode=depth_mode
+                )
+                return DCGWO(ctx, 0.05, cfg)
+            cfg = VaacsConfig(population_size=6, generations=3, seed=33)
+            return VaACS(ctx, 0.05, cfg)
+
+        result = assert_matches_full_evaluation(build)
+        assert result.evaluations > 0
 
 
 class TestStructuralCache:

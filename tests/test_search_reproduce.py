@@ -19,7 +19,7 @@ from repro.core import (
     po_levels,
     propose_search_lac,
 )
-from repro.netlist import CONST0, CONST1, is_const, validate
+from repro.netlist import CONST0, CONST1, is_const, remove_dangling, validate
 from repro.sim import ErrorMode, best_switch
 from repro.sta import critical_paths, path_logic_gates
 
@@ -155,6 +155,18 @@ class TestReproduce:
         ev_b = evaluate(ctx4, adder4.copy())
         with pytest.raises(ValueError):
             circuit_reproduce(ev_a, ev_b, ctx)
+
+    def test_diverged_gate_id_sets_rejected(self, ctx, adder8):
+        """Equal PO lists but different gate-ID sets are refused, like
+        different PO lists."""
+        pruned = applied_copy(adder8, LAC(adder8.logic_ids()[-1], CONST0))
+        assert remove_dangling(pruned)
+        assert pruned.po_ids == adder8.po_ids
+        ev_full = evaluate(ctx, adder8.copy())
+        ev_pruned = evaluate(ctx, pruned)
+        for ev_a, ev_b in ((ev_full, ev_pruned), (ev_pruned, ev_full)):
+            with pytest.raises(ValueError, match="gate-ID sets"):
+                circuit_reproduce(ev_a, ev_b, ctx)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

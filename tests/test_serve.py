@@ -99,6 +99,35 @@ def events_of(job, kind):
     return [e for e in job.events if e["type"] == kind]
 
 
+def hold_run_starts(monkeypatch, release_after=None):
+    """Hold every served run in ``on_run_start`` until a gate opens.
+
+    Returns the gate (a ``threading.Event``).  It opens by itself once
+    ``release_after`` runs have arrived, or when the test sets it.  A
+    held run cannot finish, so the jobs' interleaving is a known fact
+    instead of a race against the wall clock: runs held together
+    overlap in time, and a held run keeps its slot busy.  Every wait is
+    bounded, so a broken premise fails the test instead of hanging it.
+    """
+    from repro.serve import service as service_mod
+
+    gate = threading.Event()
+    arrived = []
+    lock = threading.Lock()
+    orig = service_mod._StreamCallback.on_run_start
+
+    def held(cb_self, method, total_iterations, state):
+        orig(cb_self, method, total_iterations, state)
+        with lock:
+            arrived.append(cb_self.job.id)
+            if release_after is not None and len(arrived) >= release_after:
+                gate.set()
+        gate.wait(timeout=60)
+
+    monkeypatch.setattr(service_mod._StreamCallback, "on_run_start", held)
+    return gate
+
+
 # ----------------------------------------------------------------------
 # spec validation
 # ----------------------------------------------------------------------
@@ -179,13 +208,17 @@ class TestService:
         ]
         assert streamed == recorder.rows
 
-    def test_concurrent_jobs_overlap_and_match_serial(self, tmp_path):
+    def test_concurrent_jobs_overlap_and_match_serial(
+        self, tmp_path, monkeypatch
+    ):
         """capacity=2: two jobs actually run at the same time, and the
         concurrency changes nothing about either result."""
         specs = [quick_spec(seed=11), quick_spec(seed=12)]
         service = OptimizationService(
             capacity=2, spool=str(tmp_path / "spool")
         )
+        # Neither run may finish before both have started.
+        hold_run_starts(monkeypatch, release_after=2)
 
         async def wait_running(job):
             cursor = 0
@@ -502,10 +535,14 @@ class _Daemon:
 
 
 class TestHttp:
-    def test_two_clients_stream_live_and_match_serial(self, tmp_path):
+    def test_two_clients_stream_live_and_match_serial(
+        self, tmp_path, monkeypatch
+    ):
         """Two concurrent clients, each streaming its own job; both
         streams are complete, ordered, and equal to serial ground
         truth."""
+        # Neither run may finish before both have started.
+        hold_run_starts(monkeypatch, release_after=2)
         with _Daemon(tmp_path, capacity=2) as client:
             assert client.health()["status"] == "ok"
             assert "Ours" in client.methods()
@@ -588,17 +625,27 @@ class TestHttp:
                 )
             assert excinfo.value.status == 400
 
-    def test_queue_full_503_carries_retry_after(self, tmp_path):
+    def test_queue_full_503_carries_retry_after(
+        self, tmp_path, monkeypatch
+    ):
         """Back-pressure is advertised, not just thrown: the 503 tells
         clients how long to back off, and the client surfaces it."""
+        # The first run holds the only slot until every submit is in,
+        # so the one pending place fills and stays full.
+        gate = hold_run_starts(monkeypatch)
         with _Daemon(tmp_path, capacity=1, max_pending=1) as client:
             ids, excinfo = [], None
-            for seed in range(91, 96):
-                try:
-                    ids.append(client.submit(quick_spec(seed=seed))["id"])
-                except ServeError as exc:
-                    excinfo = exc
-                    break
+            try:
+                for seed in range(91, 96):
+                    try:
+                        ids.append(
+                            client.submit(quick_spec(seed=seed))["id"]
+                        )
+                    except ServeError as exc:
+                        excinfo = exc
+                        break
+            finally:
+                gate.set()
             assert excinfo is not None, "queue never filled"
             assert excinfo.status == 503
             assert excinfo.retry_after == 1.0
@@ -755,6 +802,35 @@ class TestClientReconnect:
 # ----------------------------------------------------------------------
 # graceful drain (the real daemon process, real signals)
 # ----------------------------------------------------------------------
+#: Runs ``repro`` with every served run held after its first streamed
+#: iteration until the drain interrupts it, so SIGTERM provably lands
+#: mid-run however fast the run is.  Bounded, like hold_run_starts.
+_HELD_DAEMON = """
+import sys, threading
+from repro.__main__ import main
+from repro.serve import service
+from repro.session import Session
+
+interrupted = threading.Event()
+orig_interrupt = Session.interrupt
+orig_iteration = service._StreamCallback.on_iteration
+
+def interrupt(self):
+    try:
+        return orig_interrupt(self)
+    finally:
+        interrupted.set()
+
+def on_iteration(self, event):
+    orig_iteration(self, event)
+    interrupted.wait(timeout=60)
+
+Session.interrupt = interrupt
+service._StreamCallback.on_iteration = on_iteration
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestDrain:
     def test_sigterm_drains_to_resumable_checkpoint(self, tmp_path):
         """SIGTERM mid-run: the daemon checkpoints the in-flight job,
@@ -773,7 +849,7 @@ class TestDrain:
         env.pop("REPRO_CACHE", None)
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "serve",
+                sys.executable, "-c", _HELD_DAEMON, "serve",
                 "--port", "0", "--capacity", "1",
                 "--spool", str(spool), "--quiet",
             ],

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from eval_oracle import assert_matches_full_evaluation
 from reference_circuits import build_adder
 
 from repro import (
@@ -478,23 +479,14 @@ class TestEvaluateBatch:
         _assert_same_eval(got, want)
 
     def test_dcgwo_run_identical_with_and_without_batch(self, library):
+        """Batched generations vs. the full-evaluation oracle."""
         circuit = build_adder(8)
-        results = []
-        for use_batch in (True, False):
-            ctx = _ctx(circuit, library)
-            cfg = DCGWOConfig(
-                population_size=6, imax=4, seed=11, use_batch=use_batch
-            )
-            results.append(DCGWO(ctx, 0.0244, cfg).optimize())
-        with_batch, without = results
-        assert with_batch.evaluations == without.evaluations
-        assert with_batch.best.fitness == without.best.fitness
-        assert with_batch.best.error == without.best.error
-        assert (
-            with_batch.best.circuit.structure_key()
-            == without.best.circuit.structure_key()
-        )
-        assert with_batch.history == without.history
+
+        def build():
+            cfg = DCGWOConfig(population_size=6, imax=4, seed=11)
+            return DCGWO(_ctx(circuit, library), 0.0244, cfg)
+
+        assert_matches_full_evaluation(build)
 
     def test_session_evaluate_batch_accepts_bare_circuits(self, session):
         kids = _lac_children(session.ctx, 3, seed=2)
@@ -530,3 +522,22 @@ class TestSessionFacade:
 
     def test_methods_listing(self):
         assert Session.methods() == method_names()
+
+    def test_seed_with_diverged_gate_id_set_rejected(self, adder8):
+        """Warm-start seeds must share the reference's gate-ID set."""
+        from repro.netlist import CONST0, remove_dangling
+
+        session = Session(adder8, NMED_CFG)
+        pruned = applied_copy(
+            session.circuit, LAC(session.circuit.logic_ids()[-1], CONST0)
+        )
+        assert remove_dangling(pruned)
+        assert pruned.po_ids == session.circuit.po_ids
+        with pytest.raises(ValueError, match="gate-ID set"):
+            session.optimize("Ours", seeds=[pruned])
+        ok = applied_copy(
+            session.circuit, LAC(session.circuit.logic_ids()[-1], CONST0)
+        )
+        result = session.optimize("Ours", seeds=[ok], stop_after=1)
+        assert result.evaluations > 0
+        session.close()

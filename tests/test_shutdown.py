@@ -30,11 +30,14 @@ from repro.netlist import write_verilog
 from repro.session import FlowConfig, Session
 
 
-def _no_worker_children() -> bool:
+def _no_worker_children(before=frozenset()) -> bool:
     # Dispatcher workers are daemon Process children; after close()
-    # none may remain (a grace poll absorbs reaping latency).
+    # none may remain (a grace poll absorbs reaping latency).  Children
+    # in ``before`` predate the run: pools that earlier tests left to
+    # the garbage collector (under REPRO_JOBS every bare context gets
+    # one) are not this run's leak.
     for _ in range(50):
-        if not multiprocessing.active_children():
+        if not set(multiprocessing.active_children()) - before:
             return True
         time.sleep(0.1)
     return False
@@ -70,19 +73,21 @@ class TestErrorTeardown:
         self, adder4_v, monkeypatch
     ):
         self._raise_after_spawn(monkeypatch)
+        before = set(multiprocessing.active_children())
         with pytest.raises(RuntimeError, match="mid-run failure"):
             main(["optimize", adder4_v, "--jobs", "2", *QUICK_FLAGS])
-        assert _no_worker_children(), "optimize leaked shard workers"
+        assert _no_worker_children(before), "optimize leaked shard workers"
 
     def test_compare_failure_leaves_no_orphans(
         self, adder4_v, monkeypatch
     ):
         self._raise_after_spawn(monkeypatch)
+        before = set(multiprocessing.active_children())
         with pytest.raises(RuntimeError, match="mid-run failure"):
             main([
                 "compare", adder4_v, "--methods", "Ours", *QUICK_FLAGS,
             ])
-        assert _no_worker_children(), "compare leaked shard workers"
+        assert _no_worker_children(before), "compare leaked shard workers"
 
     def test_session_close_flushes_stats_ledger(self, tmp_path):
         """close() on any path (including the CLI ``finally``) leaves

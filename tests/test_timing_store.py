@@ -25,6 +25,7 @@ import random
 import numpy as np
 import pytest
 
+from eval_oracle import assert_matches_full_evaluation
 from reference_circuits import build_adder, build_fig3_circuit
 
 from repro.cells import FUNCTIONS, Cell, Library, cell_name, default_library
@@ -515,8 +516,8 @@ class TestSeededRunsStillIdentical:
     def test_unit_depth_mode_incremental_identity(self, library):
         """DepthMode.UNIT end-to-end: the mode the stale-depth bug hit."""
         circuit = build_adder(6)
-        results = []
-        for use_incremental in (True, False):
+
+        def build():
             ctx = EvalContext.build(
                 circuit,
                 library,
@@ -525,24 +526,14 @@ class TestSeededRunsStillIdentical:
                 seed=9,
                 depth_mode=DepthMode.UNIT,
             )
-            cfg = DCGWOConfig(
-                population_size=4,
-                imax=3,
-                seed=21,
-                use_incremental=use_incremental,
-            )
-            results.append(DCGWO(ctx, 0.05, cfg).optimize())
-        inc, full = results
-        assert inc.best.fitness == full.best.fitness
-        assert inc.best.depth == full.best.depth
-        assert (
-            inc.best.circuit.structure_key()
-            == full.best.circuit.structure_key()
-        )
+            cfg = DCGWOConfig(population_size=4, imax=3, seed=21)
+            return DCGWO(ctx, 0.05, cfg)
+
+        assert_matches_full_evaluation(build)
 
 
 # ----------------------------------------------------------------------
-# stacked incremental frontier: update_timing_batch bit-identity
+# group timing (update_timing_batch) and group evaluation vs analyze
 # ----------------------------------------------------------------------
 def _random_lac_child(circuit, rng):
     """A safe LAC child of ``circuit`` carrying a valid provenance record."""
@@ -581,7 +572,9 @@ def _fanout_heavy_circuit():
 
 
 class TestStackedFrontier:
-    """``update_timing_batch`` == per-child ``update_timing``, bit for bit."""
+    """Group timing and evaluation of one parent's children == full
+    ``analyze``/``evaluate``, bit for bit (ties, wide frontiers, deleted
+    gates, stale parents, crossover children)."""
 
     def test_matches_per_child_and_full_on_adder(self, library):
         circuit = build_adder(8)
@@ -594,11 +587,9 @@ class TestStackedFrontier:
             children.append((child, _changed_of(child)))
         batch = update_timing_batch(engine, previous, children)
         assert len(batch) == len(children)
-        for (child, changed), got in zip(children, batch):
+        for (child, _), got in zip(children, batch):
             assert got.circuit is child
             assert got.index is previous.index  # shares the parent's rows
-            seq = update_timing(engine, child, previous, changed)
-            _assert_same_timing(child, got, seq)
             _assert_same_timing(child, got, engine.analyze(child))
 
     def test_tie_reresolution_stacked(self, tie_library):
@@ -619,8 +610,7 @@ class TestStackedFrontier:
 
     def test_wide_dirty_frontier_sequential_vectorized(self, library):
         # A single edit that dirties >= VECTOR_MIN_GROUP same-cell gates
-        # on one level: hits the vectorized branch of the sequential
-        # frontier walk.
+        # on one level: hits the vectorized branch of the frontier walk.
         circuit, src, alt = _fanout_heavy_circuit()
         engine = STAEngine(library)
         previous = engine.analyze(circuit)
@@ -643,21 +633,9 @@ class TestStackedFrontier:
         for (child, _), got in zip(children, batch):
             _assert_same_timing(child, got, full)
 
-    def test_single_child_group_matches_sequential(self, library):
-        circuit = build_adder(6)
-        engine = STAEngine(library)
-        previous = engine.analyze(circuit)
-        child = _random_lac_child(circuit, random.Random(5))
-        changed = _changed_of(child)
-        (got,) = update_timing_batch(engine, previous, [(child, changed)])
-        _assert_same_timing(
-            child, got, update_timing(engine, child, previous, changed)
-        )
-
     def test_diverged_gid_set_falls_back(self, library):
         # One child deleted a gate: its row space no longer matches the
-        # parent report, so it must take the per-child fallback while
-        # its siblings still ride the stacked frontier.
+        # parent report, so its walk cannot reuse the parent's rows.
         circuit = build_adder(6)
         engine = STAEngine(library)
         previous = engine.analyze(circuit)
@@ -683,8 +661,8 @@ class TestStackedFrontier:
         rng = random.Random(29)
         children = [_random_lac_child(circuit, rng) for _ in range(2)]
         items = [(c, _changed_of(c)) for c in children]
-        # Mutate the parent after the report: every child must detour
-        # through the sequential path's own staleness handling.
+        # Mutate the parent after the report: no child may reuse the
+        # parent's post-mutation structure as if it were the analyzed one.
         gid = circuit.logic_ids()[0]
         circuit.set_cell(gid, library.upsize(circuit.cells[gid]).name)
         batch = update_timing_batch(engine, previous, items)
@@ -694,11 +672,7 @@ class TestStackedFrontier:
     @pytest.mark.parametrize(
         "depth_mode", [DepthMode.UNIT, DepthMode.DELAY]
     )
-    def test_eval_batch_identity_under_ties(
-        self, tie_library, depth_mode, monkeypatch
-    ):
-        import repro.core.batch as batch_mod
-
+    def test_eval_batch_identity_under_ties(self, tie_library, depth_mode):
         rng = random.Random(7)
         circuit = _random_tie_circuit(rng)
         ctx = EvalContext.build(
@@ -712,12 +686,9 @@ class TestStackedFrontier:
         )
         parent = ctx.reference_eval()
         children = [_random_lac_child(circuit, rng) for _ in range(6)]
-        copies = [c.copy() for c in children]  # copies keep provenance
-        monkeypatch.setattr(batch_mod, "USE_STACKED_TIMING", True)
         got = evaluate_batch(ctx, [(c, parent) for c in children])
-        monkeypatch.setattr(batch_mod, "USE_STACKED_TIMING", False)
-        ref = evaluate_batch(ctx, [(c, parent) for c in copies])
-        for g, r in zip(got, ref):
+        for g in got:
+            r = evaluate(ctx, g.circuit.copy())
             assert g.fitness == r.fitness
             assert g.depth == r.depth
             assert g.error == r.error
@@ -739,42 +710,10 @@ class TestStackedFrontier:
             circuit_reproduce(evs[i], evs[j], ctx)
             for i, j in [(0, 1), (1, 2), (2, 3), (0, 3)]
         ]
-        copies = [k.copy() for k in kids]
         got = evaluate_batch(ctx, [(k, tuple(evs)) for k in kids])
-        for g, c in zip(got, copies):
-            r = evaluate_incremental(ctx, c, tuple(evs))
+        for g in got:
+            r = evaluate(ctx, g.circuit.copy())
             assert g.fitness == r.fitness
             assert g.depth == r.depth
             assert g.error == r.error
             _assert_same_timing(g.circuit, g.report, r.report)
-
-    def test_dcgwo_identity_with_stacked_frontier_on_off(
-        self, library, monkeypatch
-    ):
-        import repro.core.batch as batch_mod
-
-        circuit = build_adder(6)
-        results = []
-        for flag in (True, False):
-            monkeypatch.setattr(batch_mod, "USE_STACKED_TIMING", flag)
-            ctx = EvalContext.build(
-                circuit, library, ErrorMode.ER, num_vectors=128, seed=9
-            )
-            cfg = DCGWOConfig(
-                population_size=5,
-                imax=3,
-                seed=33,
-                use_batch=True,
-                use_parallel=False,
-            )
-            results.append(DCGWO(ctx, 0.05, cfg).optimize())
-        on, off = results
-        assert on.best.fitness == off.best.fitness
-        assert on.best.depth == off.best.depth
-        assert (
-            on.best.circuit.structure_key()
-            == off.best.circuit.structure_key()
-        )
-        assert [e.fitness for e in on.population] == [
-            e.fitness for e in off.population
-        ]
