@@ -47,7 +47,6 @@ MEMO_ACCESSORS = frozenset(
         "transitive_fanout",
         "timing_index",
         "timing_levels",
-        "timing_plan",
         "po_cones",
         "value_rows",
         "value_store_index",

@@ -100,6 +100,10 @@ from .fitness import CircuitEval, DepthMode, EvalContext
 #: Set in worker processes so :func:`resolve_jobs` never nests pools.
 _IN_WORKER = False
 
+#: Seconds an idle worker waits on its pipe between checks that its
+#: owning process is still alive.
+_ORPHAN_POLL_S = 0.5
+
 #: Parent-eval cache entries kept per worker (FIFO eviction, mirrored
 #: by the dispatcher so both sides agree on what is resident).
 DEFAULT_CACHE_LIMIT = 128
@@ -437,15 +441,24 @@ def _worker_main(conn: Connection, spec: _ContextSpec) -> None:
     build (e.g. a poisoned cell library) must surface as an ordinary
     error reply to the first message — raising out of the loop would
     leave the dispatcher waiting on a dead pipe.
+
+    The loop waits with ``poll`` rather than a bare ``recv``: a forked
+    worker inherits its own pipe's parent end, so an owner that dies
+    without closing the pool (SIGKILL) never delivers EOF.  A worker
+    whose parent PID changed has been orphaned and exits.
     """
     global _IN_WORKER
     _IN_WORKER = True
+    owner = os.getppid()
     ctx: Optional[EvalContext] = None
     ref_key: Optional[bytes] = None
     init_error: Optional[BaseException] = None
     cache: Dict[bytes, CircuitEval] = {}
     while True:
         try:
+            while not conn.poll(_ORPHAN_POLL_S):
+                if os.getppid() != owner:
+                    return
             msg = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             break

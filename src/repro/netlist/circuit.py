@@ -24,6 +24,7 @@ by reference and must be treated as read-only by callers.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -75,40 +76,49 @@ class _TrackedDict(dict):
     Reads stay plain C-speed dict lookups; only the mutating entry points
     are wrapped.  This is what lets code like ``circuit.fanins[gid] = fis``
     (the reproduction operator's cone writes) invalidate the structural
-    caches without routing every caller through mutator methods.
+    caches without routing every caller through mutator methods.  The
+    owner is held by weak reference so a circuit is not a reference
+    cycle: reference counting frees a dead candidate at once instead of
+    leaving it to the cyclic collector.  A write through a dict whose
+    circuit is gone bumps nothing.
     """
 
     __slots__ = ("_owner",)
 
     def __init__(self, owner: "Circuit", *args: Any):
         super().__init__(*args)
-        self._owner = owner
+        self._owner = weakref.ref(owner)
+
+    def _bump(self) -> None:
+        owner = self._owner()
+        if owner is not None:
+            owner._version += 1
 
     def __setitem__(self, key: Any, value: Any) -> None:
         super().__setitem__(key, value)
-        self._owner._version += 1
+        self._bump()
 
     def __delitem__(self, key: Any) -> None:
         super().__delitem__(key)
-        self._owner._version += 1
+        self._bump()
 
     def pop(self, *args: Any) -> Any:
         result = super().pop(*args)
-        self._owner._version += 1
+        self._bump()
         return result
 
     def popitem(self) -> Any:
         result = super().popitem()
-        self._owner._version += 1
+        self._bump()
         return result
 
     def clear(self) -> None:
         super().clear()
-        self._owner._version += 1
+        self._bump()
 
     def update(self, *args: Any, **kwargs: Any) -> None:
         super().update(*args, **kwargs)
-        self._owner._version += 1
+        self._bump()
 
     def setdefault(self, key: Any, default: Any = None) -> Any:
         if key in self:
@@ -594,7 +604,7 @@ class Circuit:
         return c
 
     def __getstate__(self) -> Dict[str, Any]:
-        """Serialize with plain dicts (tracked dicts hold an owner ref).
+        """Serialize with plain dicts (tracked dicts hold a weakref).
 
         Caches are dropped (recomputed lazily) and so is the provenance
         record — it is only meaningful relative to an in-memory parent

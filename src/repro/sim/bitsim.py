@@ -28,7 +28,40 @@ from .vectors import VectorSet
 ValueMap = Mapping[int, np.ndarray]
 
 
-# lint: allow[R1] publish site: fills a freshly allocated, unshared store
+def _eval_schedule(
+    circuit: Circuit,
+    vectors: VectorSet,
+    matrix: np.ndarray,
+    rows: Dict[int, int],
+    schedule: Iterable[int],
+) -> None:
+    """Fill the PI rows from ``vectors``, then evaluate ``schedule``.
+
+    The one gate loop behind :func:`simulate` (every gate, topological
+    order) and :func:`resimulate_cone` (the dirty cone).  PIs take rows
+    of ``vectors`` in ``circuit.pi_ids`` order; POs mirror their single
+    fan-in.  ``schedule`` must list every gate after its fan-ins.
+    """
+    for i, pi in enumerate(circuit.pi_ids):
+        matrix[rows[pi]] = vectors.words[i]
+    # Local bindings: this loop visits every gate of every evaluated
+    # candidate, so attribute/property lookups are hoisted out.
+    fanins = circuit.fanins
+    cells = circuit.cells
+    for gid in schedule:
+        cell = cells[gid]
+        if cell == PI_CELL:
+            continue
+        fis = fanins[gid]
+        if cell == PO_CELL:
+            matrix[rows[gid]] = matrix[rows[fis[0]]]
+            continue
+        function, _ = split_cell_name(cell)
+        matrix[rows[gid]] = FUNCTIONS[function].word_eval(
+            [matrix[rows[fi]] for fi in fis]
+        )
+
+
 def simulate(circuit: Circuit, vectors: VectorSet) -> ValueStore:
     """Simulate all gates; returns the packed value store.
 
@@ -45,27 +78,14 @@ def simulate(circuit: Circuit, vectors: VectorSet) -> ValueStore:
     store = ValueStore.allocate(
         value_store_index(circuit), vectors.num_words
     )
-    matrix = store.matrix
-    rows = value_rows(store.index)
-    for i, pi in enumerate(circuit.pi_ids):
-        matrix[rows[pi]] = vectors.words[i]
-    # Local bindings: this loop visits every gate of every evaluated
-    # candidate, so attribute/property lookups are hoisted out.
-    fanins = circuit.fanins
-    cells = circuit.cells
-    for gid in circuit.topological_order():
-        cell = cells[gid]
-        if cell == PI_CELL:
-            continue
-        fis = fanins[gid]
-        if cell == PO_CELL:
-            matrix[rows[gid]] = matrix[rows[fis[0]]]
-            continue
-        function, _ = split_cell_name(cell)
-        matrix[rows[gid]] = FUNCTIONS[function].word_eval(
-            [matrix[rows[fi]] for fi in fis]
-        )
-    publish_array(matrix)
+    _eval_schedule(
+        circuit,
+        vectors,
+        store.matrix,
+        value_rows(store.index),
+        circuit.topological_order(),
+    )
+    publish_array(store.matrix)
     return store
 
 
@@ -107,33 +127,17 @@ def resimulate_cone(
             # is_const() without a call per changed gate.
             if gid >= 0:
                 dirty |= circuit.transitive_fanout(gid, include_self=True)
-    fanins = circuit.fanins
-    cells = circuit.cells
     index = base_values.index
     matrix = base_values.fork_matrix()
-    rows = value_rows(index)
     matrix[index.n] = 0
     matrix[index.n + 1] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    for i, pi in enumerate(circuit.pi_ids):
-        matrix[rows[pi]] = vectors.words[i]
     if circuit.gid_order_topo():
         schedule = sorted(dirty)
     else:
         schedule = [
             gid for gid in circuit.topological_order() if gid in dirty
         ]
-    for gid in schedule:
-        cell = cells[gid]
-        if cell == PI_CELL:
-            continue
-        fis = fanins[gid]
-        if cell == PO_CELL:
-            matrix[rows[gid]] = matrix[rows[fis[0]]]
-            continue
-        function, _ = split_cell_name(cell)
-        matrix[rows[gid]] = FUNCTIONS[function].word_eval(
-            [matrix[rows[fi]] for fi in fis]
-        )
+    _eval_schedule(circuit, vectors, matrix, value_rows(index), schedule)
     return ValueStore(index, publish_array(matrix))
 
 

@@ -6,7 +6,6 @@ from .store import (
     lookup_many,
     timing_index,
     timing_levels,
-    timing_plan,
 )
 from .paths import (
     critical_paths,
@@ -32,7 +31,6 @@ __all__ = [
     "lookup_many",
     "timing_index",
     "timing_levels",
-    "timing_plan",
     "critical_paths",
     "path_delay",
     "path_logic_gates",

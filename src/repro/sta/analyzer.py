@@ -11,9 +11,10 @@ Results live in a **structure-of-arrays timing store**
 (:mod:`repro.sta.store`): numpy ``float64`` arrays for arrival/slew/load
 and ``int32`` arrays for unit depth / critical fan-in, indexed by the
 dense per-structure :class:`~repro.sta.store.TimingIndex`.  Propagation
-runs level by level with batched NLDM lookups for wide levels and a
-bit-identical scalar loop for thin ones; either way the floats equal the
-historical per-gate scalar walk exactly.
+is the level-ordered frontier walk (:func:`~repro.sta.store.walk_frontier`)
+with every row seeded: batched NLDM lookups for wide same-cell groups and
+a bit-identical scalar loop for thin ones; either way the floats equal
+the historical per-gate scalar walk exactly.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from .store import (
     IntArrayMap,
     OptionalGateMap,
     TimingIndex,
-    VECTOR_MIN_GROUP,
-    eval_gate_scalar,
-    eval_gates_vector,
     timing_index,
-    timing_plan,
+    timing_levels,
+    walk_frontier,
 )
 
 
@@ -282,51 +281,15 @@ class STAEngine:
         return {gid: float(loads[row[gid]]) for gid in circuit.fanins}
 
     # ------------------------------------------------------------------
-    def _eval_group(
-        self,
-        group,
-        arr: np.ndarray,
-        slew: np.ndarray,
-        depth: np.ndarray,
-        cf: np.ndarray,
-        loads: np.ndarray,
-    ) -> None:
-        """Evaluate one cell group in place (vector or scalar kernel).
-
-        The winning fan-in is the *first* index attaining the maximum
-        arrival, matching the historical ``first or arr > best`` scalar
-        scan (``argmax`` returns the first maximum).
-        """
-        cell = self.library.cell(group.cell)
-        rows = group.rows
-        frows = group.frows
-        fgids = group.fgids
-        g = len(rows)
-        if g >= VECTOR_MIN_GROUP:
-            arr[rows], slew[rows], depth[rows], cf[rows] = eval_gates_vector(
-                cell, arr[frows], slew[frows], depth[frows], fgids, loads[rows]
-            )
-            return
-        k = frows.shape[1]
-        for i in range(g):
-            r = rows[i]
-            fan_timing = [
-                (
-                    float(arr[frows[i, jj]]),
-                    float(slew[frows[i, jj]]),
-                    int(depth[frows[i, jj]]),
-                    int(fgids[i, jj]),
-                )
-                for jj in range(k)
-            ]
-            arr[r], slew[r], depth[r], cf[r] = eval_gate_scalar(
-                cell, fan_timing, float(loads[r]), self.input_slew
-            )
-
     def analyze(self, circuit: Circuit) -> TimingReport:
-        """Run full STA and return a :class:`TimingReport`."""
-        plan = timing_plan(circuit)
-        index = plan.index
+        """Run full STA and return a :class:`TimingReport`.
+
+        Every row is seeded into :func:`~repro.sta.store.walk_frontier`
+        over the memoized :func:`~repro.sta.store.timing_levels`; the
+        fan-out map is empty because every row is already queued.
+        """
+        levels = timing_levels(circuit)
+        index = levels.index
         n = index.n
         loads = self._loads_array(circuit, index)
         # Initialization covers PIs and the sentinel row in one shot:
@@ -335,14 +298,10 @@ class STAEngine:
         slew = np.full(n + 1, self.input_slew, dtype=np.float64)
         depth = np.zeros(n + 1, dtype=np.int32)
         cf = np.full(n + 1, -1, dtype=np.int32)
-        for step in plan.steps:
-            for group in step.groups:
-                self._eval_group(group, arr, slew, depth, cf, loads)
-            if step.po_rows is not None:
-                arr[step.po_rows] = arr[step.po_src_rows]
-                slew[step.po_rows] = slew[step.po_src_rows]
-                depth[step.po_rows] = depth[step.po_src_rows]
-                cf[step.po_rows] = step.po_src_gids
+        walk_frontier(
+            self, circuit, index, levels, {}, np.arange(n), loads,
+            arr, slew, depth, cf
+        )
         return TimingReport(
             circuit, index, arr, slew, loads, depth, cf, circuit.version
         )

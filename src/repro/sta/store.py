@@ -9,11 +9,12 @@ dense array replacement:
   *sorted* gate IDs, so any two circuits over the same ID set agree on
   row numbering regardless of dict insertion order).  Memoized per
   circuit structure version alongside ``topological_order()``.
-* :class:`TimingPlan` — the level-ordered evaluation schedule for
-  vectorized arrival propagation: gates grouped per topological level
-  and per (cell, arity), with fan-in gather matrices prebuilt (constants
-  gather from a sentinel row appended past the real rows).  Also
-  memoized per structure version.
+* :class:`TimingLevels` — the topological level of every row, the
+  schedule :func:`walk_frontier` buckets its rows by.  Also memoized per
+  structure version.
+* :func:`walk_frontier` — the one arrival propagation: a level-ordered
+  frontier walk over the arrays.  Full analysis seeds every row;
+  incremental update seeds the rows an edit touched.
 * :func:`lookup_many` — batched NLDM bilinear interpolation that is
   **bit-identical** to :meth:`NLDMTable.lookup` (same index selection,
   same IEEE-754 operation order), so vectorized and scalar propagation
@@ -91,10 +92,9 @@ def timing_index(circuit: Circuit) -> TimingIndex:
 class TimingLevels:
     """Topological level assignment over one circuit structure.
 
-    The cheap half of the propagation schedule: ``level_of[row]`` is one
-    past the gate's deepest non-constant fan-in.  The incremental path
-    only needs this (its frontier walk is scalar); the full analyzer
-    builds the batched :class:`TimingPlan` on top.
+    ``level_of[row]`` is one past the gate's deepest non-constant
+    fan-in, so the gates of one level are independent of each other and
+    :func:`walk_frontier` may evaluate them as one batch.
     """
 
     __slots__ = ("index", "level_of", "num_levels")
@@ -126,133 +126,6 @@ def timing_levels(circuit: Circuit) -> TimingLevels:
     return circuit._store(
         "timing_levels", TimingLevels(index, level, num_levels)
     )
-
-
-class CellGroup:
-    """Same-level gates sharing one (cell, arity): a batched NLDM unit."""
-
-    __slots__ = ("cell", "rows", "frows", "fgids")
-
-    def __init__(
-        self,
-        cell: str,
-        rows: np.ndarray,
-        frows: np.ndarray,
-        fgids: np.ndarray,
-    ):
-        self.cell = cell
-        self.rows = rows  # (g,) int64 row ids
-        self.frows = frows  # (g, k) int64 fan-in rows (sentinel = n)
-        self.fgids = fgids  # (g, k) int32 fan-in gids (-1 for constants)
-
-
-class LevelStep:
-    """One topological level of the plan: cell groups plus PO copies."""
-
-    __slots__ = ("groups", "po_rows", "po_src_rows", "po_src_gids")
-
-    def __init__(
-        self,
-        groups: List[CellGroup],
-        po_rows: Optional[np.ndarray],
-        po_src_rows: Optional[np.ndarray],
-        po_src_gids: Optional[np.ndarray],
-    ):
-        self.groups = groups
-        self.po_rows = po_rows
-        self.po_src_rows = po_src_rows
-        self.po_src_gids = po_src_gids
-
-
-class TimingPlan:
-    """Level-ordered vectorized evaluation schedule for one structure."""
-
-    __slots__ = ("index", "level_of", "num_levels", "steps")
-
-    def __init__(
-        self,
-        index: TimingIndex,
-        level_of: np.ndarray,
-        num_levels: int,
-        steps: List[LevelStep],
-    ):
-        self.index = index
-        self.level_of = level_of
-        self.num_levels = num_levels
-        self.steps = steps
-
-
-def timing_plan(circuit: Circuit) -> TimingPlan:
-    """The circuit's :class:`TimingPlan`, memoized per structure version.
-
-    Levels are the canonical ones (a gate's level is one past its
-    deepest non-constant fan-in), so evaluating level by level always
-    sees finalized fan-in rows.  Within a level gates are independent
-    and grouped by (cell name, fan-in count) for batched table lookups.
-    """
-    cached = circuit._cached("timing_plan")
-    if cached is not None:
-        return cached
-    levels = timing_levels(circuit)
-    index = levels.index
-    row = index.row
-    n = index.n
-    fanins = circuit.fanins
-    cells = circuit.cells
-    level = levels.level_of
-    num_levels = levels.num_levels
-
-    per_level_cells: List[Dict[Tuple[str, int], List[int]]] = [
-        {} for _ in range(num_levels)
-    ]
-    per_level_pos: List[List[int]] = [[] for _ in range(num_levels)]
-    gids = index.gids
-    for r in range(n):
-        gid = int(gids[r])
-        cell = cells[gid]
-        if cell == PI_CELL:
-            continue
-        if cell == PO_CELL:
-            per_level_pos[level[r]].append(r)
-            continue
-        key = (cell, len(fanins[gid]))
-        per_level_cells[level[r]].setdefault(key, []).append(r)
-
-    steps: List[LevelStep] = []
-    for lv in range(num_levels):
-        groups: List[CellGroup] = []
-        for (cell, k), rows_ in sorted(per_level_cells[lv].items()):
-            g = len(rows_)
-            rows_a = np.array(rows_, dtype=np.int64)
-            frows = np.empty((g, k), dtype=np.int64)
-            fgids = np.empty((g, k), dtype=np.int32)
-            for i, r in enumerate(rows_):
-                for j, fi in enumerate(fanins[int(gids[r])]):
-                    if fi < 0:
-                        frows[i, j] = n
-                        fgids[i, j] = -1
-                    else:
-                        frows[i, j] = row[fi]
-                        fgids[i, j] = fi
-            groups.append(CellGroup(cell, rows_a, frows, fgids))
-        po_list = per_level_pos[lv]
-        if po_list:
-            po_rows = np.array(po_list, dtype=np.int64)
-            src_rows = np.empty(len(po_list), dtype=np.int64)
-            src_gids = np.empty(len(po_list), dtype=np.int32)
-            for i, r in enumerate(po_list):
-                src = fanins[int(gids[r])][0]
-                if src < 0:
-                    src_rows[i] = n
-                    src_gids[i] = -1
-                else:
-                    src_rows[i] = row[src]
-                    src_gids[i] = src
-            steps.append(LevelStep(groups, po_rows, src_rows, src_gids))
-        else:
-            steps.append(LevelStep(groups, None, None, None))
-    plan = TimingPlan(index, level, num_levels, steps)
-    return circuit._store("timing_plan", plan)
 
 
 # ----------------------------------------------------------------------
@@ -339,9 +212,8 @@ def eval_gates_vector(
     Bit-identical to :func:`eval_gate_scalar` per gate: ``lookup_many``
     equals the scalar table walk operation for operation, and ``argmax``
     picks the *first* index attaining the maximum arrival, matching the
-    scalar ``first or at > best`` scan.  Both the full analyzer's wide
-    groups and the incremental frontier walk run through this one
-    kernel.
+    scalar ``first or at > best`` scan.  :func:`walk_frontier` runs its
+    wide groups through this kernel.
     """
     at = a + lookup_many(cell.arc.delay, s, load[:, None])
     j = np.argmax(at, axis=1)
@@ -361,10 +233,8 @@ def eval_gate_scalar(cell, fan_timing, load: float, input_slew: float):
     ``(0.0, input_slew, 0, -1)``).  Returns
     ``(arrival, slew, depth, critical_fanin)`` for the gate.
 
-    This is the ONE scalar counterpart of the vectorized group kernel —
-    both the analyzer's small-group branch and the incremental frontier
-    walk call it, so the bit-identity contract between the full and
-    incremental paths cannot drift apart through divergent copies.
+    This is the ONE scalar counterpart of the vectorized group kernel;
+    :func:`walk_frontier` runs every small group through it.
     """
     best = 0.0
     best_slew = input_slew
@@ -380,6 +250,158 @@ def eval_gate_scalar(cell, fan_timing, load: float, input_slew: float):
             best_src = src
             first = False
     return best, best_slew, best_depth + 1, best_src
+
+
+def walk_frontier(
+    engine,
+    circuit: Circuit,
+    index: TimingIndex,
+    levels: TimingLevels,
+    fanouts,
+    seeds: np.ndarray,
+    loads: np.ndarray,
+    arr: np.ndarray,
+    slew: np.ndarray,
+    depth: np.ndarray,
+    cf: np.ndarray,
+) -> None:
+    """Re-evaluate the ``seeds`` rows and every row they perturb, in place.
+
+    The one arrival propagation behind both STA paths.  ``seeds`` holds
+    unique rows; the walk visits them bucketed by ``levels`` (any valid
+    stratification: every fan-in sits at a strictly lower level), so a
+    gate is evaluated once, after all of its fan-ins.  A re-evaluated
+    gate queues its consumers from ``fanouts`` (anything with a
+    ``get(gid, default)``) when **any** of its four outputs (arrival,
+    slew, unit depth, critical fan-in) changed, compared exactly: a
+    tolerance would let floats drift from a fresh analysis, and
+    stopping on arrival/slew alone would leave downstream depth and
+    backtrace rows stale when a tie between fan-ins resolves
+    differently.
+
+    :meth:`STAEngine.analyze` seeds every row with an empty fan-out map
+    (everything is already queued); :func:`update_timing` seeds the
+    changed rows plus every row whose load changed.  Same-(cell, arity)
+    groups of at least :data:`VECTOR_MIN_GROUP` gates in one bucket take
+    :func:`eval_gates_vector`, the rest :func:`eval_gate_scalar` —
+    bit-identical kernels, so the split is a pure speed choice.
+    """
+    n = index.n
+    gids = index.gids
+    row_of = index.row
+    level_of = levels.level_of
+    fanins_map = circuit.fanins
+    cells_map = circuit.cells
+    lib_cell = engine.library.cell
+    input_slew = engine.input_slew
+    queued = np.zeros(n, dtype=bool)
+    queued[seeds] = True
+    buckets: List[List[int]] = [[] for _ in range(levels.num_levels)]
+    for r, lv in zip(seeds.tolist(), level_of[seeds].tolist()):
+        buckets[lv].append(r)
+
+    for bucket in buckets:
+        if not bucket:
+            continue
+        if len(bucket) >= VECTOR_MIN_GROUP:
+            groups: Dict[Tuple[str, int], List[int]] = {}
+            rest: List[int] = []
+            for r in bucket:
+                gid = int(gids[r])
+                cell_name = cells_map[gid]
+                if cell_name == PI_CELL or cell_name == PO_CELL:
+                    rest.append(r)
+                else:
+                    key = (cell_name, len(fanins_map[gid]))
+                    groups.setdefault(key, []).append(r)
+            for (cell_name, k), rows_list in groups.items():
+                g = len(rows_list)
+                if g < VECTOR_MIN_GROUP:
+                    rest.extend(rows_list)
+                    continue
+                rows_a = np.array(rows_list, dtype=np.int64)
+                frows = np.empty((g, k), dtype=np.int64)
+                fgids = np.empty((g, k), dtype=np.int32)
+                for i, r in enumerate(rows_list):
+                    for j, fi in enumerate(fanins_map[int(gids[r])]):
+                        if fi < 0:
+                            frows[i, j] = n
+                            fgids[i, j] = -1
+                        else:
+                            frows[i, j] = row_of[fi]
+                            fgids[i, j] = fi
+                na_v, ns_v, nd_v, ncf_v = eval_gates_vector(
+                    lib_cell(cell_name),
+                    arr[frows],
+                    slew[frows],
+                    depth[frows],
+                    fgids,
+                    loads[rows_a],
+                )
+                out_changed = (
+                    (na_v != arr[rows_a])
+                    | (ns_v != slew[rows_a])
+                    | (nd_v != depth[rows_a])
+                    | (ncf_v != cf[rows_a])
+                )
+                arr[rows_a] = na_v
+                slew[rows_a] = ns_v
+                depth[rows_a] = nd_v
+                cf[rows_a] = ncf_v
+                for i in np.flatnonzero(out_changed):
+                    for fo in fanouts.get(int(gids[rows_list[i]]), ()):
+                        fr = row_of[fo]
+                        if not queued[fr]:
+                            queued[fr] = True
+                            buckets[level_of[fr]].append(fr)
+            bucket = rest
+        for r in bucket:
+            gid = int(gids[r])
+            cell_name = cells_map[gid]
+            fis = fanins_map[gid]
+            if cell_name == PI_CELL:
+                na, ns, nd, ncf = 0.0, input_slew, 0, -1
+            elif cell_name == PO_CELL:
+                src = fis[0]
+                if src < 0:
+                    na, ns, nd, ncf = 0.0, input_slew, 0, -1
+                else:
+                    sr = row_of[src]
+                    na = float(arr[sr])
+                    ns = float(slew[sr])
+                    nd = int(depth[sr])
+                    ncf = src
+            else:
+                fan_timing = []
+                for fi in fis:
+                    if fi < 0:
+                        fan_timing.append((0.0, input_slew, 0, -1))
+                    else:
+                        fr = row_of[fi]
+                        fan_timing.append(
+                            (
+                                float(arr[fr]),
+                                float(slew[fr]),
+                                int(depth[fr]),
+                                fi,
+                            )
+                        )
+                na, ns, nd, ncf = eval_gate_scalar(
+                    lib_cell(cell_name), fan_timing, float(loads[r]), input_slew
+                )
+            out_changed = (
+                na != arr[r] or ns != slew[r] or nd != depth[r] or ncf != cf[r]
+            )
+            arr[r] = na
+            slew[r] = ns
+            depth[r] = nd
+            cf[r] = ncf
+            if out_changed:
+                for fo in fanouts.get(gid, ()):
+                    fr = row_of[fo]
+                    if not queued[fr]:
+                        queued[fr] = True
+                        buckets[level_of[fr]].append(fr)
 
 
 # ----------------------------------------------------------------------

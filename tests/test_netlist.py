@@ -1,6 +1,11 @@
 """Unit tests for the fan-in adjacency circuit and transforms."""
 
+import gc
+import weakref
+
 import pytest
+
+from reference_circuits import build_fig3_circuit
 
 from repro.netlist import (
     CONST0,
@@ -150,6 +155,25 @@ class TestCopyAndIdentity:
 
     def test_repr(self, fig3):
         assert "gates=8" in repr(fig3)
+
+    def test_freed_without_cyclic_collector(self):
+        # Reference counting alone must free a circuit and its copy:
+        # no cycle may run through the tracked dicts' owner references.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            circuit = build_fig3_circuit()
+            child = circuit.copy()
+            child.substitute(8, CONST0)
+            child.topological_order()
+            fanins = child.fanins
+            refs = [weakref.ref(circuit), weakref.ref(child)]
+            del circuit, child
+            assert [r() for r in refs] == [None, None]
+            fanins[8] = (CONST1,)  # owner gone: the write bumps nothing
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestValidate:

@@ -27,6 +27,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -355,6 +358,35 @@ class PoisonedLibrary(Library):
         return super().cell(name)
 
 
+#: A pool owner that never closes its pool: prints its two worker PIDs,
+#: then sleeps until killed.
+_POOL_OWNER_SCRIPT = """
+import time
+from repro.bench import build_benchmark
+from repro.cells import default_library
+from repro.core import EvalContext, ShardDispatcher
+from repro.sim import ErrorMode
+
+ctx = EvalContext.build(
+    build_benchmark("Adder16"), default_library(), ErrorMode.NMED,
+    num_vectors=64, seed=1,
+)
+dispatcher = ShardDispatcher(ctx, 2)
+dispatcher.warmup()
+print(*(proc.pid for proc, _ in dispatcher._workers), flush=True)
+time.sleep(60)
+"""
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state == "Z"
+
+
 class TestCrashSafety:
     def _assert_pool_gone(self, session):
         dispatcher = getattr(session.ctx, "_dispatcher", None)
@@ -411,6 +443,45 @@ class TestCrashSafety:
         assert dispatcher.stats["serial_fallbacks"] == 0
         for ours, ref in zip(evals, serial):
             _assert_same_eval(ours, ref)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process state from /proc"
+    )
+    def test_workers_exit_when_owner_is_sigkilled(self):
+        """An owner SIGKILLed without closing its pool leaves no
+        orphans.  Each forked worker inherited its own pipe's parent
+        end, so EOF never arrives; the workers must notice that their
+        parent PID changed and exit."""
+        package = os.path.dirname(os.path.dirname(parallel_mod.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.dirname(package), env.get("PYTHONPATH")) if p
+        )
+        env.pop("REPRO_FAULTS", None)
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _POOL_OWNER_SCRIPT],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            pids = [int(p) for p in owner.stdout.readline().split()]
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        alive = pids
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.05)
+            alive = [pid for pid in alive if not _gone_or_zombie(pid)]
+        for pid in alive:  # do not leak the orphans this test caught
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert not alive, f"orphaned workers still running: {alive}"
 
     def test_pool_respawns_after_failure(self, library):
         """A crashed pool does not wedge the session: serial still works

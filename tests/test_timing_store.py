@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,14 +45,18 @@ from repro.core import (
 )
 from repro.core.fitness import DepthMode
 from repro.core.parallel import _pack_eval, _unpack_eval
-from repro.netlist import CircuitBuilder, is_const
+from repro.netlist import (
+    CircuitBuilder,
+    is_const,
+    parse_verilog,
+    write_verilog,
+)
 from repro.sim import ErrorMode
 from repro.sta import (
     STAEngine,
     lookup_many,
     timing_index,
     timing_levels,
-    timing_plan,
     update_timing,
     update_timing_batch,
 )
@@ -130,6 +135,17 @@ def _wide_circuit():
     return b.done()
 
 
+def _consumers_first_circuit():
+    """The wide circuit re-parsed with its instances declared consumers
+    first, so ascending gate ID is *not* a topological order."""
+    lines = write_verilog(_wide_circuit()).splitlines()
+    gates = [ln for ln in lines if ".Z(" in ln]
+    rest = [ln for ln in lines[:-1] if ".Z(" not in ln]
+    circuit = parse_verilog("\n".join(rest + gates[::-1] + ["endmodule"]))
+    assert not circuit.gid_order_topo()
+    return circuit
+
+
 def _assert_reports_equal(circuit, got, loads, arrival, slew, depth, cf):
     for gid in circuit.gate_ids():
         assert got.load[gid] == loads[gid], gid
@@ -152,7 +168,14 @@ class TestAnalyzeBitIdentity:
     """SoA propagation == the historical scalar walk, bit for bit."""
 
     @pytest.mark.parametrize(
-        "build", [build_fig3_circuit, lambda: build_adder(8), _wide_circuit]
+        "build",
+        [
+            build_fig3_circuit,
+            lambda: build_adder(8),
+            _wide_circuit,
+            # Pins that the full walk never assumes gate-ID order.
+            _consumers_first_circuit,
+        ],
     )
     def test_matches_scalar_reference(self, library, build):
         circuit = build()
@@ -163,10 +186,19 @@ class TestAnalyzeBitIdentity:
         )
 
     def test_wide_circuit_exercises_vector_kernel(self, library):
+        # Some level must hold a same-(cell, arity) group big enough for
+        # the walk's vectorized kernel.
         circuit = _wide_circuit()
-        plan = timing_plan(circuit)
-        sizes = [len(g.rows) for step in plan.steps for g in step.groups]
-        assert max(sizes) >= VECTOR_MIN_GROUP
+        levels = timing_levels(circuit)
+        groups = Counter(
+            (
+                int(levels.level_of[levels.index.row[gid]]),
+                circuit.cells[gid],
+                len(circuit.fanins[gid]),
+            )
+            for gid in circuit.logic_ids()
+        )
+        assert max(groups.values()) >= VECTOR_MIN_GROUP
 
     def test_lookup_many_matches_scalar_lookup(self, library):
         rng = np.random.default_rng(7)
