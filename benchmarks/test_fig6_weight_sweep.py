@@ -16,7 +16,7 @@ from _common import (
     publish,
 )
 
-from repro import run_flow
+from repro import Session
 from repro.bench import build_benchmark
 from repro.cells import default_library
 from repro.reporting import format_series
@@ -42,9 +42,8 @@ def sweep_panel(mode, bounds, circuit_names):
             ratios = []
             for name, accurate in circuits.items():
                 cfg = flow_config(mode, bound, wd=wd)
-                ratios.append(
-                    run_flow(accurate, "Ours", cfg, library).ratio_cpd
-                )
+                with Session(accurate, cfg, library) as session:
+                    ratios.append(session.run("Ours").ratio_cpd)
             values.append(sum(ratios) / len(ratios))
         series[key] = values
     return series

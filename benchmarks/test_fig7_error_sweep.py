@@ -15,7 +15,7 @@ from _common import (
     publish,
 )
 
-from repro import compare_methods
+from repro import Session
 from repro.bench import build_benchmark
 from repro.cells import default_library
 from repro.reporting import format_series
@@ -36,9 +36,8 @@ def sweep_panel(mode, bounds, circuit_names):
         sums = {m: 0.0 for m in METHODS}
         for name, accurate in circuits.items():
             cfg = flow_config(mode, bound)
-            results = compare_methods(
-                accurate, methods=METHODS, config=cfg, library=library
-            )
+            with Session(accurate, cfg, library) as session:
+                results = session.compare(METHODS)
             for m in METHODS:
                 sums[m] += results[m].ratio_cpd
         for m in METHODS:

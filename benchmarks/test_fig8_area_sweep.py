@@ -17,11 +17,11 @@ from _common import (
     publish,
 )
 
-from repro import make_optimizer
 from repro.bench import build_benchmark
 from repro.cells import default_library
 from repro.core import EvalContext
 from repro.postopt import post_optimize
+from repro.registry import get_method
 from repro.reporting import format_series
 from repro.sim import ErrorMode
 
@@ -48,7 +48,7 @@ def sweep_panel(mode, bound, circuit_names):
         )
         count += 1
         for method in METHODS:
-            opt = make_optimizer(method, ctx, cfg).optimize()
+            opt = get_method(method).build(ctx, cfg).optimize()
             for i, ratio in enumerate(AREA_RATIOS):
                 post = post_optimize(
                     opt.best.circuit,

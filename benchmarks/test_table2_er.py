@@ -15,7 +15,7 @@ from _common import (
     run_comparison_table,
 )
 
-from repro import METHOD_NAMES
+from repro import Session
 from repro.bench import RANDOM_CONTROL_NAMES
 from repro.sim import ErrorMode
 
@@ -30,7 +30,7 @@ def test_table2_random_control_5pct_er(benchmark):
             names,
             ErrorMode.ER,
             ER_BOUND,
-            METHOD_NAMES,
+            Session.methods(),
         ),
         rounds=1,
         iterations=1,

@@ -14,7 +14,7 @@ from _common import (
     run_comparison_table,
 )
 
-from repro import METHOD_NAMES
+from repro import Session
 from repro.bench import ARITHMETIC_NAMES
 from repro.sim import ErrorMode
 
@@ -29,7 +29,7 @@ def test_table3_arithmetic_nmed(benchmark):
             names,
             ErrorMode.NMED,
             NMED_BOUND,
-            METHOD_NAMES,
+            Session.methods(),
         ),
         rounds=1,
         iterations=1,

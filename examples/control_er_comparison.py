@@ -8,7 +8,7 @@ five methods, and prints a Table II-style comparison grid.
 Run with ``python examples/control_er_comparison.py``.
 """
 
-from repro import ErrorMode, FlowConfig, compare_methods, METHOD_NAMES
+from repro import ErrorMode, FlowConfig, Session
 from repro.bench import build_benchmark
 from repro.reporting import ComparisonRow, format_comparison_table
 
@@ -23,7 +23,8 @@ def main() -> None:
             effort=0.4,
             seed=2,
         )
-        results = compare_methods(accurate, config=config)
+        with Session(accurate, config) as session:
+            results = session.compare()
         row = ComparisonRow(
             circuit=name,
             area_con=results["Ours"].area_ori,
@@ -36,7 +37,7 @@ def main() -> None:
     print(format_comparison_table(
         "Method comparison under 5% ER (cf. paper Table II)",
         rows,
-        METHOD_NAMES,
+        Session.methods(),
     ))
     print("\nLower Ratio_cpd is better; every method ran through the same")
     print("post-optimization under Area_con = Area_ori, as in the paper.")

@@ -14,7 +14,7 @@ actually did to a circuit:
 Run with ``python examples/power_pareto_analysis.py``.
 """
 
-from repro import ErrorMode, FlowConfig, run_flow, default_library
+from repro import ErrorMode, FlowConfig, Session, default_library
 from repro.bench import kogge_stone_adder_circuit
 from repro.core import format_convergence, format_diff, format_pareto_front
 from repro.sim import random_vectors, simulate
@@ -31,7 +31,8 @@ def main() -> None:
         effort=0.5,
         seed=7,
     )
-    result = run_flow(accurate, method="Ours", config=config)
+    with Session(accurate, config) as session:
+        result = session.run("Ours")
 
     print("convergence (best population member per iteration):")
     print(format_convergence(result.optimization))

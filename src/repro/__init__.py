@@ -17,7 +17,6 @@ Public API tour:
 * :mod:`repro.baselines` — VECBEE-SASIMI, VaACS, HEDALS, single-chase GWO.
 * :mod:`repro.postopt` — dangling-gate deletion + area-constrained resizing.
 * :mod:`repro.bench` — the Table I benchmark suite (generated equivalents).
-* :mod:`repro.flow` — compatibility shims over the session + registry.
 """
 
 from .cells import Library, default_library, make_tsmc28_like
@@ -34,12 +33,6 @@ from .core import (
     evaluate,
     evaluate_batch,
     resolve_jobs,
-)
-from .flow import (
-    METHOD_NAMES,
-    compare_methods,
-    make_optimizer,
-    run_flow,
 )
 from .netlist import Circuit, CircuitBuilder, parse_verilog, write_verilog
 from .postopt import post_optimize
@@ -72,13 +65,9 @@ __all__ = [
     "evaluate_batch",
     "ShardDispatcher",
     "resolve_jobs",
-    "METHOD_NAMES",
     "FlowConfig",
     "FlowResult",
     "Session",
-    "compare_methods",
-    "make_optimizer",
-    "run_flow",
     "CommonBudget",
     "MethodSpec",
     "get_method",

@@ -1,12 +1,11 @@
 """Multi-process sharded generation evaluation (the ShardDispatcher).
 
-The ROADMAP's first scaling step: ``Session.compare`` and the
-per-generation batch groups built by :mod:`repro.core.batch` are
-embarrassingly parallel but, until this module, executed on one core.
+``Session.compare`` and the per-generation batch groups built by
+:mod:`repro.core.batch` are embarrassingly parallel.
 :class:`ShardDispatcher` forks ``jobs`` long-lived worker processes and
-dispatches provenance groups to them, with the one contract everything
-in this codebase is pinned to: **parallel results are bit-identical to
-serial results**, regardless of worker count or OS scheduling.
+dispatches work to them under the contract everything in this codebase
+is pinned to: **parallel results are bit-identical to serial results**,
+regardless of worker count, OS scheduling or worker failures.
 
 How determinism is preserved:
 
@@ -27,9 +26,9 @@ How determinism is preserved:
   worker-side (the parent process mirrors the cache bookkeeping, so it
   knows which worker owns which parent); subsequent generations ship
   only the children.  Workers re-stamp each child's provenance against
-  their cached parent copy and run the ordinary batch path — the
-  per-child cone walk (:func:`repro.core.batch.evaluate_batch`) — the
-  same code, the same floats.
+  their cached parent copy and run the ordinary batch path
+  (:func:`repro.core.batch.evaluate_batch`) — the same code, the same
+  floats.  Full-evaluation singles ride as one parentless group.
 * **Results merge by item index**, so completion order is irrelevant.
 
 Evaluating each gate's value and timing is a pure function of circuit
@@ -39,20 +38,28 @@ what the serial path would have produced for it (pinned by
 jobs>children, stale-provenance fallbacks, mixed parent groups, and a
 seeded DCGWO run-identity test).
 
-Crash safety is a *recovery* layer, not just detection.  Because every
-routing and caching decision lives in the parent, a worker is
-disposable: when one dies (SIGKILL, OOM-kill), hangs past the per-reply
-deadline (``REPRO_WORKER_TIMEOUT``; the straggler is SIGKILLed), or its
-pipe breaks, the dispatcher respawns it with a fresh cache mirror and
-re-plans the unmerged items — bounded retries with backoff
-(``REPRO_WORKER_RETRIES``), then graceful degradation to serial
-evaluation in the parent.  Since every path is bit-identical, recovery
-may re-route freely without changing a single result bit.  Error
-*replies* are classified instead: the first one is replayed once
-against a respawned worker (with fault injection suppressed), and a
-second error is deterministic — a poisoned cell library, a bug — so the
-pool is torn down and the original exception re-raised, exactly the
-PR-3 contract.  Workers are daemonic as a last-resort backstop, and
+Supervision is one loop, :meth:`ShardDispatcher._supervise`, which
+warm-up, generation evaluation and whole-method runs all drive.  Each
+unit of work is a task: the worker it must run on (or any idle one), a
+function that builds its message at each send, a reply handler and a
+reply deadline (``REPRO_WORKER_TIMEOUT`` for pings and evaluations,
+``REPRO_METHOD_TIMEOUT`` for method runs), measured from the send.  The
+loop sends each task as soon as its worker is idle and waits on every
+in-flight pipe at once.  A worker that dies, misses its deadline (it is
+SIGKILLed) or cannot be sent to is respawned with an empty cache mirror
+and the task resent after a backoff, up to ``REPRO_WORKER_RETRIES``
+times per task; because every routing and caching decision lives in
+the parent, a resend just re-plans the task's items onto the fresh
+worker.  Past the budget, generation evaluation finishes the leftover
+items serially in the parent (with a ``RuntimeWarning``), while
+warm-up and method runs raise :class:`WorkerCrashError`.  An error
+*reply* is replayed once with fault injection off for the rest of the
+call; an error reply to an injection-free send is deterministic — a
+poisoned cell library, a bug — so the pool is torn down and the
+original exception re-raised.  Any other exception that cuts a
+dispatch short (an interrupt while the parent waits) also closes the
+pool, because replies left in the pipes would answer the next
+dispatch.  Workers are daemonic as a last-resort backstop, and
 deterministic fault injection (:mod:`repro.faults`, sites
 ``worker.kill``/``worker.hang``/``worker.poison``) exercises every one
 of these paths in the chaos CI job.
@@ -68,21 +75,22 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import threading
 import time
 import traceback
 import warnings
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     List,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -104,23 +112,28 @@ _IN_WORKER = False
 #: owning process is still alive.
 _ORPHAN_POLL_S = 0.5
 
+#: Seconds the supervision loop waits for a reply between liveness and
+#: deadline checks.
+_WAIT_S = 0.05
+
 #: Parent-eval cache entries kept per worker (FIFO eviction, mirrored
 #: by the dispatcher so both sides agree on what is resident).
-DEFAULT_CACHE_LIMIT = 128
+_CACHE_LIMIT = 128
 
-#: Per-reply deadline for one eval dispatch (``REPRO_WORKER_TIMEOUT``
-#: overrides; <= 0 disables).  Generous — a legitimate shard reply is
-#: seconds — but finite, so a live-yet-wedged worker (SIGSTOP, a stuck
-#: syscall) becomes a recoverable failure instead of a hung session.
+#: Per-send reply deadline for pings and evaluations
+#: (``REPRO_WORKER_TIMEOUT`` overrides; <= 0 disables).  Generous — a
+#: legitimate shard reply is seconds — but finite, so a live-yet-wedged
+#: worker (SIGSTOP, a stuck syscall) becomes a recoverable failure
+#: instead of a hung session.
 DEFAULT_WORKER_TIMEOUT = 600.0
 
-#: Per-reply deadline for one whole-method run (``Session.compare``
+#: Per-send reply deadline for one whole-method run (``Session.compare``
 #: path; ``REPRO_METHOD_TIMEOUT`` overrides, <= 0 disables).  Method
 #: runs are full optimization flows, so the ceiling is much higher.
 DEFAULT_METHOD_TIMEOUT = 3600.0
 
-#: Recovery attempts after the first failed dispatch before the
-#: dispatcher degrades to serial evaluation (``REPRO_WORKER_RETRIES``).
+#: Resends per task after its worker died, hung or lost its pipe
+#: (``REPRO_WORKER_RETRIES``).
 DEFAULT_WORKER_RETRIES = 2
 
 
@@ -129,34 +142,17 @@ class WorkerCrashError(faults.TransientError):
     a serve job hitting this may retry from its checkpoint)."""
 
 
-class _ReplyTimeout(Exception):
-    """Internal: a worker missed its per-reply deadline."""
-
-
-def _env_float(name: str, default: float) -> float:
+def _env_number(name: str, default: Union[int, float]) -> Union[int, float]:
+    """``name`` from the environment, parsed as ``default``'s type."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return default
     try:
-        return float(raw)
+        return type(default)(raw)
     except ValueError:
         warnings.warn(
-            f"{name}={raw!r} is not a number; using {default}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        warnings.warn(
-            f"{name}={raw!r} is not an integer; using {default}",
+            f"{name}={raw!r} is not a valid {type(default).__name__}; "
+            f"using {default}",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -352,20 +348,27 @@ def _worker_eval(
     ref_key: bytes,
     cache: "Dict[bytes, CircuitEval]",
     evicts: Sequence[bytes],
-    groups: Sequence[Tuple[bytes, Optional["_PackedEval"], List]],
-    singles: Sequence[Tuple[int, Circuit, bytes]],
+    groups: Sequence[Tuple[Optional[bytes], Optional["_PackedEval"], List]],
 ) -> List[Tuple[int, "_PackedEval"]]:
-    """Evaluate one shard: provenance groups + full-eval singles."""
+    """Evaluate one shard: provenance groups, then full-eval singles.
+
+    A group keyed ``None`` holds the shard's full-evaluation singles.
+    They go through the batch evaluator too, so the shard consults and
+    populates the evaluation lake and shares duplicate-key work exactly
+    like the serial path (pickling dropped any provenance, so every such
+    item stays a full-evaluation single — bit-identical either way).
+    """
     for key in evicts:
         cache.pop(key, None)
     results: List[Tuple[int, _PackedEval]] = []
     for key, payload, members in groups:
+        parent: Optional[CircuitEval] = None
         if payload is not None:
             parent = _unpack_eval(payload)
             cache[key] = parent
         elif key == ref_key:
             parent = ctx.reference_eval()
-        else:
+        elif key is not None:
             parent = cache.get(key)
             if parent is None:
                 raise RuntimeError(
@@ -374,25 +377,12 @@ def _worker_eval(
                 )
         items: List[BatchItem] = []
         for _, circuit, changed, _ in members:
-            _reattach_provenance(circuit, parent, changed)
+            if parent is not None:
+                _reattach_provenance(circuit, parent, changed)
             items.append((circuit, parent))
         evals = evaluate_batch(ctx, items)
         for (index, _, _, child_key), ev in zip(members, evals):
-            if child_key is not None:
-                cache[child_key] = ev
-            results.append((index, _pack_eval(ev)))
-    if singles:
-        # Through the batch evaluator rather than a bare `evaluate`
-        # loop so the shard consults/populates the evaluation lake and
-        # shares duplicate-key work exactly like the serial path
-        # (pickling dropped any provenance, so every item stays a
-        # full-evaluation single — bit-identical either way).
-        evals = evaluate_batch(
-            ctx, [(circuit, None) for _, circuit, _ in singles]
-        )
-        for (index, _, child_key), ev in zip(singles, evals):
-            if child_key is not None:
-                cache[child_key] = ev
+            cache[child_key] = ev
             results.append((index, _pack_eval(ev)))
     lake = getattr(ctx, "lake", None)
     if lake:
@@ -435,7 +425,8 @@ def _worker_run(ctx: EvalContext, method: str, flow_config: Any) -> Any:
 
 
 def _worker_main(conn: Connection, spec: _ContextSpec) -> None:
-    """Worker loop: build the cloned context lazily, serve shard messages.
+    """Worker loop: build the cloned context lazily, then serve
+    ``(kind, fault, *args)`` messages until ``stop`` or EOF.
 
     The context build is *not* done eagerly at process start: a failing
     build (e.g. a poisoned cell library) must surface as an ordinary
@@ -473,15 +464,14 @@ def _worker_main(conn: Connection, spec: _ContextSpec) -> None:
                     init_error = exc
             if init_error is not None:
                 raise init_error
-            kind = msg[0]
+            kind, fault, *args = msg
+            _apply_worker_fault(fault)
             if kind == "ping":
                 result: Any = None
             elif kind == "eval":
-                _apply_worker_fault(msg[4] if len(msg) > 4 else None)
-                result = _worker_eval(ctx, ref_key, cache, *msg[1:4])
+                result = _worker_eval(ctx, ref_key, cache, *args)
             elif kind == "run":
-                _apply_worker_fault(msg[3] if len(msg) > 3 else None)
-                result = _worker_run(ctx, *msg[1:3])
+                result = _worker_run(ctx, *args)
             else:
                 raise RuntimeError(f"unknown shard message {kind!r}")
             reply: Tuple = ("ok", result)
@@ -515,14 +505,28 @@ class _WorkerPlan:
     """One worker's share of a dispatch, built deterministically."""
 
     evicts: List[bytes] = field(default_factory=list)
-    groups: List[Tuple[bytes, Optional[_PackedEval], List]] = field(
+    #: ``(parent key, packed parent or None, members)``; the key is
+    #: ``None`` for the group of full-evaluation singles.
+    groups: List[Tuple[Optional[bytes], Optional[_PackedEval], List]] = field(
         default_factory=list
     )
-    singles: List[Tuple[int, Circuit, bytes]] = field(default_factory=list)
 
-    @property
-    def empty(self) -> bool:
-        return not (self.groups or self.singles)
+
+@dataclass(eq=False)
+class _Task:
+    """One unit of pool work for ``ShardDispatcher._supervise``."""
+
+    #: The worker the task must run on, or ``None`` for any idle one.
+    worker: Optional[int]
+    #: ``(worker, suppress) -> message``, called at every send.
+    build: Callable[[int, bool], Tuple]
+    #: Consumes the payload of an ``("ok", payload)`` reply.
+    handle: Callable[[Any], None]
+    #: Reply deadline in seconds, measured from each send (<= 0: none).
+    timeout: float
+    failures: int = 0
+    #: Whether the latest send went out with fault injection off.
+    quiet: bool = False
 
 
 def _start_method() -> str:
@@ -539,34 +543,34 @@ class ShardDispatcher:
             each worker rebuilds its own clone from the same inputs.
         jobs: number of worker processes (>= 1; a 1-worker dispatcher
             is legal but pointless — callers gate on ``jobs > 1``).
-        cache_limit: parent-eval cache entries per worker.  The
-            dispatcher mirrors each worker's FIFO bookkeeping, so both
-            sides always agree on which parents are resident.
-        worker_timeout: per-reply deadline in seconds for eval/ping
-            dispatches (default ``REPRO_WORKER_TIMEOUT``, else
-            :data:`DEFAULT_WORKER_TIMEOUT`; <= 0 disables).
-        method_timeout: per-reply deadline for whole-method runs
-            (default ``REPRO_METHOD_TIMEOUT``).
-        retries: recovery attempts after a failed dispatch before
-            degrading to serial (default ``REPRO_WORKER_RETRIES``).
+        worker_timeout: reply deadline in seconds for pings and
+            evaluations, measured from each send (default
+            ``REPRO_WORKER_TIMEOUT``, else :data:`DEFAULT_WORKER_TIMEOUT`;
+            <= 0 disables).
+        method_timeout: reply deadline for whole-method runs (default
+            ``REPRO_METHOD_TIMEOUT``).
+        retries: resends per task after its worker died, hung or lost
+            its pipe (default ``REPRO_WORKER_RETRIES``).
+        backoff: seconds per failure to wait before a resend.
 
     The dispatcher is deliberately single-brained: every routing,
     caching and eviction decision is made in the parent process and
     shipped to workers as explicit instructions, which is what makes a
     run's dispatch sequence — and therefore its results — a pure
-    function of the item stream, independent of scheduling.  That same
-    property makes workers disposable: respawn-and-re-plan after any
-    death/hang cannot change a result, only its routing.  Recovery
-    counters live in :attr:`stats` (``respawns``/``retries``/
-    ``timeouts``/``replays``/``serial_fallbacks``) for the chaos CI
-    job's summary.
+    function of the item stream, independent of scheduling.  The same
+    property makes workers disposable.  :meth:`warmup`,
+    :meth:`evaluate_items` and :meth:`run_methods` each turn their work
+    into tasks for one supervision loop (:meth:`_supervise`), which
+    sends, waits, respawns and resends; a resend can change a task's
+    routing, never its result.  Recovery counters live in :attr:`stats`
+    (``respawns``/``retries``/``timeouts``/``replays``/
+    ``serial_fallbacks``) for the chaos CI job's summary.
     """
 
     def __init__(
         self,
         ctx: EvalContext,
         jobs: int,
-        cache_limit: int = DEFAULT_CACHE_LIMIT,
         worker_timeout: Optional[float] = None,
         method_timeout: Optional[float] = None,
         retries: Optional[int] = None,
@@ -575,21 +579,22 @@ class ShardDispatcher:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.cache_limit = max(cache_limit, 8)
         self.worker_timeout = (
             worker_timeout
             if worker_timeout is not None
-            else _env_float("REPRO_WORKER_TIMEOUT", DEFAULT_WORKER_TIMEOUT)
+            else _env_number("REPRO_WORKER_TIMEOUT", DEFAULT_WORKER_TIMEOUT)
         )
         self.method_timeout = (
             method_timeout
             if method_timeout is not None
-            else _env_float("REPRO_METHOD_TIMEOUT", DEFAULT_METHOD_TIMEOUT)
+            else _env_number("REPRO_METHOD_TIMEOUT", DEFAULT_METHOD_TIMEOUT)
         )
         self.retries = (
             retries
             if retries is not None
-            else max(0, _env_int("REPRO_WORKER_RETRIES", DEFAULT_WORKER_RETRIES))
+            else max(
+                0, _env_number("REPRO_WORKER_RETRIES", DEFAULT_WORKER_RETRIES)
+            )
         )
         self.backoff = backoff
         #: Recovery counters (cumulative over the dispatcher's life).
@@ -659,55 +664,6 @@ class ShardDispatcher:
     def closed(self) -> bool:
         return self._closed
 
-    def warmup(self) -> None:
-        """Force every worker to build its context now (optional).
-
-        Useful before timed regions (the runtime-scaling bench measures
-        steady-state throughput) and to surface context-build errors
-        eagerly; :meth:`evaluate_items` works without it.  Supervised
-        like any dispatch: dead/hung workers are respawned and
-        re-pinged, a repeated error reply is deterministic and raises.
-        """
-        with self._lock:
-            pending = list(range(self.jobs))
-            err_seen = False
-            for attempt in range(self.retries + 2):
-                if attempt:
-                    self.stats["retries"] += 1
-                    time.sleep(self.backoff * attempt)
-                failed: List[int] = []
-                active: List[int] = []
-                for w in pending:
-                    if self._send(w, ("ping",)):
-                        active.append(w)
-                    else:
-                        failed.append(w)
-                error: Optional[Tuple[BaseException, str]] = None
-                for w in active:
-                    kind, payload = self._collect_one(
-                        w, self.worker_timeout
-                    )
-                    if kind == "err":
-                        error = payload
-                        failed.append(w)
-                    elif kind in ("dead", "timeout"):
-                        failed.append(w)
-                if error is not None:
-                    if err_seen:
-                        self._raise_worker_error(*error)
-                    err_seen = True
-                    self.stats["replays"] += 1
-                for w in failed:
-                    self._respawn(w)
-                pending = sorted(failed)
-                if not pending:
-                    return
-            self.close(force=True)
-            raise WorkerCrashError(
-                f"shard pool failed to warm up after {self.retries + 1} "
-                "attempts"
-            )
-
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
@@ -720,7 +676,7 @@ class ShardDispatcher:
     ) -> None:
         """Record that ``worker`` will hold ``key`` after this dispatch.
 
-        FIFO-evicts the oldest unpinned entries beyond ``cache_limit``;
+        FIFO-evicts the oldest unpinned entries beyond the cache limit;
         keys touched by the current dispatch are pinned so an eviction
         can never invalidate a group scheduled moments earlier.
         """
@@ -730,7 +686,7 @@ class ShardDispatcher:
             return
         known[key] = None
         pinned.add(key)
-        while len(known) > self.cache_limit:
+        while len(known) > _CACHE_LIMIT:
             victim = next(
                 (old for old in known if old not in pinned), None
             )
@@ -739,40 +695,46 @@ class ShardDispatcher:
             del known[victim]
             plan.evicts.append(victim)
 
-    def _owner_of(self, key: bytes) -> Optional[int]:
-        for w in range(self.jobs):
-            if key in self._known[w]:
-                return w
-        return None
+    def _plan(
+        self,
+        items: Sequence[BatchItem],
+        ids: Sequence[int],
+        only: Optional[int] = None,
+    ) -> List[_WorkerPlan]:
+        """Deterministically partition ``items[i] for i in ids`` into
+        worker shards, in one pass over the groups in group order.
 
-    def _plan(self, items: Sequence[BatchItem]) -> List[_WorkerPlan]:
-        """Deterministically partition a generation into worker shards."""
-        groups, singles = group_by_parent(items)
+        ``only`` confines the shards to one worker: a resend re-plans
+        its task's items onto the respawned worker, whose empty mirror
+        makes every parent ride along.
+        """
+        workers = range(self.jobs) if only is None else (only,)
+        groups, singles = group_by_parent([items[i] for i in ids])
         plans = [_WorkerPlan() for _ in range(self.jobs)]
         pinned: set = set()
         for parent, members in groups:
             key = parent.circuit.full_structure_key()
             packed = [
-                (i, circuit, changed, circuit.full_structure_key())
+                (ids[i], circuit, changed, circuit.full_structure_key())
                 for i, circuit, changed in members
             ]
             if key == self._ref_key:
                 # Every worker rebuilds the reference eval locally, so
                 # the (large) initial-population group splits for free.
-                chunk = -(-len(packed) // self.jobs)  # ceil div
-                for w in range(self.jobs):
-                    part = packed[w * chunk : (w + 1) * chunk]
+                chunk = -(-len(packed) // len(workers))  # ceil div
+                for j, w in enumerate(workers):
+                    part = packed[j * chunk : (j + 1) * chunk]
                     if not part:
                         continue
                     plans[w].groups.append((key, None, part))
                     for _, _, _, child_key in part:
                         self._register(w, child_key, plans[w], pinned)
                 continue
-            owner = self._owner_of(key)
+            owner = next((w for w in workers if key in self._known[w]), None)
             payload: Optional[_PackedEval] = None
             if owner is None:
                 # First sighting: route by key hash, ship the parent.
-                owner = int.from_bytes(key[:8], "big") % self.jobs
+                owner = workers[int.from_bytes(key[:8], "big") % len(workers)]
                 payload = _pack_eval(parent)
                 self._register(owner, key, plans[owner], pinned)
             else:
@@ -781,15 +743,18 @@ class ShardDispatcher:
             for _, _, _, child_key in packed:
                 self._register(owner, child_key, plans[owner], pinned)
         for i, circuit in singles:
-            w = self._rr % self.jobs
+            w = workers[self._rr % len(workers)]
             self._rr += 1
             child_key = circuit.full_structure_key()
-            plans[w].singles.append((i, circuit, child_key))
+            shard = plans[w].groups
+            if not shard or shard[-1][0] is not None:
+                shard.append((None, None, []))
+            shard[-1][2].append((ids[i], circuit, None, child_key))
             self._register(w, child_key, plans[w], pinned)
         return plans
 
     # ------------------------------------------------------------------
-    # transport
+    # supervision
     # ------------------------------------------------------------------
     def _send(self, worker: int, msg: Tuple) -> bool:
         """Best-effort send; ``False`` means the worker's pipe is gone
@@ -802,79 +767,31 @@ class ShardDispatcher:
         except (OSError, ValueError):
             return False
 
-    def _recv_reply(self, worker: int, timeout: float) -> Tuple[str, Any]:
-        """Receive one reply, watching process, pipe, and the clock.
-
-        A worker that dies abruptly may never close our end of the pipe
-        (sibling workers forked later hold inherited copies of its write
-        fd), so a bare ``recv`` could block forever; polling with a
-        liveness check turns that into a clean :class:`EOFError`.  A
-        worker that is alive but wedged (SIGSTOP, a stuck syscall, an
-        injected hang) trips the per-reply deadline instead and raises
-        :class:`_ReplyTimeout` — the caller kills and replaces it.
-        """
-        proc, conn = self._workers[worker]
-        deadline = (
-            # lint: allow[R4] supervision wall clock; never feeds results
-            time.monotonic() + timeout if timeout and timeout > 0 else None
-        )
-        while True:
-            if conn.poll(0.05):
-                return conn.recv()
-            if not proc.is_alive():
-                if conn.poll(0.05):  # drain a reply racing the exit
-                    return conn.recv()
-                raise EOFError(f"worker exited with {proc.exitcode!r}")
-            # lint: allow[R4] supervision wall clock; never feeds results
-            if deadline is not None and time.monotonic() > deadline:
-                raise _ReplyTimeout(
-                    f"worker {worker} missed the {timeout:.1f}s reply "
-                    "deadline"
-                )
-
-    def _collect_one(self, worker: int, timeout: float) -> Tuple[str, Any]:
-        """One worker's outcome: ``("ok"|"err"|"dead"|"timeout", ...)``.
-
-        A straggler that trips the deadline is SIGKILLed on the spot —
-        from here on it is just another dead worker to respawn.
-        """
-        try:
-            return self._recv_reply(worker, timeout)
-        except _ReplyTimeout as exc:
-            self.stats["timeouts"] += 1
-            proc = self._workers[worker][0]
-            if proc.is_alive():
-                proc.kill()
-            return "timeout", exc
-        except (EOFError, OSError) as exc:
-            return "dead", exc
-
     def _raise_worker_error(self, exc: BaseException, tb: str) -> None:
-        """Deterministic worker error: tear the pool down, re-raise."""
-        self.close(force=True)
+        """Deterministic worker error: re-raise it with the worker's
+        traceback attached (the supervision loop closes the pool)."""
         if tb and hasattr(exc, "add_note"):
             exc.add_note(
                 "raised in a shard worker; worker traceback:\n" + tb
             )
         raise exc
 
-    # ------------------------------------------------------------------
-    # public entry points
-    # ------------------------------------------------------------------
-    def _eval_fault(self, worker: int, suppress: bool) -> Any:
-        """Fault instruction for one eval send (``None`` when disarmed).
+    def _fault(self, worker: int, suppress: bool, hang: bool) -> Any:
+        """Fault instruction for one send (``None`` when disarmed).
 
         Evaluated parent-side so the hit counters have a single
         authority; ``suppress`` turns injection off for diagnostic
         replays (an injected kill must not mask the question "was that
-        error reply deterministic?").
+        error reply deterministic?"), and ``hang=False`` skips the hang
+        site for method runs, where it would stall CI for the whole
+        method deadline.
         """
         if suppress:
             return None
         scope = str(worker)
         if faults.should_inject("worker.kill", scope):
             return "kill"
-        if faults.should_inject("worker.hang", scope):
+        if hang and faults.should_inject("worker.hang", scope):
             hang_s = (
                 max(1.0, 4.0 * self.worker_timeout)
                 if self.worker_timeout > 0
@@ -885,106 +802,179 @@ class ShardDispatcher:
             return "poison"
         return None
 
+    def _supervise(self, tasks: Sequence[_Task], fatal: bool) -> None:
+        """Run ``tasks`` on the pool: the one send/wait/recover loop.
+
+        A task is sent as soon as its worker is idle; the loop then
+        waits on every in-flight pipe at once.  A worker that is dead
+        with no pending reply (its pipe may never reach EOF while forked
+        siblings hold inherited fds), misses its task's deadline, or
+        cannot be sent to is respawned, and the task resent after
+        ``backoff * failures`` seconds, at most :attr:`retries` times.
+        Past that the task is dropped — the caller finds its results
+        missing — or, when ``fatal``, the pool is closed and
+        :class:`WorkerCrashError` raised at once.  The first error reply
+        respawns its worker, counts a replay and resends; every later
+        send in the call goes out with fault injection off, and an
+        error reply to such a send re-raises the worker's exception.
+        Any exception leaving the loop closes the pool first.
+        """
+        queue: List[_Task] = list(tasks)
+        inflight: Dict[int, Tuple[_Task, float]] = {}  # worker -> (task, sent)
+        suppress = False
+
+        def failed(worker: int, task: _Task) -> None:
+            self._respawn(worker)
+            task.failures += 1
+            if task.failures <= self.retries:
+                self.stats["retries"] += 1
+                time.sleep(self.backoff * task.failures)
+                queue.insert(0, task)
+            elif fatal:
+                raise WorkerCrashError(
+                    f"shard worker {worker} kept failing after "
+                    f"{self.retries} retries"
+                )
+
+        try:
+            while queue or inflight:
+                for task in list(queue):
+                    idle = [i for i in range(self.jobs) if i not in inflight]
+                    w = task.worker
+                    if w is None and idle:
+                        w = idle[0]
+                    if w not in idle:
+                        continue
+                    queue.remove(task)
+                    task.quiet = suppress
+                    if self._send(w, task.build(w, suppress)):
+                        # lint: allow[R4] supervision deadline, never a result
+                        inflight[w] = (task, time.monotonic())
+                    else:
+                        failed(w, task)
+                ready = connection_wait(
+                    [self._workers[w][1] for w in inflight], timeout=_WAIT_S
+                )
+                for w, (task, sent) in list(inflight.items()):
+                    proc, conn = self._workers[w]
+                    if conn in ready:
+                        del inflight[w]
+                        try:
+                            kind, payload = conn.recv()
+                        except (EOFError, OSError):
+                            failed(w, task)
+                            continue
+                        if kind == "ok":
+                            task.handle(payload)
+                        elif task.quiet:
+                            self._raise_worker_error(*payload)
+                        else:
+                            self.stats["replays"] += 1
+                            suppress = True
+                            self._respawn(w)
+                            queue.insert(0, task)
+                    elif not proc.is_alive() and not conn.poll(0):
+                        del inflight[w]
+                        failed(w, task)
+                    # lint: allow[R4] supervision deadline, never a result
+                    elif 0 < task.timeout < time.monotonic() - sent:
+                        self.stats["timeouts"] += 1
+                        del inflight[w]
+                        failed(w, task)  # the respawn SIGKILLs the straggler
+        except BaseException:
+            # A dispatch cut short can leave replies, or half a message,
+            # in the pipes, which the next dispatch would read as its
+            # own: such a pool is never reused.
+            self.close(force=True)
+            raise
+
+    # ------------------------------------------------------------------
+    # public entry points
+    # ------------------------------------------------------------------
+    def warmup(self) -> None:
+        """Force every worker to build its context now (optional).
+
+        Useful before timed regions (the runtime-scaling bench measures
+        steady-state throughput) and to surface context-build errors
+        eagerly; :meth:`evaluate_items` works without it.  Supervised
+        like any dispatch: dead/hung workers are respawned and
+        re-pinged, a repeated error reply is deterministic and raises,
+        and a worker that keeps failing raises
+        :class:`WorkerCrashError`.
+        """
+        with self._lock:
+            tasks = [
+                _Task(
+                    w,
+                    lambda worker, suppress: ("ping", None),
+                    lambda reply: None,
+                    self.worker_timeout,
+                )
+                for w in range(self.jobs)
+            ]
+            self._supervise(tasks, fatal=True)
+
     def evaluate_items(self, items: Sequence[BatchItem]) -> List[CircuitEval]:
         """Evaluate a generation across the pool; bit-identical to serial.
 
-        Self-healing: workers that die, hang past the reply deadline,
-        or lose their pipe are respawned and the unmerged items
-        re-planned (results already merged from healthy workers are
-        kept — merging is by item index, so routing changes are
-        invisible).  After ``retries`` failed recovery rounds the
-        remaining items are evaluated serially in the parent.  A worker
-        *error reply* is replayed once with fault injection suppressed;
-        a second error is deterministic and re-raises after tearing the
-        pool down.
+        One task per worker shard of :meth:`_plan`; a resend re-plans
+        the shard's items onto the respawned worker.  Items whose shard
+        ran out of retries are evaluated serially in the parent — the
+        serial batch path is the definition of correctness, so degraded
+        results are still bit-identical.
         """
         if not items:
             return []
         with self._lock:
             out: List[Optional[CircuitEval]] = [None] * len(items)
-            pending = list(range(len(items)))
-            err_seen = False
-            attempt = 0
-            while pending:
-                if attempt > self.retries:
-                    self._serial_fallback(items, pending, out)
-                    break
-                if attempt:
-                    self.stats["retries"] += 1
-                    time.sleep(self.backoff * attempt)
-                sub = [items[i] for i in pending]
-                plans = self._plan(sub)
-                active: List[int] = []
-                failed: List[int] = []
-                for w, plan in enumerate(plans):
-                    if plan.empty:
-                        continue
-                    msg = (
-                        "eval",
-                        plan.evicts,
-                        plan.groups,
-                        plan.singles,
-                        self._eval_fault(w, suppress=err_seen),
-                    )
-                    if self._send(w, msg):
-                        active.append(w)
-                    else:
-                        failed.append(w)
-                error: Optional[Tuple[BaseException, str]] = None
-                done: set = set()
-                for w in active:
-                    kind, payload = self._collect_one(
-                        w, self.worker_timeout
-                    )
-                    if kind == "ok":
-                        for sub_index, packed in payload:
-                            out[pending[sub_index]] = _unpack_eval(packed)
-                            done.add(sub_index)
-                    elif kind == "err":
-                        error = payload
-                        failed.append(w)
-                    else:  # dead / timeout
-                        failed.append(w)
-                if error is not None:
-                    if err_seen:
-                        # The replay (injection-free) failed too: this
-                        # error is deterministic, not environmental.
-                        self._raise_worker_error(*error)
-                    err_seen = True
-                    self.stats["replays"] += 1
-                for w in sorted(set(failed)):
-                    self._respawn(w)
-                pending = [
-                    index
-                    for sub_index, index in enumerate(pending)
-                    if sub_index not in done
-                ]
-                attempt += 1
+
+            def handle(reply: List[Tuple[int, _PackedEval]]) -> None:
+                for index, packed in reply:
+                    out[index] = _unpack_eval(packed)
+
+            plans = self._plan(items, range(len(items)))
+            tasks = [
+                _Task(
+                    w,
+                    self._eval_build(items, plan),
+                    handle,
+                    self.worker_timeout,
+                )
+                for w, plan in enumerate(plans)
+                if plan.groups
+            ]
+            self._supervise(tasks, fatal=False)
+            left = [i for i, ev in enumerate(out) if ev is None]
+            if left:
+                self.stats["serial_fallbacks"] += 1
+                warnings.warn(
+                    f"shard pool kept failing after {self.retries} "
+                    f"resends; evaluating {len(left)} items serially in "
+                    "the parent",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                serial = evaluate_batch(self._ctx, [items[i] for i in left])
+                for index, ev in zip(left, serial):
+                    out[index] = ev
         return out  # type: ignore[return-value]
 
-    def _serial_fallback(
-        self,
-        items: Sequence[BatchItem],
-        pending: Sequence[int],
-        out: List[Optional[CircuitEval]],
-    ) -> None:
-        """Last resort: evaluate the stubborn items in the parent.
+    def _eval_build(
+        self, items: Sequence[BatchItem], plan: _WorkerPlan
+    ) -> Callable[[int, bool], Tuple]:
+        """Message builder for one shard: the planned message first, a
+        re-plan of the same items onto the worker at every resend."""
+        ids = [i for _, _, members in plan.groups for i, *_ in members]
 
-        The serial batch path is the definition of correctness here, so
-        degraded results are still bit-identical — the pool only ever
-        buys wall-clock time, never different answers.
-        """
-        self.stats["serial_fallbacks"] += 1
-        warnings.warn(
-            f"shard pool kept failing after {self.retries} recovery "
-            f"attempts; evaluating {len(pending)} items serially in "
-            "the parent",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        evals = evaluate_batch(self._ctx, [items[i] for i in pending])
-        for index, ev in zip(pending, evals):
-            out[index] = ev
+        def build(worker: int, suppress: bool) -> Tuple:
+            nonlocal plan
+            if plan is None:  # a resend
+                plan = self._plan(items, ids, only=worker)[worker]
+            shard, plan = plan, None
+            fault = self._fault(worker, suppress, hang=True)
+            return ("eval", fault, shard.evicts, shard.groups)
+
+        return build
 
     def run_methods(
         self, methods: Sequence[str], flow_config: Any
@@ -996,107 +986,27 @@ class ShardDispatcher:
         the pool size queue up and start as workers free up.  Results
         come back keyed and are returned in the requested method order.
         Individual runs are seeded and independent, so concurrency —
-        and recovery re-dispatch after a worker death or a missed
+        and a resend after a worker death or a missed
         ``method_timeout`` deadline — cannot change any result.  A
-        method whose worker keeps dying past the retry budget raises
+        method whose worker keeps failing past the retry budget raises
         :class:`WorkerCrashError` (there is no serial fallback here: a
-        method run *is* a serial run, just elsewhere); an error reply
-        is replayed once and a second error re-raises the original.
+        method run *is* a serial run, just elsewhere).
         """
         with self._lock:
-            pending = deque(methods)
-            # worker -> (method, dispatch time); monotonic only feeds
-            # the supervision deadline, never a result.
-            inflight: Dict[int, Tuple[str, float]] = {}
             results: Dict[str, Any] = {}
-            death_counts: Dict[str, int] = {m: 0 for m in methods}
-            err_counts: Dict[str, int] = {m: 0 for m in methods}
 
-            def fail_method(worker: int, method: str) -> None:
-                self._respawn(worker)
-                death_counts[method] += 1
-                if death_counts[method] > self.retries:
-                    self.close(force=True)
-                    raise WorkerCrashError(
-                        f"parallel worker running {method!r} kept "
-                        f"failing after {self.retries} retries"
-                    )
-                self.stats["retries"] += 1
-                pending.appendleft(method)
+            def task(method: str) -> _Task:
+                def build(worker: int, suppress: bool) -> Tuple:
+                    fault = self._fault(worker, suppress, hang=False)
+                    return ("run", fault, method, flow_config)
 
-            while inflight or pending:
-                for w in range(self.jobs):
-                    if not pending:
-                        break
-                    if w in inflight:
-                        continue
-                    method = pending.popleft()
-                    fault = (
-                        None
-                        if err_counts[method]
-                        else self._run_fault(w)
-                    )
-                    if self._send(w, ("run", method, flow_config, fault)):
-                        # lint: allow[R4] supervision deadline bookkeeping
-                        inflight[w] = (method, time.monotonic())
-                    else:
-                        fail_method(w, method)
-                if not inflight:
-                    continue
-                conn_to_worker = {
-                    self._workers[w][1]: w for w in inflight
-                }
-                ready = connection_wait(
-                    list(conn_to_worker), timeout=0.1
-                )
-                if not ready:
-                    # No data: check liveness and the method deadline
-                    # (a dead worker's pipe may be held open by
-                    # siblings; a SIGSTOP'd one never reaches EOF).
-                    # lint: allow[R4] supervision deadline bookkeeping
-                    now = time.monotonic()
-                    for w in list(inflight):
-                        proc, conn = self._workers[w]
-                        method, started = inflight[w]
-                        if (
-                            self.method_timeout > 0
-                            and now - started > self.method_timeout
-                            and proc.is_alive()
-                        ):
-                            self.stats["timeouts"] += 1
-                            proc.kill()
-                        if not proc.is_alive() and not conn.poll(0):
-                            inflight.pop(w)
-                            fail_method(w, method)
-                    continue
-                for conn in ready:
-                    w = conn_to_worker[conn]
-                    method, _ = inflight.pop(w)
-                    try:
-                        kind, payload = conn.recv()
-                    except (EOFError, OSError):
-                        fail_method(w, method)
-                        continue
-                    if kind == "err":
-                        if err_counts[method]:
-                            self._raise_worker_error(*payload)
-                        err_counts[method] = 1
-                        self.stats["replays"] += 1
-                        self._respawn(w)
-                        pending.appendleft(method)
-                        continue
-                    results[method] = payload
+                def handle(reply: Any) -> None:
+                    results[method] = reply
+
+                return _Task(None, build, handle, self.method_timeout)
+
+            self._supervise([task(m) for m in methods], fatal=True)
             return {m: results[m] for m in methods}
-
-    def _run_fault(self, worker: int) -> Any:
-        """Fault instruction for one method-run send (kill/poison only:
-        a hang would stall CI for the whole method deadline)."""
-        scope = str(worker)
-        if faults.should_inject("worker.kill", scope):
-            return "kill"
-        if faults.should_inject("worker.poison", scope):
-            return "poison"
-        return None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1115,7 +1025,7 @@ class ShardDispatcher:
             for _, conn in self._workers:
                 if not force:
                     try:
-                        conn.send(("stop",))
+                        conn.send(("stop", None))
                     except Exception:
                         pass
                 try:

@@ -2,12 +2,12 @@
 
 Every method — DCGWO and the four baselines — registers itself with the
 :func:`register_method` decorator, and everything that needs "a method
-by name" (the flow shims, the CLI, :class:`~repro.session.Session`,
-the benchmark tables) resolves it through :func:`get_method`.  Adding a
-sixth method therefore never touches ``flow.py``: decorate the class
-and it appears in ``--method`` choices, ``compare`` sweeps, and tables.
+by name" (the CLI, :class:`~repro.session.Session`, the benchmark
+tables) resolves it through :func:`get_method`.  Adding a sixth method
+therefore takes no other edit: decorate the class and it appears in
+``--method`` choices, ``compare`` sweeps, and tables.
 
-Two pieces replace the old per-method ``if/elif`` construction chain:
+Two pieces build every method:
 
 * :class:`CommonBudget` — the shared effort-scaling rule.  The paper
   runs every method at one budget class (N=30 / Imax=20 population
@@ -17,8 +17,8 @@ Two pieces replace the old per-method ``if/elif`` construction chain:
 * :class:`MethodSpec` — one registry row: the optimizer class, its
   config dataclass, and a declarative mapping from budget fields to
   config fields.  ``spec.build(ctx, flow_cfg)`` instantiates the
-  optimizer exactly as ``make_optimizer`` used to, including forwarding
-  whichever of ``seed`` / ``wd`` / ``depth_mode`` the config declares.
+  optimizer, forwarding whichever of ``seed`` / ``wd`` /
+  ``depth_mode`` the config declares.
 
 Lookups are case-insensitive and honour aliases ("DCGWO" -> "Ours").
 """

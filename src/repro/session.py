@@ -6,7 +6,7 @@ simulation, STA baseline, Monte-Carlo vectors) — and exposes the whole
 experimental surface of the paper behind a handful of methods:
 
 * :meth:`Session.run` — optimizer + post-optimization, one method, the
-  paper's Problem 1 flow (what ``run_flow`` used to be);
+  paper's Problem 1 flow;
 * :meth:`Session.compare` — every registered method against the shared
   context (Tables II/III cells);
 * :meth:`Session.optimize` — the optimization stage alone, pausable

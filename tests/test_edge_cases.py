@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import FlowConfig, run_flow
+from repro import FlowConfig, Session
 from repro.core import DCGWO, DCGWOConfig, EvalContext
 from repro.netlist import (
     CONST0,
@@ -94,7 +94,8 @@ class TestFlowEdges:
             error_mode=ErrorMode.ER, error_bound=0.0,
             num_vectors=128, effort=0.2, seed=0,
         )
-        result = run_flow(adder4, "Ours", cfg, library)
+        with Session(adder4, cfg, library) as session:
+            result = session.run("Ours")
         assert result.error == 0.0
         # Resizing alone may still improve timing within Area_ori...
         assert result.ratio_cpd <= 1.0
@@ -106,7 +107,8 @@ class TestFlowEdges:
             num_vectors=128, effort=0.2, seed=0,
             area_con=1.2 * area0,
         )
-        result = run_flow(adder4, "Ours", cfg, library)
+        with Session(adder4, cfg, library) as session:
+            result = session.run("Ours")
         assert result.area_fac <= 1.2 * area0 + 1e-9
 
     def test_pre_synth_flow(self, library):
@@ -121,7 +123,8 @@ class TestFlowEdges:
             error_mode=ErrorMode.ER, error_bound=0.1,
             num_vectors=64, effort=0.2, seed=0, pre_synth=True,
         )
-        result = run_flow(messy, "HEDALS", cfg, library)
+        with Session(messy, cfg, library) as session:
+            result = session.run("HEDALS")
         assert result.ratio_cpd <= 1.0
 
     @pytest.mark.parametrize("method", ["VECBEE-S", "VaACS", "GWO"])
@@ -130,7 +133,8 @@ class TestFlowEdges:
             error_mode=ErrorMode.NMED, error_bound=0.05,
             num_vectors=128, effort=0.15, seed=1,
         )
-        result = run_flow(adder4, method, cfg, library)
+        with Session(adder4, cfg, library) as session:
+            result = session.run(method)
         assert 0.0 < result.ratio_cpd <= 1.0
         assert result.error <= 0.05
 

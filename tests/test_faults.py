@@ -13,6 +13,7 @@ chaos-CI failure nobody can replay is noise.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -23,7 +24,12 @@ import pytest
 from reference_circuits import build_adder
 
 from repro import FlowConfig, Session, faults
-from repro.core import EvalContext, ShardDispatcher, evaluate_batch
+from repro.core import (
+    EvalContext,
+    ShardDispatcher,
+    WorkerCrashError,
+    evaluate_batch,
+)
 from repro.faults import (
     FaultSchedule,
     FaultSpecError,
@@ -230,11 +236,21 @@ class TestDispatcherRecovery:
             )
         assert d.stats["serial_fallbacks"] == 1
 
-    def test_parallel_compare_heals_after_kill(self, library):
+    @pytest.mark.parametrize(
+        "schedule, replays",
+        [("worker.kill@0=1", 0), ("worker.poison@0=1", 1)],
+        ids=["kill", "poison"],
+    )
+    def test_parallel_compare_heals_after_kill(
+        self, library, schedule, replays
+    ):
+        # A killed method run is resent; a poisoned reply is replayed
+        # once with injection off.  Either way the compare equals the
+        # serial one.
         methods = ("HEDALS", "Ours")
         with Session(build_adder(6), QUICK_CFG) as session:
             want = session.compare(methods, jobs=1)
-        faults.install(FaultSchedule("worker.kill@0=1"))
+        faults.install(FaultSchedule(schedule))
         try:
             with Session(build_adder(6), QUICK_CFG) as session:
                 got = session.compare(methods, jobs=2)
@@ -242,6 +258,7 @@ class TestDispatcherRecovery:
         finally:
             faults.install(None)
         assert stats["respawns"] >= 1
+        assert stats["replays"] == replays
         for m in methods:
             assert write_verilog(got[m].circuit) == write_verilog(
                 want[m].circuit
@@ -251,6 +268,32 @@ class TestDispatcherRecovery:
                 got[m].optimization.evaluations
                 == want[m].optimization.evaluations
             )
+
+    def test_parallel_compare_raises_past_retry_budget(self, monkeypatch):
+        """A method whose worker dies on every send exhausts its
+        resends: compare raises WorkerCrashError, closes the pool and
+        leaves no worker behind."""
+        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
+        before = {p.pid for p in multiprocessing.active_children()}
+        faults.install(FaultSchedule("worker.kill=*"))
+        try:
+            with Session(build_adder(6), QUICK_CFG) as session:
+                with pytest.raises(WorkerCrashError):
+                    session.compare(("HEDALS", "Ours"), jobs=2)
+                assert session.ctx._dispatcher.closed
+        finally:
+            faults.install(None)
+        deadline = time.monotonic() + 5.0
+        while True:
+            alive = [
+                p
+                for p in multiprocessing.active_children()
+                if p.name.startswith("repro-shard-") and p.pid not in before
+            ]
+            if not alive or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert not alive, f"worker processes left behind: {alive}"
 
     def test_env_knobs_parse_with_warnings(self, monkeypatch, library):
         monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "soon")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import FlowConfig, compare_methods, make_optimizer, run_flow
+from repro import FlowConfig, Session, get_method
 from repro.core import EvalContext
 from repro.netlist import validate
 from repro.reporting import (
@@ -41,7 +41,8 @@ def fast_cfg():
 
 @pytest.fixture(scope="module")
 def ours_result(mapped_adder, fast_cfg, library):
-    return run_flow(mapped_adder, "Ours", fast_cfg, library)
+    with Session(mapped_adder, fast_cfg, library) as session:
+        return session.run("Ours")
 
 
 class TestRunFlow:
@@ -89,17 +90,13 @@ class TestRunFlow:
 
     def test_unknown_method_rejected(self, mapped_adder, fast_cfg):
         with pytest.raises(ValueError):
-            run_flow(mapped_adder, "Bogus", fast_cfg)
+            Session(mapped_adder, fast_cfg).run("Bogus")
 
 
 class TestCompareMethods:
     def test_all_methods_run(self, mapped_adder, fast_cfg, library):
-        results = compare_methods(
-            mapped_adder,
-            methods=("HEDALS", "Ours"),
-            config=fast_cfg,
-            library=library,
-        )
+        with Session(mapped_adder, fast_cfg, library) as session:
+            results = session.compare(("HEDALS", "Ours"))
         assert set(results) == {"HEDALS", "Ours"}
         for r in results.values():
             assert r.ratio_cpd <= 1.0
@@ -109,10 +106,8 @@ class TestCompareMethods:
         ctx = EvalContext.build(
             mapped_adder, library, ErrorMode.NMED, num_vectors=128
         )
-        small = make_optimizer(
-            "Ours", ctx, FlowConfig(effort=0.2)
-        )
-        big = make_optimizer("Ours", ctx, FlowConfig(effort=1.0))
+        small = get_method("Ours").build(ctx, FlowConfig(effort=0.2))
+        big = get_method("Ours").build(ctx, FlowConfig(effort=1.0))
         assert small.config.population_size < big.config.population_size
         assert small.config.imax < big.config.imax
         assert big.config.population_size == 30

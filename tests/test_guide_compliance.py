@@ -20,7 +20,6 @@ SUBPACKAGES = [
     "repro.core",
     "repro.baselines",
     "repro.postopt",
-    "repro.flow",
     "repro.reporting",
 ]
 
@@ -33,7 +32,7 @@ def test_imports_cleanly(name):
 
 @pytest.mark.parametrize(
     "name",
-    [n for n in SUBPACKAGES if n not in ("repro.flow", "repro.reporting")],
+    [n for n in SUBPACKAGES if n != "repro.reporting"],
 )
 def test_all_exports_exist(name):
     module = importlib.import_module(name)

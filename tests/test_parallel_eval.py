@@ -419,6 +419,37 @@ class TestCrashSafety:
             session.compare(("HEDALS", "Ours"), jobs=2)
         self._assert_pool_gone(session)
 
+    def test_dispatch_cut_short_does_not_poison_the_next(
+        self, library, monkeypatch
+    ):
+        """An exception escaping a dispatch (an interrupt while the
+        parent waits) leaves the other worker's reply in its pipe.  The
+        pool is closed rather than reused, so the session's next
+        parallel generation gets a fresh pool and equals serial."""
+        ctx = _ctx(build_adder(8), library)
+        parent = ctx.reference_eval()
+        first = [(c, parent) for c in _lac_children(ctx, 6, seed=3)]
+        second = [(c, parent) for c in _lac_children(ctx, 6, seed=77)]
+        want = evaluate_batch(
+            ctx, [(c, parent) for c in _lac_children(ctx, 6, seed=77)]
+        )
+        session = Session(ctx.reference, NMED_CFG, ctx=ctx)
+        try:
+            parallel_mod.get_dispatcher(ctx, 2).warmup()
+
+            def cut_short(packed):
+                raise RuntimeError("dispatch cut short")
+
+            monkeypatch.setattr(parallel_mod, "_unpack_eval", cut_short)
+            with pytest.raises(RuntimeError, match="cut short"):
+                session.evaluate_batch(first, jobs=2)
+            monkeypatch.undo()
+            got = session.evaluate_batch(second, jobs=2)
+        finally:
+            session.close()
+        for ours, ref in zip(got, want):
+            _assert_same_eval(ours, ref)
+
     def test_killed_worker_respawns_and_completes(self, library):
         """Abrupt worker death (SIGKILL, OOM-kill) heals, not fails.
 
@@ -532,13 +563,13 @@ class TestJobsResolution:
         assert cfg.jobs == 0
 
     def test_flow_config_jobs_reaches_method_configs(self, library):
-        from repro import make_optimizer
+        from repro import get_method
 
         ctx = _ctx(build_adder(8), library)
         cfg = FlowConfig(effort=0.2, jobs=3)
-        assert make_optimizer("Ours", ctx, cfg).config.jobs == 3
-        assert make_optimizer("VaACS", ctx, cfg).config.jobs == 3
-        assert make_optimizer("GWO", ctx, cfg).config.jobs == 3
+        for name in ("Ours", "VaACS", "GWO"):
+            assert get_method(name).build(ctx, cfg).config.jobs == 3
         # Greedy methods evaluate one candidate at a time; they declare
         # no jobs field and parallelize only at the compare level.
-        assert not hasattr(make_optimizer("HEDALS", ctx, cfg).config, "jobs")
+        greedy = get_method("HEDALS").build(ctx, cfg)
+        assert not hasattr(greedy.config, "jobs")

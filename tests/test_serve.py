@@ -766,7 +766,9 @@ class TestClientReconnect:
     ):
         """The ungraceful end: SIGKILL the daemon mid-stream.  The
         client burns its reconnect budget and raises ConnectionError —
-        no hang, no garbled partial event escaping to the caller."""
+        no hang, no garbled partial event escaping to the caller.  The
+        daemon holds the run after its first streamed iteration, so the
+        kill lands mid-stream however fast the run is."""
         env = {**os.environ, "PYTHONUNBUFFERED": "1"}
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", env.get("PYTHONPATH")) if p
@@ -774,7 +776,7 @@ class TestClientReconnect:
         env.pop("REPRO_CACHE", None)  # keep the run slow enough
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "serve",
+                sys.executable, "-c", _HELD_DAEMON, "serve",
                 "--port", "0", "--capacity", "1",
                 "--spool", str(tmp_path / "spool"), "--quiet",
             ],
@@ -803,8 +805,9 @@ class TestClientReconnect:
 # graceful drain (the real daemon process, real signals)
 # ----------------------------------------------------------------------
 #: Runs ``repro`` with every served run held after its first streamed
-#: iteration until the drain interrupts it, so SIGTERM provably lands
-#: mid-run however fast the run is.  Bounded, like hold_run_starts.
+#: iteration until the drain interrupts it (or the daemon is killed),
+#: so SIGTERM or SIGKILL provably lands mid-run however fast the run
+#: is.  Bounded, like hold_run_starts.
 _HELD_DAEMON = """
 import sys, threading
 from repro.__main__ import main

@@ -30,7 +30,6 @@ from repro import (
     FlowConfig,
     Session,
     get_method,
-    make_optimizer,
     method_names,
     register_method,
 )
@@ -217,9 +216,9 @@ class TestRegistry:
             ("VaACS", VaACS),
             ("VECBEE-S", VecbeeSasimi),
         ):
-            assert type(make_optimizer(name, ctx, cfg)) is cls
+            assert type(get_method(name).build(ctx, cfg)) is cls
         with pytest.raises(ValueError):
-            make_optimizer("Bogus", ctx, cfg)
+            get_method("Bogus").build(ctx, cfg)
 
     def test_common_budget_scaling_floors(self):
         scaled = CommonBudget().scaled(0.2)
@@ -233,12 +232,12 @@ class TestRegistry:
     def test_budget_fields_reach_configs(self, adder8, library):
         ctx = _ctx(adder8, library)
         cfg = FlowConfig(effort=0.2, seed=9, wd=0.7)
-        ours = make_optimizer("Ours", ctx, cfg)
+        ours = get_method("Ours").build(ctx, cfg)
         assert ours.config.population_size == 6
         assert ours.config.imax == 4
         assert ours.config.seed == 9
         assert ours.config.wd == 0.7
-        greedy = make_optimizer("HEDALS", ctx, cfg)
+        greedy = get_method("HEDALS").build(ctx, cfg)
         assert greedy.config.max_changes == 12
         assert greedy.config.beam == 8
         assert greedy.config.seed == 9
@@ -508,17 +507,6 @@ class TestSessionFacade:
         for res in results.values():
             assert res.ratio_cpd <= 1.0
             assert res.error <= NMED_CFG.error_bound
-
-    def test_run_matches_run_flow_shim(self, adder8):
-        from repro import run_flow
-
-        a = Session(adder8, NMED_CFG).run("Ours")
-        b = run_flow(adder8, "Ours", NMED_CFG)
-        assert a.ratio_cpd == b.ratio_cpd
-        assert a.error == b.error
-        assert (
-            a.circuit.structure_key() == b.circuit.structure_key()
-        )
 
     def test_methods_listing(self):
         assert Session.methods() == method_names()
