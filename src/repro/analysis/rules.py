@@ -47,7 +47,7 @@ MEMO_ACCESSORS = frozenset(
         "transitive_fanout",
         "timing_index",
         "timing_levels",
-        "po_cones",
+        "po_bits",
         "value_rows",
         "value_store_index",
         "_cached",

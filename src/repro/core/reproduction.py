@@ -11,6 +11,13 @@ Gates shared between cones accept adjacency information only from the
 first write-in (cones are written in descending Level order); gates in no
 selected cone are filled from the fitter parent so the child is complete.
 
+The child starts as a copy of the fitter parent, so only the gates where
+the two parents differ can change.  :func:`circuit_reproduce` finds them
+in one pass over the fan-in dict, looks up each one's first write-in in
+per-circuit PO cone bitsets (:func:`po_bits`), and writes it only when
+that cone comes from the other parent: the work beyond the pass is
+proportional to the parents' difference, not to the cones' size.
+
 All population members share the accurate circuit's gate ID space and
 preserve its topological order (see ``core.lacs``), so any cone mixture
 is acyclic by construction.
@@ -22,10 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..netlist import Circuit
-from ..sta.store import timing_index
 from .fitness import CircuitEval, EvalContext
 
 #: Error floor: half an LSB of what the Monte-Carlo batch can resolve.
@@ -71,82 +75,34 @@ def po_levels(
     return levels
 
 
-class POCones:
-    """Per-PO TFI reachability of one circuit as dense bool masks.
+def po_bits(circuit: Circuit) -> Dict[int, int]:
+    """Per-gate PO cone membership as Python-int bitsets.
 
-    ``masks`` is ``(index.n, num_pos)`` bool laid out by the shared
-    sorted-gid row numbering (:func:`repro.sta.store.timing_index`):
-    ``masks[r, p]`` is True when the gate on row ``r`` belongs to PO
-    ``p``'s cone (the PO itself included — exactly
-    ``transitive_fanin(po, include_self=True)`` minus constants).
-    Memoized per circuit structure version; the reproduction operator
-    intersects these masks instead of walking frozensets per PO, which
-    is the crossover cone-write cost the ROADMAP flagged.
+    Maps every gate ID to an int whose bit ``p`` is set when the gate
+    lies in ``transitive_fanin(po_ids[p], include_self=True)``.  Built
+    in one reverse sweep that ORs each gate's bits into its fan-ins:
+    over ascending gate IDs on a gid-topological circuit, over
+    :meth:`Circuit.topological_order` otherwise.  Memoized per structure
+    version; treat the returned dict as read-only.
     """
-
-    __slots__ = ("index", "masks", "po_slot", "_sets")
-
-    def __init__(self, index, masks: np.ndarray, po_slot: Dict[int, int]):
-        self.index = index
-        self.masks = masks
-        self.po_slot = po_slot
-        self._sets: Dict[int, frozenset] = {}
-
-    def mask(self, po: int) -> np.ndarray:
-        """Bool row mask of ``po``'s cone (a column view; read-only)."""
-        return self.masks[:, self.po_slot[po]]
-
-    def cone(self, po: int) -> frozenset:
-        """The cone as a gate-ID frozenset — the historical set-based
-        API, materialized lazily from the mask for existing callers."""
-        cached = self._sets.get(po)
-        if cached is None:
-            gids = self.index.gids
-            cached = frozenset(
-                int(gids[r]) for r in np.flatnonzero(self.mask(po))
-            )
-            self._sets[po] = cached
-        return cached
-
-
-def po_cones(circuit: Circuit) -> POCones:
-    """The circuit's :class:`POCones`, memoized per structure version.
-
-    Built with one reverse-topological sweep that ORs each gate's mask
-    row into its fan-ins — O(V · num_pos / 8) bytes of work instead of
-    one set-walk per PO.
-    """
-    cached = circuit._cached("po_cones")
+    cached = circuit._cached("po_bits")
     if cached is not None:
         return cached
-    index = timing_index(circuit)
-    row = index.row
     fanins = circuit.fanins
-    po_ids = circuit.po_ids
-    po_slot = {po: p for p, po in enumerate(po_ids)}
-    masks = np.zeros((index.n, len(po_ids)), dtype=bool)
-    for po in po_ids:
-        masks[row[po], po_slot[po]] = True
+    bits = dict.fromkeys(fanins, 0)
+    for p, po in enumerate(circuit.po_ids):
+        bits[po] |= 1 << p
     if circuit.gid_order_topo():
-        # Rows are sorted gate IDs = a topological order here, so the
-        # sweep walks rows descending without building the topo order.
-        gids = index.gids
-        for r in range(index.n - 1, -1, -1):
-            m = masks[r]
-            if m.any():
-                for fi in fanins[int(gids[r])]:
-                    if fi >= 0:
-                        fr = row[fi]
-                        np.logical_or(masks[fr], m, out=masks[fr])
+        order = sorted(fanins)
     else:
-        for gid in reversed(circuit.topological_order()):
-            m = masks[row[gid]]
-            if m.any():
-                for fi in fanins[gid]:
-                    if fi >= 0:
-                        fr = row[fi]
-                        np.logical_or(masks[fr], m, out=masks[fr])
-    return circuit._store("po_cones", POCones(index, masks, po_slot))
+        order = circuit.topological_order()
+    for gid in reversed(order):
+        b = bits[gid]
+        if b:
+            for fi in fanins[gid]:
+                if fi >= 0:
+                    bits[fi] |= b
+    return circuit._store("po_bits", bits)
 
 
 def circuit_reproduce(
@@ -179,42 +135,54 @@ def circuit_reproduce(
 
     # Choose the parent per PO and write cones in descending Level order:
     # shared gates accept adjacency only from the first write-in.
-    choices: List[Tuple[float, int, Circuit]] = []
-    for po in child.po_ids:
+    choices: List[Tuple[float, int, int, CircuitEval]] = []
+    for slot, po in enumerate(child.po_ids):
         if levels_a[po] >= levels_b[po]:
-            choices.append((levels_a[po], po, ev_a.circuit))
+            choices.append((levels_a[po], po, slot, ev_a))
         else:
-            choices.append((levels_b[po], po, ev_b.circuit))
+            choices.append((levels_b[po], po, slot, ev_b))
     choices.sort(key=lambda item: (-item[0], item[1]))
+    ranked = [slot for _, _, slot, _ in choices]
+    base_slots = other_slots = 0
+    for _, _, slot, ev in choices:
+        if ev is other:
+            other_slots |= 1 << slot
+        else:
+            base_slots |= 1 << slot
 
-    # Both parents' cone masks share one row numbering (same gate-ID
-    # set), so first-write-wins reduces to `mask & ~written` per PO and
-    # only the genuinely new rows of each cone are visited.  Write order
-    # within one cone cannot matter: every write reads the same parent.
+    # A gate whose fan-ins and cell agree in both parents already equals
+    # ``base`` whichever cone writes it, so only the gates that differ
+    # can change.  Copies share tuple objects, so identity settles most
+    # gates before a compare.  Each differing gate takes its record from
+    # the first cone in write order whose chosen parent contains it;
+    # only a gate owned by ``other`` is written, and no-op writes are
+    # skipped, so ``changed`` is exactly the set that differs from base.
+    bf, bc = base.circuit.fanins, base.circuit.cells
+    of, oc = other.circuit.fanins, other.circuit.cells
+    base_bits, other_bits = po_bits(base.circuit), po_bits(other.circuit)
     changed: set = set()
     base_version = child.version
     writes = 0
-    cones = {id(ca): po_cones(ca), id(cb): po_cones(cb)}
-    gids = cones[id(ca)].index.gids
-    written_mask = np.zeros(len(gids), dtype=bool)
-    for _, po, parent in choices:
-        mask = cones[id(parent)].mask(po)
-        fresh = mask & ~written_mask
-        written_mask |= mask
-        for r in np.flatnonzero(fresh):
-            gid = int(gids[r])
-            # Skip no-op writes: the child starts as a copy of ``base``,
-            # so a differing current value means "differs from base" —
-            # exactly the changed set incremental evaluation needs (and
-            # skipping identical writes avoids needless cache churn).
-            if child.fanins[gid] != parent.fanins[gid]:
-                child.fanins[gid] = parent.fanins[gid]
-                changed.add(gid)
-                writes += 1
-            if not child.is_po(gid) and child.cells[gid] != parent.cells[gid]:
-                child.cells[gid] = parent.cells[gid]
-                changed.add(gid)
-                writes += 1
+    for gid, fis in bf.items():
+        ofis = of[gid]
+        if (fis is ofis or fis == ofis) and bc[gid] == oc[gid]:
+            continue
+        hits = (base_bits[gid] & base_slots) | (other_bits[gid] & other_slots)
+        if not hits:
+            continue  # in no chosen cone: keeps base
+        for slot in ranked:
+            if hits >> slot & 1:
+                break
+        if not other_slots >> slot & 1:
+            continue  # owned by base: already equal
+        if fis != ofis:
+            child.fanins[gid] = ofis
+            changed.add(gid)
+            writes += 1
+        if not child.is_po(gid) and bc[gid] != oc[gid]:
+            child.cells[gid] = oc[gid]
+            changed.add(gid)
+            writes += 1
     child.extend_provenance(changed, base_version, writes)
     return child
 

@@ -114,11 +114,17 @@ class EvalCache:
     # index maintenance
     # ------------------------------------------------------------------
     def _segment_files(self) -> List[str]:
+        """Published segment names; a writer's ``.tmp-`` file is not one
+        until its ``os.replace`` lands."""
         try:
             names = os.listdir(self.segments_dir)
         except OSError:
             return []
-        return sorted(n for n in names if n.endswith(".evs"))
+        return sorted(
+            n
+            for n in names
+            if n.endswith(".evs") and not n.startswith(".tmp-")
+        )
 
     def refresh(self) -> None:
         """Fold segments other processes published into the index.

@@ -406,7 +406,10 @@ class Circuit:
         reproduction mixes fan-in tuples from two preserving parents,
         and simplification only drops pins.  Consumers use it to run
         sorted-gid (= dense-row) evaluation schedules without building
-        a per-child topological order.  Memoized per structure version;
+        a per-child topological order; ``core.reproduction.po_bits``
+        sweeps ascending IDs instead of a topological order, and
+        ``core.lacs.is_safe`` accepts a switch below its target without
+        walking the target's fan-out cone.  Memoized per structure version;
         an O(E) scan, several times cheaper than a Kahn walk plus the
         fan-out map it needs.
         """

@@ -7,7 +7,12 @@ benchmark suite's ``conftest`` when both directories are collected.
 
 from __future__ import annotations
 
-from repro.netlist import Circuit, CircuitBuilder
+from repro.netlist import (
+    Circuit,
+    CircuitBuilder,
+    parse_verilog,
+    write_verilog,
+)
 
 
 def build_fig3_circuit() -> Circuit:
@@ -41,3 +46,28 @@ def build_adder(width: int, name: str = "adder") -> Circuit:
     sums, cout = b.ripple_adder(a, bb)
     b.pos(sums + [cout], "s")
     return b.done()
+
+
+def build_wide_circuit() -> Circuit:
+    """Levels wide enough to force the timing walk's vectorized kernel."""
+    b = CircuitBuilder("wide")
+    pis = b.pis(24)
+    l1 = [b.nand2(pis[i], pis[(i + 1) % 24]) for i in range(24)]
+    l2 = [b.xor2(l1[i], l1[(i + 5) % 24]) for i in range(24)]
+    l3 = [
+        b.gate("MAJ3", l2[i], l2[(i + 1) % 24], l1[(i + 2) % 24])
+        for i in range(24)
+    ]
+    b.pos(l3)
+    return b.done()
+
+
+def build_consumers_first_circuit() -> Circuit:
+    """The wide circuit re-parsed with its instances declared consumers
+    first, so ascending gate ID is *not* a topological order."""
+    lines = write_verilog(build_wide_circuit()).splitlines()
+    gates = [ln for ln in lines if ".Z(" in ln]
+    rest = [ln for ln in lines[:-1] if ".Z(" not in ln]
+    circuit = parse_verilog("\n".join(rest + gates[::-1] + ["endmodule"]))
+    assert not circuit.gid_order_topo()
+    return circuit

@@ -2,6 +2,12 @@
 
 import pytest
 
+from reference_circuits import (
+    build_adder,
+    build_consumers_first_circuit,
+    build_fig3_circuit,
+)
+
 from repro.core import LAC, applied_copy, apply_lac, is_safe
 from repro.netlist import CONST0, CONST1, validate
 
@@ -55,6 +61,47 @@ class TestSafety:
         c = fig3.copy()
         apply_lac(c, LAC(target=10, switch=9))
         validate(c)
+
+
+class TestSafetyGuard:
+    """``is_safe`` skips the fan-out walk only where IDs are topological."""
+
+    @staticmethod
+    def _tfo_definition(circuit, target, switch):
+        return switch != target and switch not in circuit.transitive_fanout(
+            target, include_self=True
+        )
+
+    def test_smaller_tfo_switch_unsafe_when_ids_not_topological(self):
+        # Declared consumers first, a gate's fan-out cone holds smaller
+        # IDs, so ``switch < target`` alone must not pass a switch.
+        circuit = build_consumers_first_circuit()
+        logic = circuit.logic_ids()
+        targets = set()
+        for target in logic:
+            tfo = circuit.transitive_fanout(target, include_self=True)
+            for switch in logic:
+                if switch < target and switch in tfo:
+                    targets.add(target)
+                    assert not is_safe(circuit, LAC(target, switch))
+        assert len(targets) == 48
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            build_fig3_circuit,
+            build_consumers_first_circuit,
+            lambda: build_adder(4),
+        ],
+    )
+    def test_matches_tfo_definition_on_every_logic_pair(self, build):
+        circuit = build()
+        logic = circuit.logic_ids()
+        for target in logic:
+            for switch in logic:
+                assert is_safe(circuit, LAC(target, switch)) == (
+                    self._tfo_definition(circuit, target, switch)
+                ), (target, switch)
 
 
 class TestApply:

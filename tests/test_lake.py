@@ -337,6 +337,26 @@ class TestEvalCache:
         for key, payload in zip(keys, payloads):
             _same_payload(found[key], payload)
 
+    def test_maintenance_skips_writers_temp_files(self, tmp_path):
+        """A segment still being written is invisible to maintenance:
+        deleting it would fail the writer's ``os.replace``."""
+        cache = EvalCache(str(tmp_path / "lake"))
+        cache.put_many(LIB, VEC, [(b"k" * 16, _payloads(1)[0])])
+        name = ".tmp-seg-99999-000001-abcd.evs"
+        partial = os.path.join(cache.segments_dir, name)
+        with open(partial, "wb") as f:
+            f.write(seg.FILE_MAGIC + b"REC1")  # header cut short
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache.refresh()
+        assert name not in cache._seen
+        assert cache.stats()["segments"] == 1
+        cache.compact()
+        assert os.path.exists(partial)
+        cache.gc(max_bytes=0)
+        assert os.path.exists(partial)
+        assert cache.stats()["segments"] == 0
+
     def test_stats_aggregate_across_instances(self, tmp_path):
         a = EvalCache(str(tmp_path / "lake"))
         a.put_many(LIB, VEC, [(b"k" * 16, _payloads(1)[0])])

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_circuits import build_adder, build_consumers_first_circuit
+
 from repro.core import (
     EvalContext,
     LAC,
@@ -13,6 +15,7 @@ from repro.core import (
     applied_copy,
     circuit_reproduce,
     circuit_search,
+    circuit_simplify,
     collect_targets,
     evaluate,
     pick_superior_partner,
@@ -194,6 +197,98 @@ class TestReproduce:
         ev_b = mutate(adder8, rng.randrange(1, 4))
         child = circuit_reproduce(ev_a, ev_b, ctx)
         validate(child)  # raises on loops
+
+
+def _set_walk_reproduce(ev_a, ev_b, ctx):
+    """Reference crossover: walk each chosen PO's TFI set in Level order.
+
+    Cones are written in descending Level order; a gate takes its record
+    from the first cone that reaches it, and identical writes are
+    skipped, so the declared delta is what differs from the fitter
+    parent.  Also returns how many gates a later cone would have written
+    differently, i.e. how often first-write-wins decided a gate.
+    """
+    weights = LevelWeights.paper_defaults(ctx)
+    levels_a = po_levels(ev_a, ctx, weights)
+    levels_b = po_levels(ev_b, ctx, weights)
+    base = ev_a if ev_a.fitness >= ev_b.fitness else ev_b
+    child = base.circuit.copy()
+    choices = []
+    for po in child.po_ids:
+        if levels_a[po] >= levels_b[po]:
+            choices.append((levels_a[po], po, ev_a.circuit))
+        else:
+            choices.append((levels_b[po], po, ev_b.circuit))
+    choices.sort(key=lambda item: (-item[0], item[1]))
+    since = child.version
+    written, changed, writes, shadowed = set(), set(), 0, 0
+    for _, po, parent in choices:
+        cone = parent.transitive_fanin(po, include_self=True)
+        for gid in cone & written:
+            shadowed += child.fanins[gid] != parent.fanins[gid]
+        for gid in cone - written:
+            if child.fanins[gid] != parent.fanins[gid]:
+                child.fanins[gid] = parent.fanins[gid]
+                changed.add(gid)
+                writes += 1
+            if not child.is_po(gid) and child.cells[gid] != parent.cells[gid]:
+                child.cells[gid] = parent.cells[gid]
+                changed.add(gid)
+                writes += 1
+        written |= cone
+    child.extend_provenance(changed, since, writes)
+    return child, shadowed
+
+
+class TestReproduceOracle:
+    """The delta write equals the set-walk crossover on every child."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_adder(8),
+            # Not gid-topological: po_bits sweeps topological_order().
+            build_consumers_first_circuit,
+        ],
+    )
+    def test_matches_set_walk_on_search_derived_parents(self, build, library):
+        ctx = EvalContext.build(
+            build(), library, ErrorMode.NMED, num_vectors=256, seed=3
+        )
+        rng = random.Random(23)
+        pool = [ctx.reference_eval()]
+        while len(pool) < 12:
+            # Simplifications rewrite cells, LACs only fan-ins.
+            op = circuit_simplify if len(pool) % 3 == 0 else circuit_search
+            child = op(pool[rng.randrange(len(pool))], ctx, rng)
+            if child is not None:
+                pool.append(evaluate(ctx, child))
+        mixed = cells = decided = 0
+        for _ in range(40):
+            ev_a, ev_b = rng.sample(pool, 2)
+            got = circuit_reproduce(ev_a, ev_b, ctx)
+            want, shadowed = _set_walk_reproduce(ev_a, ev_b, ctx)
+            decided += shadowed > 0
+            assert list(got.fanins.items()) == list(want.fanins.items())
+            assert list(got.cells.items()) == list(want.cells.items())
+            assert got.version == want.version
+            assert got.provenance.parent is want.provenance.parent
+            assert got.provenance.changed == want.provenance.changed
+            mixed += all(
+                got.fanins != ev.circuit.fanins
+                or got.cells != ev.circuit.cells
+                for ev in (ev_a, ev_b)
+            )
+            base = ev_a if ev_a.fitness >= ev_b.fitness else ev_b
+            cells += got.cells != base.circuit.cells
+            # Crossover children join the pool, so later parents differ
+            # in mixed cones as well as in single LACs.
+            pool.append(evaluate(ctx, got))
+        # Not vacuous: children mix both parents, take cells as well as
+        # fan-ins from them, and first-write-wins decides some gates.
+        assert mixed >= 10
+        assert cells >= 5
+        assert decided >= 5
 
 
 @pytest.fixture(scope="module")

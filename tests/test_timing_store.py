@@ -27,7 +27,12 @@ import numpy as np
 import pytest
 
 from eval_oracle import assert_matches_full_evaluation
-from reference_circuits import build_adder, build_fig3_circuit
+from reference_circuits import (
+    build_adder,
+    build_consumers_first_circuit,
+    build_fig3_circuit,
+    build_wide_circuit,
+)
 
 from repro.cells import FUNCTIONS, Cell, Library, cell_name, default_library
 from repro.cells.timing_model import NLDMTable, TimingArc
@@ -45,12 +50,7 @@ from repro.core import (
 )
 from repro.core.fitness import DepthMode
 from repro.core.parallel import _pack_eval, _unpack_eval
-from repro.netlist import (
-    CircuitBuilder,
-    is_const,
-    parse_verilog,
-    write_verilog,
-)
+from repro.netlist import CircuitBuilder, is_const
 from repro.sim import ErrorMode
 from repro.sta import (
     STAEngine,
@@ -121,29 +121,13 @@ def _scalar_analyze(engine, circuit):
     return loads, arrival, slew, depth, critical_fanin
 
 
+# Named wrappers: the parametrized test IDs below carry these names.
 def _wide_circuit():
-    """Levels wide enough to force the vectorized group kernel."""
-    b = CircuitBuilder("wide")
-    pis = b.pis(24)
-    l1 = [b.nand2(pis[i], pis[(i + 1) % 24]) for i in range(24)]
-    l2 = [b.xor2(l1[i], l1[(i + 5) % 24]) for i in range(24)]
-    l3 = [
-        b.gate("MAJ3", l2[i], l2[(i + 1) % 24], l1[(i + 2) % 24])
-        for i in range(24)
-    ]
-    b.pos(l3)
-    return b.done()
+    return build_wide_circuit()
 
 
 def _consumers_first_circuit():
-    """The wide circuit re-parsed with its instances declared consumers
-    first, so ascending gate ID is *not* a topological order."""
-    lines = write_verilog(_wide_circuit()).splitlines()
-    gates = [ln for ln in lines if ".Z(" in ln]
-    rest = [ln for ln in lines[:-1] if ".Z(" not in ln]
-    circuit = parse_verilog("\n".join(rest + gates[::-1] + ["endmodule"]))
-    assert not circuit.gid_order_topo()
-    return circuit
+    return build_consumers_first_circuit()
 
 
 def _assert_reports_equal(circuit, got, loads, arrival, slew, depth, cf):

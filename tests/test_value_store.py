@@ -14,7 +14,7 @@ Pins the value layer under the evaluation hot path:
   children, and ``jobs=2`` shard runs;
 * ``evaluate_batch`` singles dedup shares one evaluation per full
   structure key;
-* the reproduction PO-cone masks agree with ``transitive_fanin``;
+* the reproduction PO-cone bitsets agree with ``transitive_fanin``;
 * the NMED matmul agrees with the historical per-PO accumulation loop.
 """
 
@@ -26,7 +26,11 @@ import random
 import numpy as np
 import pytest
 
-from reference_circuits import build_adder, build_fig3_circuit
+from reference_circuits import (
+    build_adder,
+    build_consumers_first_circuit,
+    build_fig3_circuit,
+)
 
 from repro.cells import FUNCTIONS, default_library, split_cell_name
 from repro.core import (
@@ -45,7 +49,7 @@ from repro.core.parallel import (
     close_dispatcher,
     get_dispatcher,
 )
-from repro.core.reproduction import po_cones
+from repro.core.reproduction import po_bits
 from repro.netlist import CONST0, CONST1, PI_CELL, PO_CELL, remove_dangling
 from repro.sim import (
     ErrorMode,
@@ -372,19 +376,28 @@ class TestStackedBatch:
 # ----------------------------------------------------------------------
 class TestPOCones:
     def test_masks_match_transitive_fanin(self, library):
-        circuit = build_adder(8)
-        cones = po_cones(circuit)
-        for po in circuit.po_ids:
-            assert cones.cone(po) == circuit.transitive_fanin(
-                po, include_self=True
-            )
+        # The consumers-first circuit is not gid-topological, so its
+        # bits come from the topological_order() sweep.
+        for circuit in (build_adder(8), build_consumers_first_circuit()):
+            bits = po_bits(circuit)
+            assert bits.keys() == circuit.fanins.keys()
+            for slot, po in enumerate(circuit.po_ids):
+                cone = circuit.transitive_fanin(po, include_self=True)
+                for gid in circuit.fanins:
+                    assert bool(bits[gid] >> slot & 1) == (gid in cone)
 
     def test_masks_memoized_per_version(self, library):
         circuit = build_adder(4)
-        first = po_cones(circuit)
-        assert po_cones(circuit) is first
-        circuit.substitute(circuit.logic_ids()[0], CONST0)
-        assert po_cones(circuit) is not first
+        first = po_bits(circuit)
+        assert po_bits(circuit) is first
+        target = circuit.fanins[circuit.po_ids[0]][0]
+        circuit.substitute(target, CONST0)
+        second = po_bits(circuit)
+        assert second is not first
+        # The rebuilt bits describe the edited cone: the cut driver left
+        # PO 0's cone.
+        assert first[target] & 1
+        assert not second[target] & 1
 
     def test_reproduce_children_still_bit_identical(self, library):
         """The mask-driven cone writes must not change any child."""
