@@ -59,6 +59,7 @@ from repro.core import (
 )
 from repro.core.parallel import _pack_eval
 from repro.lake import EvalCache
+from repro.netlist import CONST0, CONST1
 from repro.reporting import format_series
 from repro.sim import ErrorMode, best_switch
 
@@ -225,6 +226,19 @@ def run_warm_cache():
     return rows
 
 
+def _legacy_timing_dicts(report):
+    """The five per-gate timing dicts the SoA arrays replaced."""
+    row = report.index.row
+    cf = report.critical_fanin_a
+    return (
+        {gid: float(report.arrival_a[r]) for gid, r in row.items()},
+        {gid: float(report.slew_a[r]) for gid, r in row.items()},
+        {gid: float(report.load_a[r]) for gid, r in row.items()},
+        {gid: int(report.unit_depth_a[r]) for gid, r in row.items()},
+        {gid: None if cf[r] < 0 else int(cf[r]) for gid, r in row.items()},
+    )
+
+
 def _legacy_pack_bytes(ev):
     """Pickled size of the pre-SoA packing (five per-gate timing dicts).
 
@@ -233,14 +247,7 @@ def _legacy_pack_bytes(ev):
     save on the wire.
     """
     packed = list(_pack_eval(ev))
-    report = ev.report
-    packed[1] = (
-        dict(report.arrival.items()),
-        dict(report.slew.items()),
-        dict(report.load.items()),
-        dict(report.unit_depth.items()),
-        dict(report.critical_fanin.items()),
-    )
+    packed[1] = _legacy_timing_dicts(ev.report)
     return len(pickle.dumps(tuple(packed)))
 
 
@@ -273,13 +280,12 @@ def run_transport_sizes():
         # vs the PR-3 keyed row packing it replaced.
         values = ev.values
         dense = len(pickle.dumps(values.matrix))
+        keys = [CONST0, CONST1, *values.index.row]
         keyed = len(
             pickle.dumps(
                 (
-                    np.fromiter(
-                        values.keys(), dtype=np.int64, count=len(values)
-                    ),
-                    np.stack(list(values.values())),
+                    np.array(keys, dtype=np.int64),
+                    np.stack([values[gid] for gid in keys]),
                 )
             )
         )
@@ -290,18 +296,7 @@ def run_transport_sizes():
         report = ev.report
         rows["rpt_soa_kb"].append(len(pickle.dumps(report.pack())) / 1024.0)
         rows["rpt_dict_kb"].append(
-            len(
-                pickle.dumps(
-                    (
-                        dict(report.arrival.items()),
-                        dict(report.slew.items()),
-                        dict(report.load.items()),
-                        dict(report.unit_depth.items()),
-                        dict(report.critical_fanin.items()),
-                    )
-                )
-            )
-            / 1024.0
+            len(pickle.dumps(_legacy_timing_dicts(report))) / 1024.0
         )
     return rows
 

@@ -60,8 +60,9 @@ def main() -> None:
     # --- Inspect LAC candidates on the slowest gate -------------------
     vecs = exhaustive_vectors(len(circuit.pi_ids))
     values = simulate(circuit, vecs)
+    row = report.index.row
     worst_gate = max(
-        circuit.logic_ids(), key=lambda g: report.arrival[g]
+        circuit.logic_ids(), key=lambda g: report.arrival_a[row[g]]
     )
     print(f"\nswitch candidates for gate {worst_gate} "
           f"({circuit.cells[worst_gate]}):")

@@ -13,7 +13,8 @@ lookup when disabled.  Three layers, one per contract family:
   calls :func:`verify_provenance` at ``copy()`` /
   ``extend_provenance`` boundaries; it diffs the circuit against its
   provenance parent and raises :class:`SanitizerError` when the
-  declared ``changed`` set does not cover the actual structural edits.
+  declared ``changed`` set does not cover the actual structural edits,
+  or when the derived circuit is not gid-topological.
 * :class:`TrackedLock` — a named wrapper around ``threading`` locks
   used by the dispatcher/lake registries.  It records the global
   lock-acquisition order and raises on the first order inversion
@@ -81,6 +82,8 @@ def verify_provenance(circuit) -> None:
     make every incremental consumer (timing frontier, cone resim,
     batched eval) silently reuse stale parent rows — exactly the bug
     class the provenance protocol exists to prevent — so it raises.
+    So does a derived circuit whose ascending gate IDs are not a
+    topological order: the incremental consumers schedule by gate ID.
     """
     prov = circuit.provenance
     if prov is None or not circuit.valid_provenance():
@@ -102,6 +105,12 @@ def verify_provenance(circuit) -> None:
             f"{sorted(undeclared)} differ from the parent — "
             "undeclared edit (fold every mutation into "
             "extend_provenance, or drop the record)"
+        )
+    if not circuit.gid_order_topo():
+        raise SanitizerError(
+            "derived circuit is not gid-topological: some gate has a "
+            "fan-in with a larger ID, so the incremental consumers "
+            "would evaluate it out of order"
         )
 
 

@@ -76,7 +76,8 @@ class HedalsLike(Optimizer):
                 for fi in circuit.fanins[gid]:
                     if not is_const(fi):
                         add(fi)
-        gates.sort(key=lambda g: -ev.report.arrival[g])
+        arrival, row = ev.report.arrival_a, ev.report.index.row
+        gates.sort(key=lambda g: -arrival[row[g]])
         return gates
 
     # ------------------------------------------------------------------

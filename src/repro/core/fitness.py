@@ -33,9 +33,10 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..cells import Library
-from ..netlist import Circuit
+from ..netlist import Circuit, relabel_compact
 from ..sim import (
     ErrorMode,
+    ValueStore,
     VectorSet,
     measure_error,
     per_po_error,
@@ -45,7 +46,6 @@ from ..sim import (
     simulate,
 )
 from ..sim.error import make_unpack_cache
-from ..sim.bitsim import ValueMap
 from ..sta import STAEngine, TimingReport, update_timing_batch
 
 #: Guard against division by zero on fully-degenerate circuits.
@@ -68,7 +68,7 @@ class EvalContext:
     vectors: VectorSet
     error_mode: ErrorMode
     reference: Circuit
-    reference_values: ValueMap
+    reference_values: ValueStore
     reference_po: np.ndarray
     depth_ori: float
     area_ori: float
@@ -159,9 +159,19 @@ class EvalContext:
         vectors: Optional[VectorSet] = None,
         sta: Optional[STAEngine] = None,
     ) -> "EvalContext":
-        """Construct a context around one accurate circuit."""
+        """Construct a context around one accurate circuit.
+
+        The evaluation hot paths require ascending gate ID to be a
+        topological order (:meth:`Circuit.gid_order_topo`).  A circuit
+        in that order becomes the context's ``reference`` as is;
+        any other is renumbered with
+        :func:`~repro.netlist.relabel_compact` (PI and PO order kept),
+        and result IDs then refer to the renumbered reference.
+        """
         if not 0.0 <= wd <= 1.0:
             raise ValueError("wd must be in [0, 1]")
+        if not circuit.gid_order_topo():
+            circuit, _ = relabel_compact(circuit)
         engine = sta or STAEngine(library)
         vecs = vectors or random_vectors(
             len(circuit.pi_ids), num_vectors, seed
@@ -201,7 +211,7 @@ class CircuitEval:
 
     circuit: Circuit
     report: TimingReport
-    values: ValueMap
+    values: ValueStore
     depth: float
     area: float
     error: float
@@ -223,7 +233,7 @@ def _finish_eval(
     ctx: EvalContext,
     circuit: Circuit,
     report: TimingReport,
-    values: ValueMap,
+    values: ValueStore,
 ) -> CircuitEval:
     """Shared metric tail: error + area + Eq. 8 from report and values.
 

@@ -46,10 +46,11 @@ def is_safe(circuit: Circuit, lac: LAC) -> bool:
     """Check that applying ``lac`` cannot create a loop or dangle a PO.
 
     A substitution is safe when the switch is a constant or lies outside
-    the target's transitive fan-out (the TFI always qualifies).  On a
-    gid-topological circuit every consumer has a larger ID than its
-    fan-ins, so the target's fan-out cone holds only larger IDs and a
-    smaller switch needs no walk.
+    the target's transitive fan-out (the TFI always qualifies).
+    ``circuit`` must be gid-topological (every population member is):
+    every consumer then has a larger ID than its fan-ins, so the
+    target's fan-out cone holds only larger IDs and a smaller switch
+    needs no walk.
     """
     if lac.target == lac.switch or is_const(lac.target):
         return False
@@ -61,7 +62,7 @@ def is_safe(circuit: Circuit, lac: LAC) -> bool:
         return True
     if lac.switch not in circuit.fanins or circuit.is_po(lac.switch):
         return False
-    if lac.switch < lac.target and circuit.gid_order_topo():
+    if lac.switch < lac.target:
         return True
     return lac.switch not in circuit.transitive_fanout(
         lac.target, include_self=True

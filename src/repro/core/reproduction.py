@@ -80,10 +80,10 @@ def po_bits(circuit: Circuit) -> Dict[int, int]:
 
     Maps every gate ID to an int whose bit ``p`` is set when the gate
     lies in ``transitive_fanin(po_ids[p], include_self=True)``.  Built
-    in one reverse sweep that ORs each gate's bits into its fan-ins:
-    over ascending gate IDs on a gid-topological circuit, over
-    :meth:`Circuit.topological_order` otherwise.  Memoized per structure
-    version; treat the returned dict as read-only.
+    in one sweep over descending gate IDs that ORs each gate's bits into
+    its fan-ins, so ``circuit`` must be gid-topological (every
+    population member is).  Memoized per structure version; treat the
+    returned dict as read-only.
     """
     cached = circuit._cached("po_bits")
     if cached is not None:
@@ -92,11 +92,7 @@ def po_bits(circuit: Circuit) -> Dict[int, int]:
     bits = dict.fromkeys(fanins, 0)
     for p, po in enumerate(circuit.po_ids):
         bits[po] |= 1 << p
-    if circuit.gid_order_topo():
-        order = sorted(fanins)
-    else:
-        order = circuit.topological_order()
-    for gid in reversed(order):
+    for gid in sorted(fanins, reverse=True):
         b = bits[gid]
         if b:
             for fi in fanins[gid]:

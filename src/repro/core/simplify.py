@@ -22,7 +22,7 @@ import numpy as np
 
 from ..cells import FUNCTIONS, cell_name, split_cell_name
 from ..netlist import Circuit
-from ..sim.bitsim import ValueMap
+from ..sim import ValueStore
 from ..sim.vectors import count_ones
 
 #: Same-arity replacement candidates, cheaper/faster first.
@@ -74,7 +74,7 @@ class Simplification:
 
 
 def _agreement(
-    values: ValueMap,
+    values: ValueStore,
     candidate_fn: str,
     fanins: Sequence[int],
     reference: np.ndarray,
@@ -88,7 +88,7 @@ def _agreement(
 
 def propose_simplification(
     circuit: Circuit,
-    values: ValueMap,
+    values: ValueStore,
     gate: int,
     num_vectors: int,
     rng: Optional[random.Random] = None,

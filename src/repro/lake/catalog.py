@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -111,23 +110,3 @@ class Catalog:
             records.append((record.created_at, name, record))
         records.sort(key=lambda r: (r[0], r[1]), reverse=True)
         return [r for _, _, r in records]
-
-    def prune(self, max_age_s: Optional[float] = None) -> int:
-        """Drop records older than ``max_age_s``; returns count removed."""
-        if max_age_s is None:
-            return 0
-        cutoff = time.time() - max_age_s
-        removed = 0
-        for name in self._entries():
-            path = os.path.join(self.path, name)
-            try:
-                record_time = os.path.getmtime(path)
-            except OSError:
-                continue
-            if record_time < cutoff:
-                try:
-                    os.unlink(path)
-                    removed += 1
-                except OSError:
-                    pass
-        return removed

@@ -400,32 +400,19 @@ class Circuit:
     def gid_order_topo(self) -> bool:
         """True when ascending gate ID is a valid topological order.
 
-        Circuits built gate-after-gate (every benchmark builder) have
-        this property, and every population operator preserves it: LAC
-        switches come from the target's TFI (smaller IDs by induction),
-        reproduction mixes fan-in tuples from two preserving parents,
-        and simplification only drops pins.  Consumers use it to run
-        sorted-gid (= dense-row) evaluation schedules without building
-        a per-child topological order; ``core.reproduction.po_bits``
-        sweeps ascending IDs instead of a topological order, and
-        ``core.lacs.is_safe`` accepts a switch below its target without
-        walking the target's fan-out cone.  Memoized per structure version;
-        an O(E) scan, several times cheaper than a Kahn walk plus the
-        fan-out map it needs.
+        The entry invariant of every evaluation hot path: circuits
+        built gate-after-gate (every benchmark builder) have it,
+        :func:`~repro.netlist.parse_verilog` and
+        :meth:`repro.core.EvalContext.build` renumber a circuit that
+        lacks it, and every population operator preserves it (LAC
+        switches come from the target's TFI, reproduction mixes fan-in
+        tuples of two ordered parents, simplification only drops pins).
+        ``is_safe``, ``po_bits``, ``resimulate_cone`` and
+        ``update_timing`` rely on it; the sanitizer's provenance
+        tripwire checks it on every derived circuit.  An O(E) scan;
+        constants are negative, so ``fi < gid`` covers them.
         """
-        cached = self._cached("gid_topo")
-        if cached is not None:
-            return cached
-        ok = True
-        for gid, fis in self._fanins.items():
-            for fi in fis:
-                # Constants are negative, so `fi < gid` covers them.
-                if fi >= gid:
-                    ok = False
-                    break
-            if not ok:
-                break
-        return self._store("gid_topo", ok)
+        return all(fi < gid for gid, fis in self._fanins.items() for fi in fis)
 
     def same_gid_set(self, other: "Circuit") -> bool:
         """True when both circuits carry exactly the same gate-ID set.
@@ -435,9 +422,11 @@ class Circuit:
         shared dirty cones), and it used to be paid as a full
         ``fanins.keys() == parent.fanins.keys()`` set comparison per
         child per evaluation.  Memoized per (this version, other
-        version) pair; the entry holds a strong reference to ``other``
-        so an ``id()`` recycled by the allocator can never alias a dead
-        circuit's cached answer.
+        version) pair.  The entry holds ``other`` by weak reference, as
+        the tracked dicts hold their owner: an evaluated child must not
+        keep its parent (and through it every ancestor) alive, and a
+        dead reference never matches, so an ``id()`` recycled by the
+        allocator cannot alias a dead circuit's cached answer.
         """
         if other is self:
             return True
@@ -447,13 +436,13 @@ class Circuit:
         hit = cache.get(id(other))
         if (
             hit is not None
-            and hit[0] is other
+            and hit[0]() is other
             and hit[1] == other._version
         ):
             return hit[2]
         result = self._fanins.keys() == other._fanins.keys()
         # lint: allow[R1] owner-populated memo, version-scoped by _store
-        cache[id(other)] = (other, other._version, result)
+        cache[id(other)] = (weakref.ref(other), other._version, result)
         return result
 
     def live_gates(self) -> FrozenSet[int]:

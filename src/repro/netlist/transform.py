@@ -78,8 +78,10 @@ def shared_gates(circuit: Circuit) -> Dict[int, int]:
 def relabel_compact(circuit: Circuit) -> Tuple[Circuit, Dict[int, int]]:
     """Renumber gates densely 1..n in topological order.
 
-    Returns ``(new_circuit, old_to_new)``.  Useful after heavy pruning so
-    exported netlists stay readable; never required for correctness.
+    Returns ``(new_circuit, old_to_new)``; PI and PO order are kept.
+    The result is gid-topological (:meth:`Circuit.gid_order_topo`), the
+    order the evaluation hot paths require: ``parse_verilog`` and
+    ``EvalContext.build`` pass every circuit that lacks it through here.
     """
     order = circuit.topological_order()
     mapping: Dict[int, int] = {}

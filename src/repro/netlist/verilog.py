@@ -24,6 +24,7 @@ from typing import Dict, List, Tuple
 
 from ..cells import FUNCTIONS, split_cell_name
 from .circuit import CONST0, CONST1, Circuit
+from .transform import relabel_compact
 
 _PIN_LETTERS = "ABCD"
 
@@ -86,7 +87,12 @@ def parse_verilog(text: str) -> Circuit:
     """Parse the structural subset emitted by :func:`write_verilog`.
 
     The parser accepts any pin order in the source text and rebuilds the
-    fan-in tuple from the ``A/B/C/D`` pin letters.
+    fan-in tuple from the ``A/B/C/D`` pin letters.  Gate IDs follow
+    declaration order; a netlist that declares a consumer before its
+    driver is renumbered with :func:`relabel_compact`, so the result is
+    always gid-topological and its IDs (and the ``U<gid>``/``n<gid>``
+    names :func:`write_verilog` emits for it) follow that renumbering.
+    A combinational loop raises :class:`CircuitLoopError`.
     """
     text = re.sub(r"//[^\n]*", "", text)
     m = _MODULE_RE.search(text)
@@ -157,4 +163,6 @@ def parse_verilog(text: str) -> Circuit:
         if src not in net_to_gid:
             raise VerilogParseError(f"output {po!r} is undriven")
         circuit.add_po(net_to_gid[src], po)
+    if not circuit.gid_order_topo():
+        circuit, _ = relabel_compact(circuit)
     return circuit

@@ -135,7 +135,10 @@ class Session:
     """Shared evaluation context + run orchestration for one circuit.
 
     Args:
-        circuit: the accurate (post-synthesis) netlist to approximate.
+        circuit: the accurate (post-synthesis) netlist to approximate;
+            renumbered by :meth:`EvalContext.build` when ascending gate
+            ID is not a topological order (:attr:`circuit` is then the
+            renumbered copy).
         config: flow-level knobs; defaults to :class:`FlowConfig`.
         library: cell library; defaults to the bundled 28nm-class one.
         ctx: pass a pre-built context to reuse reference simulation

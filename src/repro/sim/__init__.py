@@ -1,7 +1,6 @@
 """Bit-parallel Monte-Carlo simulation and error metrics (VECBEE substitute)."""
 
 from .bitsim import (
-    ValueMap,
     evaluate_single,
     po_words,
     resimulate_cone,
@@ -28,7 +27,6 @@ from .similarity import (
 from .vectors import VectorSet, count_ones, exhaustive_vectors, random_vectors
 
 __all__ = [
-    "ValueMap",
     "ValueStore",
     "value_rows",
     "value_store_index",

@@ -6,14 +6,14 @@ This is the workhorse behind error estimation (the paper's VECBEE role)
 and output-similarity tables.
 
 Values live in the structure-of-arrays :class:`~repro.sim.store.ValueStore`
-(one dense uint64 matrix laid out by the shared timing row index) rather
-than a per-gate dict; the store's mapping face keeps every historical
-``values[gid]`` consumer working.
+(one dense uint64 matrix laid out by the shared timing row index).
+:func:`simulate` accepts any DAG; :func:`resimulate_cone` requires a
+gid-topological circuit (see :meth:`Circuit.gid_order_topo`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 import numpy as np
 
@@ -22,11 +22,6 @@ from ..cells import FUNCTIONS, split_cell_name
 from ..netlist import CONST0, CONST1, PI_CELL, PO_CELL, Circuit
 from .store import ValueStore, value_rows, value_store_index
 from .vectors import VectorSet
-
-#: Map from gate id to its packed output words — either a plain dict or
-#: the dense :class:`ValueStore` (a read-only Mapping with the same face).
-ValueMap = Mapping[int, np.ndarray]
-
 
 def _eval_schedule(
     circuit: Circuit,
@@ -68,7 +63,7 @@ def simulate(circuit: Circuit, vectors: VectorSet) -> ValueStore:
     PIs take rows of ``vectors`` in ``circuit.pi_ids`` order; POs mirror
     their single fan-in.  Constants live in the store's two sentinel
     rows so downstream code can treat them uniformly
-    (``values[CONST0]`` / ``values[CONST1]`` keep working).
+    (``values[CONST0]`` / ``values[CONST1]``).  Any DAG is accepted.
     """
     if vectors.num_inputs != len(circuit.pi_ids):
         raise ValueError(
@@ -92,7 +87,7 @@ def simulate(circuit: Circuit, vectors: VectorSet) -> ValueStore:
 def resimulate_cone(
     circuit: Circuit,
     vectors: VectorSet,
-    base_values: ValueMap,
+    base_values: ValueStore,
     changed: Iterable[int],
     dirty: Optional[Set[int]] = None,
 ) -> ValueStore:
@@ -105,20 +100,17 @@ def resimulate_cone(
 
     Returns a fresh :class:`ValueStore`; ``base_values`` is not mutated.
     The result shares the base store's row index — one matrix
-    ``memcpy`` plus the dirty rows, no per-gate dict traffic — and on
-    gid-topological circuits (every population member) the dirty rows
-    evaluate in sorted-gid order, skipping the per-child
-    topological-order build.  A base that is not a store covering this
-    circuit's gate-ID set (gates added or removed since the base
-    simulation) has no rows to reuse: the circuit is simulated in full.
+    ``memcpy`` plus the dirty rows — and the dirty rows evaluate in
+    sorted-gid order, so ``circuit`` must be gid-topological (every
+    population member is).  A base that does not cover this circuit's
+    gate-ID set (gates added or removed since the base simulation) has
+    no rows to reuse: the circuit is simulated in full.
 
     ``dirty`` optionally supplies the precomputed TFO of ``changed``
     (callers holding the parent's memoized cones pass it; see
     :func:`repro.core.fitness._evaluate_cones`).
     """
-    if not (
-        isinstance(base_values, ValueStore) and base_values.covers(circuit)
-    ):
+    if not base_values.covers(circuit):
         return simulate(circuit, vectors)
     if dirty is None:
         dirty = set()
@@ -131,22 +123,14 @@ def resimulate_cone(
     matrix = base_values.fork_matrix()
     matrix[index.n] = 0
     matrix[index.n + 1] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    if circuit.gid_order_topo():
-        schedule = sorted(dirty)
-    else:
-        schedule = [
-            gid for gid in circuit.topological_order() if gid in dirty
-        ]
-    _eval_schedule(circuit, vectors, matrix, value_rows(index), schedule)
+    _eval_schedule(circuit, vectors, matrix, value_rows(index), sorted(dirty))
     return ValueStore(index, publish_array(matrix))
 
 
-def po_words(circuit: Circuit, values: ValueMap) -> np.ndarray:
+def po_words(circuit: Circuit, values: ValueStore) -> np.ndarray:
     """Stack PO rows into an ``(num_pos, num_words)`` array, PO order."""
-    if isinstance(values, ValueStore):
-        row = values.index.row
-        return values.matrix[[row[po] for po in circuit.po_ids]]
-    return np.stack([values[po] for po in circuit.po_ids])
+    row = values.index.row
+    return values.matrix[[row[po] for po in circuit.po_ids]]
 
 
 def evaluate_single(circuit: Circuit, bits: Dict[int, int]) -> Dict[int, int]:

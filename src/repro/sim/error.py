@@ -14,7 +14,8 @@ from typing import List, Optional
 import numpy as np
 
 from ..netlist import Circuit
-from .bitsim import ValueMap, po_words
+from .bitsim import po_words
+from .store import ValueStore
 from .vectors import VectorSet, count_ones, popcount_rows, tail_masked
 
 
@@ -215,9 +216,9 @@ class ErrorReport:
 def error_report(
     mode: ErrorMode,
     circuit_ref: Circuit,
-    values_ref: ValueMap,
+    values_ref: ValueStore,
     circuit_app: Circuit,
-    values_app: ValueMap,
+    values_app: ValueStore,
     vectors: VectorSet,
 ) -> ErrorReport:
     """Full error report between two simulated circuits.

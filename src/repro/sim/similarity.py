@@ -13,20 +13,19 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..netlist import CONST0, CONST1, PO_CELL, Circuit
-from .bitsim import ValueMap
 from .store import ValueStore
 from .vectors import count_ones, popcount_rows, tail_masked
 
 
 def similarity(
-    values: ValueMap, a: int, b: int, num_vectors: int
+    values: ValueStore, a: int, b: int, num_vectors: int
 ) -> float:
     """Fraction of vectors on which gates ``a`` and ``b`` agree."""
     return 1.0 - count_ones(values[a] ^ values[b], num_vectors) / num_vectors
 
 
 def constant_similarities(
-    values: ValueMap, gid: int, num_vectors: int
+    values: ValueStore, gid: int, num_vectors: int
 ) -> Tuple[float, float]:
     """``(sim_to_0, sim_to_1)`` of one gate's output."""
     ones = count_ones(values[gid], num_vectors)
@@ -36,7 +35,7 @@ def constant_similarities(
 
 def rank_switches(
     circuit: Circuit,
-    values: ValueMap,
+    values: ValueStore,
     target: int,
     num_vectors: int,
     include_constants: bool = True,
@@ -48,9 +47,9 @@ def rank_switches(
     the substitution cannot create a combinational loop) plus constants.
     Ties break on smaller |gate id| for determinism.
 
-    The whole table is computed with one batched XOR + population count
-    over the stacked candidate rows rather than a Python loop per
-    candidate; the scores are bit-identical to the scalar
+    The whole table is computed with one gather of the candidate rows
+    and one batched XOR + population count rather than a Python loop
+    per candidate; the scores are bit-identical to the scalar
     :func:`similarity` formula (same integer counts, same division).
     """
     if candidates is None:
@@ -63,13 +62,8 @@ def rank_switches(
     ]
     scored: List[Tuple[int, float]] = []
     if kept:
-        if isinstance(values, ValueStore):
-            # Dense store: one fancy-index gather instead of stacking
-            # per-candidate row views (same rows, same bits).
-            row = values.index.row
-            stacked = values.matrix[[row[c] for c in kept]]
-        else:
-            stacked = np.stack([values[c] for c in kept])
+        row = values.index.row
+        stacked = values.matrix[[row[c] for c in kept]]
         diff = stacked ^ values[target][np.newaxis, :]
         counts = popcount_rows(tail_masked(diff, num_vectors))
         sims = 1.0 - counts / float(num_vectors)
@@ -84,7 +78,7 @@ def rank_switches(
 
 def best_switch(
     circuit: Circuit,
-    values: ValueMap,
+    values: ValueStore,
     target: int,
     num_vectors: int,
     include_constants: bool = True,

@@ -13,10 +13,9 @@ store (:mod:`repro.sta.store`):
   version), so a LAC child shares its parent's index and pays no
   per-child row-map build.  Two extra sentinel rows hold the constants:
   row ``n`` is CONST0 (all zeros), row ``n + 1`` is CONST1 (all ones).
-* a dict-compatible read-only :class:`~collections.abc.Mapping` face —
-  ``values[gid]``, ``gid in values``, ``iter(values)`` — so every
-  historical ``ValueMap`` consumer (similarity ranking, switching
-  power, simplification scoring) keeps working unchanged.
+* ``values[gid]`` — the one per-gate accessor (a row view, constants
+  included) for similarity ranking, switching power and simplification
+  scoring; bulk readers gather rows through ``index.row``.
 * :func:`value_rows` — the gid → row map *including* the constant
   sentinel rows, cached on the index so hot walks resolve constant
   fan-ins without a branch per pin.
@@ -30,8 +29,7 @@ writers copy the matrix first (:meth:`ValueStore.fork_matrix`).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Dict, Iterator
+from typing import Dict
 
 import numpy as np
 
@@ -83,7 +81,7 @@ def _rebuild_store(gids, po_rows, matrix):
     )
 
 
-class ValueStore(Mapping):
+class ValueStore:
     """Packed simulation values of one circuit as a dense uint64 matrix.
 
     Attributes:
@@ -91,10 +89,8 @@ class ValueStore(Mapping):
         matrix: ``(index.n + 2, num_words)`` uint64; the last two rows
             are the CONST0 / CONST1 sentinels.
 
-    The mapping face is read-only and covers every gate row plus the
-    two constants, mirroring what :func:`repro.sim.simulate` used to
-    return as a dict.  ``values[gid]`` returns a row *view* — treat it
-    as immutable, exactly like the rows of the historical dict.
+    ``values[gid]`` returns the row *view* of a gate or constant;
+    treat it as immutable.
     """
 
     __slots__ = ("index", "matrix")
@@ -125,9 +121,6 @@ class ValueStore(Mapping):
         copy-then-mutate child)."""
         return self.index.row.keys() == circuit.fanins.keys()
 
-    # ------------------------------------------------------------------
-    # mapping face (the historical ValueMap API)
-    # ------------------------------------------------------------------
     def __getitem__(self, gid: int) -> np.ndarray:
         if gid >= 0:
             return self.matrix[self.index.row[gid]]
@@ -136,17 +129,6 @@ class ValueStore(Mapping):
         if gid == CONST1:
             return self.matrix[self.index.n + 1]
         raise KeyError(gid)
-
-    def __iter__(self) -> Iterator[int]:
-        yield CONST0
-        yield CONST1
-        yield from self.index.row
-
-    def __len__(self) -> int:
-        return self.index.n + 2
-
-    def __contains__(self, gid) -> bool:
-        return gid in self.index.row or gid == CONST0 or gid == CONST1
 
     def __reduce__(self):
         # The row dict is a pure function of the sorted gid array;

@@ -47,18 +47,6 @@ class VectorSet:
         """Packed 64-bit words per row."""
         return int(self.words.shape[1])
 
-    @property
-    def tail_mask(self) -> np.uint64:
-        """Mask of valid bits in the final word."""
-        rem = self.num_vectors % 64
-        if rem == 0:
-            return np.uint64(0xFFFFFFFFFFFFFFFF)
-        return np.uint64((1 << rem) - 1)
-
-    def input_row(self, index: int) -> np.ndarray:
-        """Packed values of input ``index`` across all vectors."""
-        return self.words[index]
-
     def vector(self, k: int) -> list:
         """Unpacked bit-list of vector ``k`` (for debugging/tests)."""
         if not 0 <= k < self.num_vectors:

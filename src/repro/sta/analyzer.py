@@ -27,9 +27,6 @@ from ..analysis.sanitize import publish_arrays
 from ..cells import Library
 from ..netlist import Circuit
 from .store import (
-    FloatArrayMap,
-    IntArrayMap,
-    OptionalGateMap,
     TimingIndex,
     timing_index,
     timing_levels,
@@ -43,9 +40,8 @@ class TimingReport:
     The per-gate arrays (``arrival_a`` etc.) have ``index.n + 1`` rows:
     row ``index.row[gid]`` belongs to gate ``gid`` and the final row is
     the constant-source sentinel.  They are read-only by contract —
-    incremental updates copy before writing.  The historical dict-style
-    API (``report.arrival[gid]``, ``.items()``, ``in``) is preserved by
-    lightweight mapping views.
+    incremental updates copy before writing.  Per-gate reads go through
+    the index: ``report.arrival_a[report.index.row[gid]]``.
 
     Attributes:
         circuit: the analyzed circuit.
@@ -97,34 +93,6 @@ class TimingReport:
         publish_arrays(
             arrival_a, slew_a, load_a, unit_depth_a, critical_fanin_a
         )
-
-    # ------------------------------------------------------------------
-    # dict-style views
-    # ------------------------------------------------------------------
-    @property
-    def arrival(self) -> FloatArrayMap:
-        """``gid -> arrival`` mapping view (ps)."""
-        return FloatArrayMap(self.index, self.arrival_a)
-
-    @property
-    def slew(self) -> FloatArrayMap:
-        """``gid -> output slew`` mapping view (ps)."""
-        return FloatArrayMap(self.index, self.slew_a)
-
-    @property
-    def load(self) -> FloatArrayMap:
-        """``gid -> capacitive load`` mapping view (fF)."""
-        return FloatArrayMap(self.index, self.load_a)
-
-    @property
-    def unit_depth(self) -> IntArrayMap:
-        """``gid -> logic depth`` mapping view."""
-        return IntArrayMap(self.index, self.unit_depth_a)
-
-    @property
-    def critical_fanin(self) -> OptionalGateMap:
-        """``gid -> worst fan-in (or None)`` mapping view."""
-        return OptionalGateMap(self.index, self.critical_fanin_a)
 
     # ------------------------------------------------------------------
     # queries
@@ -287,6 +255,8 @@ class STAEngine:
         Every row is seeded into :func:`~repro.sta.store.walk_frontier`
         over the memoized :func:`~repro.sta.store.timing_levels`; the
         fan-out map is empty because every row is already queued.
+        Accepts any DAG: the levels come from a topological order, not
+        from gate IDs.
         """
         levels = timing_levels(circuit)
         index = levels.index

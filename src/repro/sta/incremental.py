@@ -23,7 +23,7 @@ import numpy as np
 
 from ..netlist import Circuit
 from .analyzer import STAEngine, TimingReport
-from .store import TimingIndex, TimingLevels, timing_levels, walk_frontier
+from .store import TimingIndex, TimingLevels, walk_frontier
 
 
 class _PatchedFanouts:
@@ -172,11 +172,12 @@ def update_timing(
 
     The child shares the parent's dense index and starts from copies of
     its five arrays; the changed rows and every row whose load changed
-    seed :func:`~repro.sta.store.walk_frontier`.  When the child's
-    rewired fan-ins respect the parent's level order (every LAC does —
-    switches come from the TFI), the parent's memoized
-    :func:`timing_levels` schedule the walk and the child never pays an
-    O(V+E) schedule build of its own.
+    seed :func:`~repro.sta.store.walk_frontier`.  The child must be
+    gid-topological (every population member is): the walk runs on the
+    parent's memoized levels when the child's rewired fan-ins respect
+    them (every LAC does — switches come from the TFI), else on the
+    sorted-gid rows, so the child never pays an O(V+E) schedule build
+    of its own.
     """
     parent = previous.circuit
     if not (
@@ -238,28 +239,22 @@ def _schedule(
 ) -> TimingLevels:
     """The level schedule a child's walk runs on.
 
-    Priority: the parent's *already-memoized* level assignment when it
-    is still a valid stratification of the child (every *rewired*
-    fan-in sits at a strictly lower parent level — LACs always
-    qualify: switches come from the target's TFI); otherwise, on a
-    gid-topological circuit (every population member), one row per
-    level over the sorted-gid rows — a valid stratification with no
-    O(V+E) build at all; only then the child's own
-    :func:`timing_levels`.  The walk's results are schedule-independent:
-    every gate is evaluated after its fan-ins either way.
+    The parent's *already-memoized* level assignment when it is still a
+    valid stratification of the child (every *rewired* fan-in sits at a
+    strictly lower parent level — LACs always qualify: switches come
+    from the target's TFI); otherwise one row per level over the
+    sorted-gid rows, which the gid-topological child makes a valid
+    stratification with no O(V+E) build at all.  The walk's results
+    are schedule-independent: every gate is evaluated after its
+    fan-ins either way.
     """
-    parent = previous.circuit
-    plevels = parent._cached("timing_levels")
-    if plevels is None and not circuit.gid_order_topo():
-        plevels = timing_levels(parent)
+    plevels = previous.circuit._cached("timing_levels")
     if plevels is not None and _shared_levels_valid(
         plevels.level_of, index.row, circuit, changed
     ):
         return plevels
-    if circuit.gid_order_topo():
-        n = index.n
-        return TimingLevels(index, np.arange(n, dtype=np.int32), n)
-    return timing_levels(circuit)
+    n = index.n
+    return TimingLevels(index, np.arange(n, dtype=np.int32), n)
 
 
 def _shared_levels_valid(

@@ -25,7 +25,7 @@ from ..sim.vectors import VectorSet, count_ones
 from .analyzer import STAEngine
 
 if TYPE_CHECKING:  # type-only: sim.store depends on sta at runtime,
-    from ..sim.bitsim import ValueMap  # so sta must not import sim back
+    from ..sim.store import ValueStore  # so sta must not import sim back
 
 #: Default supply and clock for the 28 nm-class operating point.
 DEFAULT_VDD = 0.9  # volts
@@ -64,7 +64,7 @@ class PowerReport:
 def estimate_power(
     circuit: Circuit,
     library: Library,
-    values: ValueMap,
+    values: ValueStore,
     vectors: VectorSet,
     engine: Optional[STAEngine] = None,
     vdd: float = DEFAULT_VDD,

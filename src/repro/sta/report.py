@@ -25,6 +25,7 @@ def format_path(report: TimingReport, po_id: Optional[int] = None) -> str:
     lines.append(f"Endpoint:   {end_name}")
     lines.append(f"{'point':<28}{'incr':>10}{'arrival':>10}")
     lines.append("-" * 48)
+    row = report.index.row
     prev_arrival = 0.0
     for gid in path:
         if circuit.is_pi(gid):
@@ -33,11 +34,12 @@ def format_path(report: TimingReport, po_id: Optional[int] = None) -> str:
             label = f"{circuit.po_names[gid]} (out)"
         else:
             label = f"U{gid} ({circuit.cells[gid]})"
-        arr = report.arrival[gid]
+        arr = float(report.arrival_a[row[gid]])
         lines.append(f"{label:<28}{arr - prev_arrival:>10.2f}{arr:>10.2f}")
         prev_arrival = arr
     lines.append("-" * 48)
-    lines.append(f"data arrival time {report.arrival[endpoint]:>29.2f}")
+    end_arrival = float(report.arrival_a[row[endpoint]])
+    lines.append(f"data arrival time {end_arrival:>29.2f}")
     return "\n".join(lines)
 
 

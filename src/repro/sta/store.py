@@ -19,9 +19,6 @@ dense array replacement:
   **bit-identical** to :meth:`NLDMTable.lookup` (same index selection,
   same IEEE-754 operation order), so vectorized and scalar propagation
   may be mixed freely without perturbing a single float.
-* Read-only mapping views (:class:`FloatArrayMap` & friends) that keep
-  the historical ``report.arrival[gid]`` dict API working on top of the
-  arrays.
 
 Array layout contract: every timing array has ``index.n + 1`` rows; row
 ``index.row[gid]`` holds gate ``gid`` and the final row is the constant
@@ -33,7 +30,6 @@ that need to mutate must copy (``update_timing`` does).
 from __future__ import annotations
 
 import weakref
-from collections.abc import Mapping
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -402,56 +398,3 @@ def walk_frontier(
                     if not queued[fr]:
                         queued[fr] = True
                         buckets[level_of[fr]].append(fr)
-
-
-# ----------------------------------------------------------------------
-# mapping views (the historical dict API on top of the arrays)
-# ----------------------------------------------------------------------
-class _ArrayMapBase(Mapping):
-    """Read-only per-gate mapping view over one timing array."""
-
-    __slots__ = ("_index", "_a")
-
-    def __init__(self, index: TimingIndex, a: np.ndarray):
-        self._index = index
-        self._a = a
-
-    def __iter__(self):
-        return iter(self._index.row)
-
-    def __len__(self) -> int:
-        return self._index.n
-
-    def __contains__(self, gid) -> bool:
-        return gid in self._index.row
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({dict(self)!r})"
-
-
-class FloatArrayMap(_ArrayMapBase):
-    """``gid -> float`` view (arrival / slew / load)."""
-
-    __slots__ = ()
-
-    def __getitem__(self, gid) -> float:
-        return float(self._a[self._index.row[gid]])
-
-
-class IntArrayMap(_ArrayMapBase):
-    """``gid -> int`` view (unit depth)."""
-
-    __slots__ = ()
-
-    def __getitem__(self, gid) -> int:
-        return int(self._a[self._index.row[gid]])
-
-
-class OptionalGateMap(_ArrayMapBase):
-    """``gid -> Optional[int]`` view (critical fan-in; -1 encodes None)."""
-
-    __slots__ = ()
-
-    def __getitem__(self, gid) -> Optional[int]:
-        v = self._a[self._index.row[gid]]
-        return None if v < 0 else int(v)

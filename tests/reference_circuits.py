@@ -8,9 +8,10 @@ benchmark suite's ``conftest`` when both directories are collected.
 from __future__ import annotations
 
 from repro.netlist import (
+    CONST0,
+    CONST1,
     Circuit,
     CircuitBuilder,
-    parse_verilog,
     write_verilog,
 )
 
@@ -62,12 +63,35 @@ def build_wide_circuit() -> Circuit:
     return b.done()
 
 
-def build_consumers_first_circuit() -> Circuit:
-    """The wide circuit re-parsed with its instances declared consumers
-    first, so ascending gate ID is *not* a topological order."""
+def consumers_first_verilog() -> str:
+    """The wide circuit as Verilog with its instances declared consumers
+    first (``parse_verilog`` renumbers it on entry)."""
     lines = write_verilog(build_wide_circuit()).splitlines()
     gates = [ln for ln in lines if ".Z(" in ln]
     rest = [ln for ln in lines[:-1] if ".Z(" not in ln]
-    circuit = parse_verilog("\n".join(rest + gates[::-1] + ["endmodule"]))
+    return "\n".join(rest + gates[::-1] + ["endmodule"])
+
+
+def build_consumers_first_circuit() -> Circuit:
+    """The wide circuit with its gates numbered consumers first, so
+    ascending gate ID is *not* a topological order.
+
+    Built through the ``Circuit`` API, because ``parse_verilog`` would
+    renumber it; ``analyze`` and ``simulate`` still accept any DAG.
+    """
+    wide = build_wide_circuit()
+    circuit = Circuit(wide.name)
+    new = {CONST0: CONST0, CONST1: CONST1}
+    for pi in wide.pi_ids:
+        new[pi] = circuit.add_pi(wide.pi_names[pi])
+    logic = [g for g in wide.topological_order() if wide.is_logic(g)]
+    for gid in reversed(logic):
+        # Placeholder fan-ins: the drivers are numbered after this gate.
+        arity = len(wide.fanins[gid])
+        new[gid] = circuit.add_gate(wide.cells[gid], [CONST0] * arity)
+    for gid in logic:
+        circuit.set_fanins(new[gid], [new[fi] for fi in wide.fanins[gid]])
+    for po in wide.po_ids:
+        circuit.add_po(new[wide.fanins[po][0]], wide.po_names[po])
     assert not circuit.gid_order_topo()
     return circuit

@@ -467,6 +467,16 @@ class TestProvenanceTripwire:
         assert child.valid_provenance() is not None
         child.copy()  # copy-boundary check passes too
 
+    def test_out_of_order_rewire_raises(self, fig3, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        child = fig3.copy()
+        since = child.version
+        # Gate 9 now reads gate 10: still acyclic, but a fan-in above
+        # its consumer's ID breaks the gid order the hot paths need.
+        child.set_fanins(9, (6, 10))
+        with pytest.raises(SanitizerError, match="gid-topological"):
+            child.extend_provenance([9], since, 1)
+
     def test_verify_noop_when_record_stale(self, fig3, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         child = fig3.copy()

@@ -205,11 +205,12 @@ class TestIncrementalSTA:
         # Exact equality, not approx: the incremental module's contract
         # is bit-identical floats (sub-tolerance drift was a bug).
         assert fast.cpd == full.cpd
-        for gid, arr in full.arrival.items():
-            assert fast.arrival[gid] == arr, gid
-            assert fast.slew[gid] == full.slew[gid], gid
-            assert fast.unit_depth[gid] == full.unit_depth[gid], gid
-            assert fast.critical_fanin[gid] == full.critical_fanin[gid], gid
+        for gid, r in full.index.row.items():
+            f = fast.index.row[gid]
+            assert fast.arrival_a[f] == full.arrival_a[r], gid
+            assert fast.slew_a[f] == full.slew_a[r], gid
+            assert fast.unit_depth_a[f] == full.unit_depth_a[r], gid
+            assert fast.critical_fanin_a[f] == full.critical_fanin_a[r], gid
 
     def test_matches_full_after_lac(self, adder8, library):
         engine = STAEngine(library)

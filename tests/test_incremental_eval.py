@@ -9,16 +9,24 @@ regression tests for the structural cache invalidation, the stable
 
 from __future__ import annotations
 
+import gc
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eval_oracle import assert_matches_full_evaluation
-from reference_circuits import build_adder, build_fig3_circuit
+from reference_circuits import (
+    build_adder,
+    build_consumers_first_circuit,
+    build_fig3_circuit,
+    build_wide_circuit,
+    consumers_first_verilog,
+)
 
 from repro.baselines import VaACS, VaacsConfig
 from repro.cells import default_library
@@ -36,10 +44,17 @@ from repro.core import (
 )
 from repro.core.fitness import DepthMode
 from repro.core.simplify import propose_simplification
-from repro.netlist import CONST0, CONST1, Circuit, remove_dangling
+from repro.netlist import (
+    CONST0,
+    CONST1,
+    Circuit,
+    parse_verilog,
+    remove_dangling,
+)
 from repro.sim import (
     ErrorMode,
     best_switch,
+    po_words,
     random_vectors,
     rank_switches,
     resimulate_cone,
@@ -70,10 +85,11 @@ def _assert_values_equal(circuit, a, b):
 
 def _assert_reports_equal(circuit, inc, full):
     for gid in circuit.gate_ids():
-        assert inc.arrival[gid] == full.arrival[gid], gid
-        assert inc.slew[gid] == full.slew[gid], gid
-        assert inc.load[gid] == full.load[gid], gid
-        assert inc.unit_depth[gid] == full.unit_depth[gid], gid
+        i, j = inc.index.row[gid], full.index.row[gid]
+        assert inc.arrival_a[i] == full.arrival_a[j], gid
+        assert inc.slew_a[i] == full.slew_a[j], gid
+        assert inc.load_a[i] == full.load_a[j], gid
+        assert inc.unit_depth_a[i] == full.unit_depth_a[j], gid
 
 
 def _assert_evals_equal(inc, full):
@@ -247,6 +263,85 @@ class TestDCGWOIncrementalIdentity:
             return DCGWO(ctx, 0.0244, cfg)
 
         assert_matches_full_evaluation(build)
+
+
+class TestRenumberOnEntry:
+    """Circuits enter gid-topological: the order every hot path needs."""
+
+    def test_consumers_first_netlist_parses_in_gid_order(self, library):
+        built = build_wide_circuit()
+        parsed = parse_verilog(consumers_first_verilog())
+        assert parsed.gid_order_topo()
+        vectors = random_vectors(len(built.pi_ids), 256, seed=5)
+        assert np.array_equal(
+            po_words(parsed, simulate(parsed, vectors)),
+            po_words(built, simulate(built, vectors)),
+        )
+        engine = STAEngine(library)
+        assert engine.analyze(parsed).cpd == engine.analyze(built).cpd
+        assert parsed.area(library) == pytest.approx(built.area(library))
+
+        def build():
+            ctx = EvalContext.build(
+                parse_verilog(consumers_first_verilog()),
+                library,
+                ErrorMode.NMED,
+                num_vectors=256,
+                seed=4,
+            )
+            cfg = DCGWOConfig(population_size=6, imax=4, seed=11)
+            return DCGWO(ctx, 0.0244, cfg)
+
+        assert assert_matches_full_evaluation(build).evaluations > 0
+
+    def test_build_renumbers_only_out_of_order_circuits(self, library):
+        ordered = build_wide_circuit()
+        ctx = EvalContext.build(
+            ordered, library, ErrorMode.ER, num_vectors=64, seed=0
+        )
+        assert ctx.reference is ordered
+        shuffled = build_consumers_first_circuit()
+        ctx = EvalContext.build(
+            shuffled, library, ErrorMode.ER, num_vectors=64, seed=0
+        )
+        ref = ctx.reference
+        assert ref is not shuffled and ref.gid_order_topo()
+        assert [ref.pi_names[g] for g in ref.pi_ids] == [
+            shuffled.pi_names[g] for g in shuffled.pi_ids
+        ]
+        assert [ref.po_names[g] for g in ref.po_ids] == [
+            shuffled.po_names[g] for g in shuffled.po_ids
+        ]
+        assert ctx.cpd_ori == STAEngine(library).analyze(shuffled).cpd
+
+
+class TestAncestryRelease:
+    def test_evaluated_child_does_not_pin_its_parent(self, library):
+        # Reference counting alone must free a parent once its eval is
+        # dropped: an evaluated child holds no reference to it.
+        circuit = build_adder(8)
+        ctx = EvalContext.build(
+            circuit, library, ErrorMode.NMED, num_vectors=128, seed=2
+        )
+        root = ctx.reference_eval()
+        rng = random.Random(5)
+        nv = ctx.vectors.num_vectors
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            lac = _random_safe_lac(circuit, root.values, rng, nv)
+            parent = applied_copy(circuit, lac)
+            parent_ev = evaluate_incremental(ctx, parent, root)
+            lac = _random_safe_lac(parent, parent_ev.values, rng, nv)
+            child = applied_copy(parent, lac)
+            child_ev = evaluate_incremental(ctx, child, parent_ev)
+            ref = weakref.ref(parent)
+            del parent, parent_ev
+            assert ref() is None
+            assert child_ev.circuit is child
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestFullEvaluationOracle:

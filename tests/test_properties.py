@@ -181,12 +181,13 @@ class TestSTAProperties:
 
         circuit = random_circuit(seed)
         report = STAEngine(default_library()).analyze(circuit)
+        row, arrival = report.index.row, report.arrival_a
         for gid, fis in circuit.fanins.items():
             if not circuit.is_logic(gid):
                 continue
             for fi in fis:
                 if not is_const(fi):
-                    assert report.arrival[gid] > report.arrival[fi]
+                    assert arrival[row[gid]] > arrival[row[fi]]
 
     @given(seed=circuit_seeds)
     @settings(max_examples=10, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_circuits import build_adder, build_consumers_first_circuit
+from reference_circuits import build_adder
 
 from repro.core import (
     EvalContext,
@@ -243,14 +243,7 @@ def _set_walk_reproduce(ev_a, ev_b, ctx):
 class TestReproduceOracle:
     """The delta write equals the set-walk crossover on every child."""
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: build_adder(8),
-            # Not gid-topological: po_bits sweeps topological_order().
-            build_consumers_first_circuit,
-        ],
-    )
+    @pytest.mark.parametrize("build", [lambda: build_adder(8)])
     def test_matches_set_walk_on_search_derived_parents(self, build, library):
         ctx = EvalContext.build(
             build(), library, ErrorMode.NMED, num_vectors=256, seed=3

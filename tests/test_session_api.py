@@ -113,8 +113,9 @@ def _assert_same_eval(a, b):
     assert a.error == b.error
     assert a.per_po_error == b.per_po_error
     assert a.report.cpd == b.report.cpd
+    ra, rb = a.report.index.row, b.report.index.row
     for gid in a.circuit.gate_ids():
-        assert a.report.arrival[gid] == b.report.arrival[gid], gid
+        assert a.report.arrival_a[ra[gid]] == b.report.arrival_a[rb[gid]], gid
         assert (a.values[gid] == b.values[gid]).all(), gid
 
 

@@ -24,29 +24,33 @@ def engine(library):
 class TestArrivalPropagation:
     def test_pi_at_time_zero(self, engine, fig3):
         report = engine.analyze(fig3)
+        row = report.index.row
         for pi in fig3.pi_ids:
-            assert report.arrival[pi] == 0.0
-            assert report.unit_depth[pi] == 0
+            assert report.arrival_a[row[pi]] == 0.0
+            assert report.unit_depth_a[row[pi]] == 0
 
     def test_arrival_monotone_along_fanin(self, engine, fig3):
         report = engine.analyze(fig3)
+        row, arrival = report.index.row, report.arrival_a
         for gid in fig3.logic_ids():
             for fi in fig3.fanins[gid]:
-                if fi in report.arrival:
-                    assert report.arrival[gid] > report.arrival[fi]
+                if fi in row:
+                    assert arrival[row[gid]] > arrival[row[fi]]
 
     def test_po_mirrors_driver(self, engine, fig3):
         report = engine.analyze(fig3)
+        row = report.index.row
         for po in fig3.po_ids:
             driver = fig3.fanins[po][0]
-            assert report.arrival[po] == report.arrival[driver]
+            assert report.arrival_a[row[po]] == report.arrival_a[row[driver]]
 
     def test_unit_depth_fig3(self, engine, fig3):
         report = engine.analyze(fig3)
-        assert report.unit_depth[5] == 1
-        assert report.unit_depth[8] == 2
-        assert report.unit_depth[11] == 3
-        assert report.unit_depth[13] == 3  # PO mirrors driver depth
+        row, depth = report.index.row, report.unit_depth_a
+        assert depth[row[5]] == 1
+        assert depth[row[8]] == 2
+        assert depth[row[11]] == 3
+        assert depth[row[13]] == 3  # PO mirrors driver depth
         assert report.max_unit_depth == 3
 
     def test_deeper_adder_has_larger_cpd(self, engine, adder4, adder8):
@@ -128,7 +132,7 @@ class TestCriticalPath:
     def test_worst_po_and_critical_path_consistent(self, engine, adder8):
         report = engine.analyze(adder8)
         po = report.worst_po()
-        assert report.arrival[po] == report.cpd
+        assert report.po_arrival(po) == report.cpd
         assert report.critical_path()[-1] == po
 
 
@@ -141,7 +145,7 @@ class TestPathQueries:
     def test_worst_endpoints_sorted(self, engine, adder8):
         report = engine.analyze(adder8)
         eps = worst_endpoints(report, 3)
-        arrs = [report.arrival[e] for e in eps]
+        arrs = [report.po_arrival(e) for e in eps]
         assert arrs == sorted(arrs, reverse=True)
 
     def test_critical_paths_count(self, engine, adder8):

@@ -51,7 +51,7 @@ from repro.core import (
 from repro.core.fitness import DepthMode
 from repro.core.parallel import _pack_eval, _unpack_eval
 from repro.netlist import CircuitBuilder, is_const
-from repro.sim import ErrorMode
+from repro.sim import ErrorMode, value_rows
 from repro.sta import (
     STAEngine,
     lookup_many,
@@ -132,20 +132,23 @@ def _consumers_first_circuit():
 
 def _assert_reports_equal(circuit, got, loads, arrival, slew, depth, cf):
     for gid in circuit.gate_ids():
-        assert got.load[gid] == loads[gid], gid
-        assert got.arrival[gid] == arrival[gid], gid
-        assert got.slew[gid] == slew[gid], gid
-        assert got.unit_depth[gid] == depth[gid], gid
-        assert got.critical_fanin[gid] == cf[gid], gid
+        r = got.index.row[gid]
+        assert got.load_a[r] == loads[gid], gid
+        assert got.arrival_a[r] == arrival[gid], gid
+        assert got.slew_a[r] == slew[gid], gid
+        assert got.unit_depth_a[r] == depth[gid], gid
+        want_cf = -1 if cf[gid] is None else cf[gid]  # -1 encodes none
+        assert got.critical_fanin_a[r] == want_cf, gid
 
 
 def _assert_same_timing(circuit, a, b):
     for gid in circuit.gate_ids():
-        assert a.arrival[gid] == b.arrival[gid], gid
-        assert a.slew[gid] == b.slew[gid], gid
-        assert a.load[gid] == b.load[gid], gid
-        assert a.unit_depth[gid] == b.unit_depth[gid], gid
-        assert a.critical_fanin[gid] == b.critical_fanin[gid], gid
+        i, j = a.index.row[gid], b.index.row[gid]
+        assert a.arrival_a[i] == b.arrival_a[j], gid
+        assert a.slew_a[i] == b.slew_a[j], gid
+        assert a.load_a[i] == b.load_a[j], gid
+        assert a.unit_depth_a[i] == b.unit_depth_a[j], gid
+        assert a.critical_fanin_a[i] == b.critical_fanin_a[j], gid
 
 
 class TestAnalyzeBitIdentity:
@@ -218,18 +221,21 @@ class TestStoreLayout:
         assert report.unit_depth_a.dtype == np.int32
 
     def test_mapping_views_behave_like_dicts(self, library, fig3):
+        # Per-gate reads go through the index's gid -> row dict, which
+        # covers every gate and nothing else.
         report = STAEngine(library).analyze(fig3)
-        assert set(report.arrival.keys()) == set(fig3.fanins)
-        assert len(report.slew) == len(fig3.fanins)
-        assert 5 in report.arrival and -1 not in report.arrival
-        assert report.arrival.get(987654) is None
-        assert dict(report.unit_depth) == {
-            g: report.unit_depth[g] for g in fig3.fanins
+        row = report.index.row
+        assert set(row.keys()) == set(fig3.fanins)
+        assert len(report.slew_a) == len(fig3.fanins) + 1  # + sentinel
+        assert 5 in row and -1 not in row
+        assert row.get(987654) is None
+        assert {g: report.unit_depth_a[r] for g, r in row.items()} == {
+            g: report.unit_depth_a[row[g]] for g in fig3.fanins
         }
         for pi in fig3.pi_ids:
-            assert report.critical_fanin[pi] is None
+            assert report.critical_fanin_a[row[pi]] == -1
         with pytest.raises(KeyError):
-            report.arrival[987654]
+            report.arrival_a[row[987654]]
 
     def test_index_memoized_per_version(self, fig3):
         idx = timing_index(fig3)
@@ -315,8 +321,8 @@ class TestReferenceReportStaleness:
         after = ctx.reference_eval()
         assert ctx.reference_po is not stale_po
         assert after.error == 0.0
-        # the refreshed value map covers every gate (plus const rows)
-        assert set(circuit.fanins) <= set(after.values)
+        # the refreshed value store covers every gate (plus const rows)
+        assert set(circuit.fanins) <= set(value_rows(after.values.index))
         # Eq. 8 baselines follow the mutated reference: the whole eval
         # must equal what a freshly built context computes.
         fresh_ctx = EvalContext.build(
@@ -406,7 +412,8 @@ class TestTiePropagation:
         x1 = circuit.fanins[x2][0]
         engine = _tie_engine(tie_library)
         previous = engine.analyze(circuit)
-        assert previous.critical_fanin[g] == x2  # first fan-in wins ties
+        rg, rh = previous.index.row[g], previous.index.row[h]
+        assert previous.critical_fanin_a[rg] == x2  # first fan-in wins ties
         assert previous.max_unit_depth == 4
         child = circuit.copy()
         # Shorten path A upstream of g: only x2 is in the changed set, so
@@ -420,10 +427,11 @@ class TestTiePropagation:
         inc = update_timing(engine, child, previous, changed)
         full = engine.analyze(child)
         _assert_same_timing(child, inc, full)
-        assert inc.arrival[g] == previous.arrival[g]  # the tie held
-        assert inc.critical_fanin[g] == y1
-        assert inc.unit_depth[g] == 2
-        assert inc.unit_depth[h] == 3  # stale value would be 4
+        assert inc.index is previous.index  # same gid set, same rows
+        assert inc.arrival_a[rg] == previous.arrival_a[rg]  # the tie held
+        assert inc.critical_fanin_a[rg] == y1
+        assert inc.unit_depth_a[rg] == 2
+        assert inc.unit_depth_a[rh] == 3  # stale value would be 4
         assert inc.max_unit_depth == 3
         assert inc.critical_path() == [p, y1, g, h, child.po_ids[0]]
 

@@ -4,9 +4,10 @@ Pins the value layer under the evaluation hot path:
 
 * every registered cell function's ``word_eval`` agrees with its scalar
   ``bit_eval`` oracle on every lane of a block of random words;
-* :class:`repro.sim.ValueStore` keeps the historical dict ``ValueMap``
-  face (getitem / iter / contains / constants) and simulate's rows are
-  bit-identical to a verbatim port of the dict-based walk;
+* :class:`repro.sim.ValueStore`'s one per-gate accessor, ``store[gid]``
+  (constants included), agrees with the matrix rows ``value_rows``
+  names, and simulate's rows are bit-identical to a verbatim port of
+  the dict-based walk;
 * ``resimulate_cone`` reuses covering stores and simulates diverged
   gate-ID sets in full, both matching ``simulate``;
 * ``evaluate_batch`` equals full ``evaluate`` per item across
@@ -50,7 +51,14 @@ from repro.core.parallel import (
     get_dispatcher,
 )
 from repro.core.reproduction import po_bits
-from repro.netlist import CONST0, CONST1, PI_CELL, PO_CELL, remove_dangling
+from repro.netlist import (
+    CONST0,
+    CONST1,
+    PI_CELL,
+    PO_CELL,
+    relabel_compact,
+    remove_dangling,
+)
 from repro.sim import (
     ErrorMode,
     ValueStore,
@@ -140,10 +148,12 @@ def _assert_same_eval(a, b):
     assert a.error == b.error
     assert a.per_po_error == b.per_po_error
     assert a.report.cpd == b.report.cpd
+    ta, tb = a.report, b.report
     for gid in a.circuit.gate_ids():
-        assert a.report.arrival[gid] == b.report.arrival[gid], gid
-        assert a.report.slew[gid] == b.report.slew[gid], gid
-        assert a.report.unit_depth[gid] == b.report.unit_depth[gid], gid
+        i, j = ta.index.row[gid], tb.index.row[gid]
+        assert ta.arrival_a[i] == tb.arrival_a[j], gid
+        assert ta.slew_a[i] == tb.slew_a[j], gid
+        assert ta.unit_depth_a[i] == tb.unit_depth_a[j], gid
         assert (a.values[gid] == b.values[gid]).all(), gid
 
 
@@ -186,19 +196,22 @@ class TestValueStore:
             assert np.array_equal(store[gid], legacy[gid]), gid
 
     def test_mapping_face(self):
+        # ``store[gid]`` is the one per-gate accessor: gates through the
+        # shared row index, constants through the two sentinel rows.
         circuit = build_fig3_circuit()
         vectors = random_vectors(len(circuit.pi_ids), 64, seed=0)
         store = simulate(circuit, vectors)
-        assert set(circuit.fanins) | {CONST0, CONST1} == set(store)
-        assert len(store) == len(circuit.fanins) + 2
-        assert CONST0 in store and CONST1 in store
+        rows = value_rows(store.index)
+        assert set(circuit.fanins) | {CONST0, CONST1} == set(rows)
+        assert len(store.matrix) == len(circuit.fanins) + 2
+        assert CONST0 in rows and CONST1 in rows
         assert int(store[CONST0][0]) == 0
         assert int(store[CONST1][0]) == 0xFFFFFFFFFFFFFFFF
         with pytest.raises(KeyError):
             store[99999]
-        # dict() materialization keeps working for legacy consumers.
-        as_dict = dict(store)
-        assert np.array_equal(as_dict[circuit.po_ids[0]], store[circuit.po_ids[0]])
+        # Bulk readers gather matrix rows; the accessor agrees with them.
+        for gid, r in rows.items():
+            assert np.array_equal(store[gid], store.matrix[r]), gid
 
     def test_rows_shared_with_timing_index(self, library):
         from repro.sta.store import timing_index
@@ -252,8 +265,8 @@ class TestValueStore:
         assert not base.covers(child)
         fast = resimulate_cone(child, vectors, base, changed)
         full = simulate(child, vectors)
-        assert set(fast) == set(full)
-        for gid in full:
+        assert set(value_rows(fast.index)) == set(value_rows(full.index))
+        for gid in value_rows(full.index):
             assert np.array_equal(fast[gid], full[gid]), gid
 
 
@@ -376,9 +389,9 @@ class TestStackedBatch:
 # ----------------------------------------------------------------------
 class TestPOCones:
     def test_masks_match_transitive_fanin(self, library):
-        # The consumers-first circuit is not gid-topological, so its
-        # bits come from the topological_order() sweep.
-        for circuit in (build_adder(8), build_consumers_first_circuit()):
+        # The consumers-first circuit, renumbered as it is on entry.
+        renumbered, _ = relabel_compact(build_consumers_first_circuit())
+        for circuit in (build_adder(8), renumbered):
             bits = po_bits(circuit)
             assert bits.keys() == circuit.fanins.keys()
             for slot, po in enumerate(circuit.po_ids):
