@@ -15,7 +15,9 @@ picoseconds for delay/slew and femtofarads for capacitance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 #: Default input-slew axis (ps) used when characterising tables.
@@ -37,11 +39,10 @@ def _interp_index(axis: Sequence[float], value: float) -> Tuple[int, float]:
         return 0, 0.0
     if value >= axis[-1]:
         return len(axis) - 2, 1.0
-    for i in range(len(axis) - 1):
-        if value <= axis[i + 1]:
-            span = axis[i + 1] - axis[i]
-            return i, (value - axis[i]) / span
-    return len(axis) - 2, 1.0  # pragma: no cover - unreachable
+    # The segment below the first breakpoint >= value.
+    i = bisect_left(axis, value) - 1
+    span = axis[i + 1] - axis[i]
+    return i, (value - axis[i]) / span
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,20 @@ class TimingArc:
 
     delay: NLDMTable
     output_slew: NLDMTable
+
+    @cached_property
+    def shared_axes(self) -> bool:
+        """True when both tables are indexed by the same axes.
+
+        Then one located ``(index, fraction)`` pair serves a delay and
+        an output-slew lookup alike (the STA gate kernel relies on it).
+        Characterised arcs always share; a Liberty-parsed cell may not.
+        Decided once per arc.
+        """
+        return (
+            self.delay.slew_axis == self.output_slew.slew_axis
+            and self.delay.load_axis == self.output_slew.load_axis
+        )
 
     @staticmethod
     def from_linear(

@@ -6,9 +6,9 @@
   its ``(full structure key, library digest, vector digest)`` address;
 * children are grouped by the parent evaluation their provenance record
   points at (:func:`group_by_parent`), and each group runs the per-child
-  cone walk once (:func:`repro.core.fitness._evaluate_cones`), reusing
-  the parent's memoized row index, level schedule, fan-out map and TFO
-  cones — a child never builds its own O(V+E) structures;
+  value and timing walks once (:func:`repro.core.fitness._evaluate_cones`),
+  reusing the parent's memoized row index, level schedule and fan-out
+  map — a child never builds its own O(V+E) structures;
 * children in ``singles`` (no valid provenance match) that share a full
   structure key are evaluated once per key and the result is shared by
   item index.
@@ -182,7 +182,7 @@ def evaluate_batch(
     ``items`` pairs each candidate circuit with the parent eval(s) its
     provenance may match (exactly what the sequential loop would pass to
     :func:`~repro.core.fitness.evaluate_incremental`).  Children sharing
-    a matched parent run the per-child cone walk as one group, reusing
+    a matched parent run the per-child walks as one group, reusing
     the parent's memoized structures; unmatched or structurally-diverged
     children take the full path.  Full-evaluation singles that share a
     *complete* structure

@@ -12,16 +12,19 @@ Two evaluation paths produce bit-identical results:
 
 * :func:`evaluate` — full STA + full simulation, always available, and
   the oracle every incremental result is tested against;
-* the per-child cone walk (:func:`_evaluate_cones`) — when the circuit
+* the per-child walks (:func:`_evaluate_cones`) — when the circuit
   carries a valid provenance record pointing at an already-evaluated
-  parent, only the transitive fan-out cone of the changed gates is
-  resimulated (:func:`repro.sim.resimulate_cone`) and retimed
-  (:func:`repro.sta.update_timing`), the VECBEE-style trick that makes
-  per-candidate evaluation cost proportional to the perturbation rather
-  than the circuit.  :func:`evaluate_incremental` runs it for one
-  child and :func:`repro.core.batch.evaluate_batch` once per parent
-  group; both fall back to the full path whenever the provenance is
-  missing, stale, or no matching parent eval is supplied.
+  parent, the changed gates seed an event-driven value walk
+  (:func:`repro.sim.resimulate_cone`), which stops at every row whose
+  words equal the parent's, and a timing frontier walk
+  (:func:`repro.sta.update_timing`), which stops at every gate whose
+  timing is unchanged — the VECBEE-style trick that makes
+  per-candidate evaluation cost what the change actually changes
+  rather than the circuit or its fan-out cone.
+  :func:`evaluate_incremental` runs it for one child and
+  :func:`repro.core.batch.evaluate_batch` once per parent group; both
+  fall back to the full path whenever the provenance is missing, stale,
+  or no matching parent eval is supplied.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from ..sim import (
 )
 from ..sim.error import make_unpack_cache
 from ..sta import STAEngine, TimingReport, update_timing_batch
+from ..sta.incremental import _shared_fanouts
 
 #: Guard against division by zero on fully-degenerate circuits.
 _EPS = 1e-9
@@ -320,19 +324,20 @@ def _evaluate_cones(
     parent: CircuitEval,
     children: Sequence[Tuple[Circuit, FrozenSet[int]]],
 ) -> List[CircuitEval]:
-    """The one incremental evaluation: per-child cone walks on a parent.
+    """The one incremental evaluation: per-child walks on a parent.
 
     ``children`` pairs each circuit whose provenance matched ``parent``
     with its changed-gate set.  A copy-then-mutate child shares the
-    parent's gate-ID set, so its dirty cone computed on the parent's
-    memoized fan-out map equals the child's own (changed gates are
-    seeds; edges into unchanged gates are identical in both) — the child
-    never builds an O(V+E) fan-out map just to find its cone.  Each such
-    child resimulates that cone, the group is retimed through
-    :func:`repro.sta.update_timing_batch`, and the metric tail runs
-    through :func:`_finish_eval`.  A child whose gate-ID set diverged
-    from the parent's (gates added or removed) takes :func:`evaluate`.
-    Results are bit-identical to :func:`evaluate` for every child.
+    parent's gate-ID set, so its fan-out map is the parent's patched
+    around the changed gates (memoized on the child) — the child never
+    builds an O(V+E) map of its own.  Each such child runs the
+    event-driven value walk from its changed gates
+    (:func:`repro.sim.resimulate_cone`), the group is retimed through
+    :func:`repro.sta.update_timing_batch` on the same map, and the
+    metric tail runs through :func:`_finish_eval`.  A child whose
+    gate-ID set diverged from the parent's (gates added or removed)
+    takes :func:`evaluate`.  Results are bit-identical to
+    :func:`evaluate` for every child.
     """
     out: List[Optional[CircuitEval]] = [None] * len(children)
     pc = parent.circuit
@@ -341,12 +346,12 @@ def _evaluate_cones(
         if not circuit.same_gid_set(pc):
             out[k] = evaluate(ctx, circuit)
             continue
-        dirty = set()
-        for gid in changed:
-            if gid >= 0:
-                dirty |= pc.transitive_fanout(gid, include_self=True)
         values = resimulate_cone(
-            circuit, ctx.vectors, parent.values, changed, dirty=dirty
+            circuit,
+            ctx.vectors,
+            parent.values,
+            changed,
+            _shared_fanouts(circuit, pc, changed),
         )
         walked.append((k, circuit, changed, values))
     reports = update_timing_batch(
@@ -362,12 +367,12 @@ def _evaluate_cones(
 def evaluate_incremental(
     ctx: EvalContext, circuit: Circuit, parent_eval: ParentEvals = None
 ) -> CircuitEval:
-    """Cone-limited evaluation against an already-evaluated parent.
+    """Incremental evaluation against an already-evaluated parent.
 
     ``parent_eval`` may be a single :class:`CircuitEval` or a sequence of
     candidates (e.g. both reproduction parents); the one matching the
-    circuit's provenance record is used.  Only the transitive fan-out of
-    the changed gates is resimulated and retimed — results are
+    circuit's provenance record is used.  Only the rows the changed
+    gates actually change are resimulated and retimed — results are
     bit-identical to :func:`evaluate` (pinned by property tests).  Falls
     back to the full path when no valid parent is available.
     """

@@ -137,9 +137,9 @@ class Provenance:
     """Derivation record: how a circuit differs from its parent.
 
     ``changed`` holds the IDs of every gate whose fan-in tuple or library
-    cell was rewritten relative to ``parent`` — exactly the dirty set an
-    incremental resimulation (:func:`repro.sim.resimulate_cone`) or
-    timing update (:func:`repro.sta.update_timing`) needs.
+    cell was rewritten relative to ``parent`` — exactly the seeds of the
+    incremental value walk (:func:`repro.sim.resimulate_cone`) and
+    timing update (:func:`repro.sta.update_timing`).
     ``parent_version`` snapshots the parent's structure version so a
     later mutation of the parent invalidates the record.
     """
@@ -418,8 +418,8 @@ class Circuit:
         """True when both circuits carry exactly the same gate-ID set.
 
         This is the gate every parent-structure reuse in the evaluation
-        hot path runs through (shared timing index, shared fan-out map,
-        shared dirty cones), and it used to be paid as a full
+        hot path runs through (shared timing index, shared value rows,
+        patched fan-out map), and it used to be paid as a full
         ``fanins.keys() == parent.fanins.keys()`` set comparison per
         child per evaluation.  Memoized per (this version, other
         version) pair.  The entry holds ``other`` by weak reference, as

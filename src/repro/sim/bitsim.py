@@ -7,13 +7,16 @@ and output-similarity tables.
 
 Values live in the structure-of-arrays :class:`~repro.sim.store.ValueStore`
 (one dense uint64 matrix laid out by the shared timing row index).
-:func:`simulate` accepts any DAG; :func:`resimulate_cone` requires a
-gid-topological circuit (see :meth:`Circuit.gid_order_topo`).
+:func:`simulate` evaluates every gate of any DAG; :func:`resimulate_cone`
+is the incremental, event-driven walk: it re-evaluates only the rows a
+change actually changes, and requires a gid-topological circuit (see
+:meth:`Circuit.gid_order_topo`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from heapq import heapify, heappop, heappush
+from typing import Any, Dict, Iterable, Optional
 
 import numpy as np
 
@@ -23,38 +26,20 @@ from ..netlist import CONST0, CONST1, PI_CELL, PO_CELL, Circuit
 from .store import ValueStore, value_rows, value_store_index
 from .vectors import VectorSet
 
-def _eval_schedule(
-    circuit: Circuit,
-    vectors: VectorSet,
-    matrix: np.ndarray,
-    rows: Dict[int, int],
-    schedule: Iterable[int],
-) -> None:
-    """Fill the PI rows from ``vectors``, then evaluate ``schedule``.
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-    The one gate loop behind :func:`simulate` (every gate, topological
-    order) and :func:`resimulate_cone` (the dirty cone).  PIs take rows
-    of ``vectors`` in ``circuit.pi_ids`` order; POs mirror their single
-    fan-in.  ``schedule`` must list every gate after its fan-ins.
+
+def _gate_words(cell: str, fis, matrix: np.ndarray, rows) -> np.ndarray:
+    """One PO or logic gate's output words from its fan-in rows.
+
+    The one gate evaluation behind :func:`simulate` and
+    :func:`resimulate_cone`: a PO mirrors its single fan-in, a logic
+    gate applies its cell function to the packed fan-in words.
     """
-    for i, pi in enumerate(circuit.pi_ids):
-        matrix[rows[pi]] = vectors.words[i]
-    # Local bindings: this loop visits every gate of every evaluated
-    # candidate, so attribute/property lookups are hoisted out.
-    fanins = circuit.fanins
-    cells = circuit.cells
-    for gid in schedule:
-        cell = cells[gid]
-        if cell == PI_CELL:
-            continue
-        fis = fanins[gid]
-        if cell == PO_CELL:
-            matrix[rows[gid]] = matrix[rows[fis[0]]]
-            continue
-        function, _ = split_cell_name(cell)
-        matrix[rows[gid]] = FUNCTIONS[function].word_eval(
-            [matrix[rows[fi]] for fi in fis]
-        )
+    if cell == PO_CELL:
+        return matrix[rows[fis[0]]]
+    function, _ = split_cell_name(cell)
+    return FUNCTIONS[function].word_eval([matrix[rows[fi]] for fi in fis])
 
 
 def simulate(circuit: Circuit, vectors: VectorSet) -> ValueStore:
@@ -70,18 +55,22 @@ def simulate(circuit: Circuit, vectors: VectorSet) -> ValueStore:
             f"vector set has {vectors.num_inputs} inputs, circuit has "
             f"{len(circuit.pi_ids)} PIs"
         )
-    store = ValueStore.allocate(
-        value_store_index(circuit), vectors.num_words
-    )
-    _eval_schedule(
-        circuit,
-        vectors,
-        store.matrix,
-        value_rows(store.index),
-        circuit.topological_order(),
-    )
-    publish_array(store.matrix)
-    return store
+    index = value_store_index(circuit)
+    matrix = np.empty((index.n + 2, vectors.num_words), dtype=np.uint64)
+    matrix[index.n] = 0
+    matrix[index.n + 1] = _ALL_ONES
+    rows = value_rows(index)
+    for i, pi in enumerate(circuit.pi_ids):
+        matrix[rows[pi]] = vectors.words[i]
+    # Local bindings: this loop visits every gate of every fully
+    # evaluated candidate, so attribute/property lookups are hoisted.
+    fanins = circuit.fanins
+    cells = circuit.cells
+    for gid in circuit.topological_order():
+        cell = cells[gid]
+        if cell != PI_CELL:
+            matrix[rows[gid]] = _gate_words(cell, fanins[gid], matrix, rows)
+    return ValueStore(index, publish_array(matrix))
 
 
 def resimulate_cone(
@@ -89,41 +78,60 @@ def resimulate_cone(
     vectors: VectorSet,
     base_values: ValueStore,
     changed: Iterable[int],
-    dirty: Optional[Set[int]] = None,
+    fanouts: Optional[Any] = None,
 ) -> ValueStore:
-    """Incrementally re-evaluate only the TFO of ``changed`` gates.
+    """Re-evaluate the ``changed`` gates and only the rows they change.
 
-    ``base_values`` must come from a simulation of a circuit identical to
-    ``circuit`` outside the fan-out cones of ``changed``.  This is the
-    incremental trick VECBEE uses to make batch LAC evaluation cheap: an
-    approximate change only perturbs its transitive fan-out.
+    ``base_values`` must come from a simulation, on ``vectors``, of a
+    parent that differs from ``circuit`` only in the fan-in tuples or
+    cells of the ``changed`` gates.  The walk is event-driven: it seeds
+    the changed gates and pops rows in ascending gate ID, which is a
+    topological order because ``circuit`` must be gid-topological
+    (every population member is).  A popped row whose re-evaluated
+    words equal the parent's stops there; any other row queues its
+    consumers from ``fanouts``, the child's fan-out map (anything with
+    a ``get(gid, default)``; :func:`repro.core.fitness._evaluate_cones`
+    passes the one patched from the parent's, which
+    :func:`repro.sta.update_timing` then reuses; default
+    ``circuit.fanouts()``).  Every row left alone has unchanged fan-in
+    rows and an unchanged gate, so the result equals :func:`simulate`
+    bit for bit, padding bits included.
 
-    Returns a fresh :class:`ValueStore`; ``base_values`` is not mutated.
-    The result shares the base store's row index — one matrix
-    ``memcpy`` plus the dirty rows — and the dirty rows evaluate in
-    sorted-gid order, so ``circuit`` must be gid-topological (every
-    population member is).  A base that does not cover this circuit's
-    gate-ID set (gates added or removed since the base simulation) has
-    no rows to reuse: the circuit is simulated in full.
-
-    ``dirty`` optionally supplies the precomputed TFO of ``changed``
-    (callers holding the parent's memoized cones pass it; see
-    :func:`repro.core.fitness._evaluate_cones`).
+    Returns a fresh :class:`ValueStore` on the base store's row index
+    (one matrix ``memcpy`` plus the changed rows); ``base_values`` is
+    not mutated.  A base that does not cover this circuit's gate-ID set
+    (gates added or removed since the base simulation) has no rows to
+    reuse: the circuit is simulated in full.
     """
     if not base_values.covers(circuit):
         return simulate(circuit, vectors)
-    if dirty is None:
-        dirty = set()
-        for gid in changed:
-            # Constants are the only negative IDs (R5): `gid >= 0` is
-            # is_const() without a call per changed gate.
-            if gid >= 0:
-                dirty |= circuit.transitive_fanout(gid, include_self=True)
+    if fanouts is None:
+        fanouts = circuit.fanouts()
     index = base_values.index
+    base = base_values.matrix
     matrix = base_values.fork_matrix()
-    matrix[index.n] = 0
-    matrix[index.n + 1] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    _eval_schedule(circuit, vectors, matrix, value_rows(index), sorted(dirty))
+    rows = value_rows(index)
+    fanins = circuit.fanins
+    cells = circuit.cells
+    # Constants are the only negative IDs (R5): `gid >= 0` is
+    # is_const() without a call per changed gate.
+    heap = [gid for gid in set(changed) if gid >= 0]
+    heapify(heap)
+    queued = set(heap)
+    while heap:
+        gid = heappop(heap)
+        cell = cells[gid]
+        if cell == PI_CELL:
+            continue
+        words = _gate_words(cell, fanins[gid], matrix, rows)
+        r = rows[gid]
+        if words.tobytes() == base[r].tobytes():
+            continue
+        matrix[r] = words
+        for fo in fanouts.get(gid, ()):
+            if fo not in queued:
+                queued.add(fo)
+                heappush(heap, fo)
     return ValueStore(index, publish_array(matrix))
 
 

@@ -39,8 +39,6 @@ from ..sta.store import TimingIndex, timing_index
 
 __all__ = ["ValueStore", "value_rows", "value_store_index"]
 
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 
 def value_store_index(circuit) -> TimingIndex:
     """The dense row index value matrices are laid out by.
@@ -102,14 +100,6 @@ class ValueStore:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @classmethod
-    def allocate(cls, index: TimingIndex, num_words: int) -> "ValueStore":
-        """A fresh store with only the constant sentinel rows filled."""
-        matrix = np.empty((index.n + 2, num_words), dtype=np.uint64)
-        matrix[index.n] = 0
-        matrix[index.n + 1] = _ALL_ONES
-        return cls(index, matrix)
-
     def fork_matrix(self) -> np.ndarray:
         """A writable copy of the matrix (stores are read-only once
         published; every derived evaluation writes into its own copy)."""

@@ -3,7 +3,6 @@
 from .analyzer import STAEngine, TimingReport
 from .store import (
     TimingIndex,
-    lookup_many,
     timing_index,
     timing_levels,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "STAEngine",
     "TimingReport",
     "TimingIndex",
-    "lookup_many",
     "timing_index",
     "timing_levels",
     "critical_paths",

@@ -12,8 +12,7 @@ Results live in a **structure-of-arrays timing store**
 and ``int32`` arrays for unit depth / critical fan-in, indexed by the
 dense per-structure :class:`~repro.sta.store.TimingIndex`.  Propagation
 is the level-ordered frontier walk (:func:`~repro.sta.store.walk_frontier`)
-with every row seeded: batched NLDM lookups for wide same-cell groups and
-a bit-identical scalar loop for thin ones; either way the floats equal
+with every row seeded, one gate kernel for every gate; the floats equal
 the historical per-gate scalar walk exactly.
 """
 

@@ -1,13 +1,14 @@
 """Incremental timing update after local netlist edits.
 
-A LAC or a resize perturbs timing only in a cone: the gates whose fan-in
-tuples changed, every gate whose capacitive load changed (the old and new
-switch drivers, or a resized gate's fan-ins), and their transitive
-fan-out.  :func:`update_timing` copies the parent report's arrays and
-seeds exactly those rows into :func:`~repro.sta.store.walk_frontier`, the
-same level-ordered walk a full :meth:`STAEngine.analyze` runs with every
-row seeded — the trick PrimeTime's incremental mode uses to make
-optimization loops affordable, without ever touching the untouched rows.
+A LAC or a resize perturbs timing only from a few seeds: the gates whose
+fan-in tuples or cells changed and every gate whose capacitive load
+changed (the old and new switch drivers, or a resized gate's fan-ins).
+:func:`update_timing` copies the parent report's arrays and seeds exactly
+those rows into :func:`~repro.sta.store.walk_frontier`, the same
+level-ordered walk a full :meth:`STAEngine.analyze` runs with every row
+seeded; the walk goes on past a gate only when its timing changed — the
+trick PrimeTime's incremental mode uses to make optimization loops
+affordable, without ever touching the untouched rows.
 
 Results are **bit-identical** to a fresh :meth:`STAEngine.analyze`; the
 equivalence is pinned by tests on randomly mutated circuits.  The walk's
@@ -52,22 +53,26 @@ class _PatchedFanouts:
 
 def _shared_fanouts(
     circuit: Circuit,
-    previous: TimingReport,
+    parent: Circuit,
     changed: Iterable[int],
 ):
-    """The child's fan-out map, patched from the parent's.
+    """The child's fan-out map, patched from the parent's; memoized.
 
-    Runs under :func:`update_timing`'s precondition (the parent object
-    is distinct, unmutated since its report, and shares the gate-ID
-    set).  Consumer lists are reconstructed in the child's fan-in dict
-    order (copies preserve the parent's insertion order, and a stable
-    sort on the parent's position map restores it after membership
-    edits), so the float accumulation order in the load rederivation —
-    and therefore every load bit — matches a from-scratch
-    :meth:`Circuit.fanouts` build.
+    Runs under :func:`update_timing`'s precondition (``parent`` is a
+    distinct circuit, unmutated since it was evaluated, with the same
+    gate-ID set).  Consumer lists are reconstructed in the child's
+    fan-in dict order (copies preserve the parent's insertion order,
+    and a stable sort on the parent's position map restores it after
+    membership edits), so the float accumulation order in the load
+    rederivation — and therefore every load bit — matches a
+    from-scratch :meth:`Circuit.fanouts` build.  The map is memoized on
+    the child per structure version: the event-driven value walk
+    (:func:`repro.sim.resimulate_cone`) builds it first and
+    :func:`update_timing` reuses it.
     """
-    parent = previous.circuit
     cached = circuit._cached("fanouts")
+    if cached is None:
+        cached = circuit._cached("shared_fanouts")
     if cached is not None:
         return cached
     parent_fo = parent.fanouts()
@@ -85,7 +90,7 @@ def _shared_fanouts(
             affected.update(pf)
             affected.update(cf)
     if not affected:
-        return parent_fo
+        return circuit._store("shared_fanouts", parent_fo)
     pos = parent._cached("fanins_pos")
     if pos is None:
         pos = parent._store(
@@ -105,7 +110,9 @@ def _shared_fanouts(
                 cons.extend([g] * occ)
         cons.sort(key=pos.__getitem__)
         overrides[d] = cons
-    return _PatchedFanouts(parent_fo, overrides)
+    return circuit._store(
+        "shared_fanouts", _PatchedFanouts(parent_fo, overrides)
+    )
 
 
 def _incremental_loads(
@@ -172,12 +179,14 @@ def update_timing(
 
     The child shares the parent's dense index and starts from copies of
     its five arrays; the changed rows and every row whose load changed
-    seed :func:`~repro.sta.store.walk_frontier`.  The child must be
-    gid-topological (every population member is): the walk runs on the
-    parent's memoized levels when the child's rewired fan-ins respect
-    them (every LAC does — switches come from the TFI), else on the
-    sorted-gid rows, so the child never pays an O(V+E) schedule build
-    of its own.
+    seed :func:`~repro.sta.store.walk_frontier`, which takes consumers
+    from the child's patched fan-out map (built once per child and
+    shared with the value walk, see :func:`_shared_fanouts`).  The child
+    must be gid-topological (every population member is): the walk runs
+    on the parent's memoized levels when the child's rewired fan-ins
+    respect them (every LAC does — switches come from the TFI), else on
+    the sorted-gid rows, so the child never pays an O(V+E) schedule
+    build of its own.
     """
     parent = previous.circuit
     if not (
@@ -195,7 +204,7 @@ def update_timing(
         # row-dict build in the hottest path of the optimizer.
         index = circuit._store("timing_index", previous.index)
     n = index.n
-    fanouts = _shared_fanouts(circuit, previous, changed)
+    fanouts = _shared_fanouts(circuit, parent, changed)
     loads = _incremental_loads(
         engine, circuit, previous, changed, index, fanouts
     )

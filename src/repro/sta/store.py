@@ -15,10 +15,10 @@ dense array replacement:
 * :func:`walk_frontier` — the one arrival propagation: a level-ordered
   frontier walk over the arrays.  Full analysis seeds every row;
   incremental update seeds the rows an edit touched.
-* :func:`lookup_many` — batched NLDM bilinear interpolation that is
-  **bit-identical** to :meth:`NLDMTable.lookup` (same index selection,
-  same IEEE-754 operation order), so vectorized and scalar propagation
-  may be mixed freely without perturbing a single float.
+* :func:`eval_gate_scalar` — the walk's one gate kernel: NLDM bilinear
+  interpolation that is **bit-identical** to :meth:`NLDMTable.lookup`
+  (same index selection, same IEEE-754 operation order) while locating
+  each table axis once per gate or fan-in instead of once per lookup.
 
 Array layout contract: every timing array has ``index.n + 1`` rows; row
 ``index.row[gid]`` holds gate ``gid`` and the final row is the constant
@@ -29,18 +29,12 @@ that need to mutate must copy (``update_timing`` does).
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..cells.timing_model import _interp_index
 from ..netlist import Circuit, PI_CELL, PO_CELL
-
-#: Cell groups at or above this size take the vectorized NLDM kernel;
-#: smaller groups run the scalar lookup loop.  Both kernels are
-#: bit-identical (pinned by tests), so this is a pure perf knob: thin
-#: levels (ripple carry chains) stay scalar, wide levels vectorize.
-VECTOR_MIN_GROUP = 8
 
 
 class TimingIndex:
@@ -89,8 +83,8 @@ class TimingLevels:
     """Topological level assignment over one circuit structure.
 
     ``level_of[row]`` is one past the gate's deepest non-constant
-    fan-in, so the gates of one level are independent of each other and
-    :func:`walk_frontier` may evaluate them as one batch.
+    fan-in, so :func:`walk_frontier`, visiting rows level by level,
+    reaches every gate after all of its fan-ins.
     """
 
     __slots__ = ("index", "level_of", "num_levels")
@@ -124,128 +118,59 @@ def timing_levels(circuit: Circuit) -> TimingLevels:
     )
 
 
-# ----------------------------------------------------------------------
-# batched NLDM lookup
-# ----------------------------------------------------------------------
-#: Per-table float64 array cache, keyed by object id with a weakref
-#: guard: id-keying avoids re-hashing the whole frozen table (its
-#: generated __hash__ walks every float) on each hot-path call, the
-#: stored weakref both detects id reuse and evicts entries when a table
-#: is garbage-collected.
-_TABLE_ARRAYS: Dict[int, Tuple[Any, Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-
-
-def _table_arrays(table) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The table's axes/values as float64 arrays (tables are frozen)."""
-    key = id(table)
-    entry = _TABLE_ARRAYS.get(key)
-    if entry is not None and entry[0]() is table:
-        return entry[1]
-    arrays = (
-        np.asarray(table.slew_axis, dtype=np.float64),
-        np.asarray(table.load_axis, dtype=np.float64),
-        np.asarray(table.values, dtype=np.float64),
-    )
-    _TABLE_ARRAYS[key] = (
-        weakref.ref(table, lambda _r, _k=key: _TABLE_ARRAYS.pop(_k, None)),
-        arrays,
-    )
-    return arrays
-
-
-def _locate(axis: np.ndarray, value: np.ndarray):
-    """Vectorized :func:`_interp_index`: ``(lo_index, fraction)`` arrays.
-
-    Matches the scalar implementation exactly, clamping included: an
-    on-breakpoint value lands on the segment *below* it with fraction
-    1.0, and out-of-range values clamp to fraction exactly 0.0 / 1.0.
-    """
-    idx = axis.searchsorted(value, side="left") - 1
-    # minimum(maximum(...)) == clip for ints, without np.clip's per-call
-    # dtype-limit setup — this runs once per frontier bucket.
-    idx = np.minimum(np.maximum(idx, 0), axis.shape[0] - 2)
-    frac = (value - axis[idx]) / (axis[idx + 1] - axis[idx])
-    frac = np.where(value <= axis[0], 0.0, frac)
-    frac = np.where(value >= axis[-1], 1.0, frac)
-    return idx, frac
-
-
-def lookup_many(table, slew: np.ndarray, load: np.ndarray) -> np.ndarray:
-    """Batched :meth:`NLDMTable.lookup`, bit-identical to the scalar path.
-
-    ``slew`` and ``load`` broadcast against each other; the result takes
-    the broadcast shape.  Every arithmetic step mirrors the scalar
-    bilinear interpolation operation for operation, so mixing this with
-    per-gate scalar lookups never changes a single bit.
-    """
-    s_ax, l_ax, vals = _table_arrays(table)
-    i, fs = _locate(s_ax, np.asarray(slew))
-    j, fl = _locate(l_ax, np.asarray(load))
-    v00 = vals[i, j]
-    v01 = vals[i, j + 1]
-    v10 = vals[i + 1, j]
-    v11 = vals[i + 1, j + 1]
-    top = v00 * (1.0 - fl) + v01 * fl
-    bot = v10 * (1.0 - fl) + v11 * fl
-    return top * (1.0 - fs) + bot * fs
-
-
-def eval_gates_vector(
-    cell,
-    a: np.ndarray,
-    s: np.ndarray,
-    d: np.ndarray,
-    fg: np.ndarray,
-    load: np.ndarray,
-):
-    """Vectorized first-wins max over many same-cell gates at once.
-
-    ``a``/``s``/``d``/``fg`` are ``(P, k)`` gathers of the gates' fan-in
-    rows (arrival, slew, depth, source gid; constants pre-gathered from
-    the sentinel row with gid ``-1``) and ``load`` is the ``(P,)`` gate
-    loads.  Returns ``(arrival, slew, depth, critical_fanin)`` arrays.
-
-    Bit-identical to :func:`eval_gate_scalar` per gate: ``lookup_many``
-    equals the scalar table walk operation for operation, and ``argmax``
-    picks the *first* index attaining the maximum arrival, matching the
-    scalar ``first or at > best`` scan.  :func:`walk_frontier` runs its
-    wide groups through this kernel.
-    """
-    at = a + lookup_many(cell.arc.delay, s, load[:, None])
-    j = np.argmax(at, axis=1)
-    pick = np.arange(len(j))
-    na = at[pick, j]
-    ns = lookup_many(cell.arc.output_slew, s[pick, j], load)
-    nd = d[pick, j] + 1
-    ncf = fg[pick, j]
-    return na, ns, nd, ncf
-
-
 def eval_gate_scalar(cell, fan_timing, load: float, input_slew: float):
-    """Scalar first-wins max over one gate's fan-ins.
+    """First-wins max over one gate's fan-ins, one axis locate each.
 
     ``fan_timing`` is the gate's fan-ins in pin order as
     ``(arrival, slew, depth, src_gid)`` tuples (constants pre-mapped to
     ``(0.0, input_slew, 0, -1)``).  Returns
     ``(arrival, slew, depth, critical_fanin)`` for the gate.
 
-    This is the ONE scalar counterpart of the vectorized group kernel;
-    :func:`walk_frontier` runs every small group through it.
+    Equal, float for float, to scanning the fan-ins with
+    ``a + cell.delay(s, load)`` and taking ``cell.output_slew(s, load)``
+    at every improvement (first fan-in wins ties): the gate's load is
+    located on the load axis once, each fan-in's slew on the slew axis
+    once, and the output slew is looked up for the winning arc only,
+    reusing its located slew.  The bilinear interpolation is
+    :meth:`NLDMTable.lookup`'s, operation for operation.  A cell whose
+    two tables have different axes (``TimingArc.shared_axes`` false)
+    locates the winner again on the output-slew table's own axes.
     """
+    arc = cell.arc
+    table = arc.delay
+    vals = table.values
+    slew_axis = table.slew_axis
+    j, fl = _interp_index(table.load_axis, load)
+    gl = 1.0 - fl
     best = 0.0
-    best_slew = input_slew
     best_depth = 0
     best_src = -1
-    first = True
+    win = None
     for a, s, d, src in fan_timing:
-        at = a + cell.delay(s, load)
-        if first or at > best:
+        i, fs = _interp_index(slew_axis, s)
+        lo = vals[i]
+        hi = vals[i + 1]
+        top = lo[j] * gl + lo[j + 1] * fl
+        bot = hi[j] * gl + hi[j + 1] * fl
+        at = a + (top * (1.0 - fs) + bot * fs)
+        if win is None or at > best:
             best = at
-            best_slew = cell.output_slew(s, load)
+            win = (s, i, fs)
             best_depth = d
             best_src = src
-            first = False
-    return best, best_slew, best_depth + 1, best_src
+    if win is None:
+        return best, input_slew, best_depth + 1, best_src
+    s, i, fs = win
+    table = arc.output_slew
+    if not arc.shared_axes:
+        i, fs = _interp_index(table.slew_axis, s)
+        j, fl = _interp_index(table.load_axis, load)
+        gl = 1.0 - fl
+    lo = table.values[i]
+    hi = table.values[i + 1]
+    top = lo[j] * gl + lo[j + 1] * fl
+    bot = hi[j] * gl + hi[j + 1] * fl
+    return best, top * (1.0 - fs) + bot * fs, best_depth + 1, best_src
 
 
 def walk_frontier(
@@ -277,10 +202,8 @@ def walk_frontier(
 
     :meth:`STAEngine.analyze` seeds every row with an empty fan-out map
     (everything is already queued); :func:`update_timing` seeds the
-    changed rows plus every row whose load changed.  Same-(cell, arity)
-    groups of at least :data:`VECTOR_MIN_GROUP` gates in one bucket take
-    :func:`eval_gates_vector`, the rest :func:`eval_gate_scalar` —
-    bit-identical kernels, so the split is a pure speed choice.
+    changed rows plus every row whose load changed.  Every logic gate
+    takes :func:`eval_gate_scalar`.
     """
     n = index.n
     gids = index.gids
@@ -297,60 +220,6 @@ def walk_frontier(
         buckets[lv].append(r)
 
     for bucket in buckets:
-        if not bucket:
-            continue
-        if len(bucket) >= VECTOR_MIN_GROUP:
-            groups: Dict[Tuple[str, int], List[int]] = {}
-            rest: List[int] = []
-            for r in bucket:
-                gid = int(gids[r])
-                cell_name = cells_map[gid]
-                if cell_name == PI_CELL or cell_name == PO_CELL:
-                    rest.append(r)
-                else:
-                    key = (cell_name, len(fanins_map[gid]))
-                    groups.setdefault(key, []).append(r)
-            for (cell_name, k), rows_list in groups.items():
-                g = len(rows_list)
-                if g < VECTOR_MIN_GROUP:
-                    rest.extend(rows_list)
-                    continue
-                rows_a = np.array(rows_list, dtype=np.int64)
-                frows = np.empty((g, k), dtype=np.int64)
-                fgids = np.empty((g, k), dtype=np.int32)
-                for i, r in enumerate(rows_list):
-                    for j, fi in enumerate(fanins_map[int(gids[r])]):
-                        if fi < 0:
-                            frows[i, j] = n
-                            fgids[i, j] = -1
-                        else:
-                            frows[i, j] = row_of[fi]
-                            fgids[i, j] = fi
-                na_v, ns_v, nd_v, ncf_v = eval_gates_vector(
-                    lib_cell(cell_name),
-                    arr[frows],
-                    slew[frows],
-                    depth[frows],
-                    fgids,
-                    loads[rows_a],
-                )
-                out_changed = (
-                    (na_v != arr[rows_a])
-                    | (ns_v != slew[rows_a])
-                    | (nd_v != depth[rows_a])
-                    | (ncf_v != cf[rows_a])
-                )
-                arr[rows_a] = na_v
-                slew[rows_a] = ns_v
-                depth[rows_a] = nd_v
-                cf[rows_a] = ncf_v
-                for i in np.flatnonzero(out_changed):
-                    for fo in fanouts.get(int(gids[rows_list[i]]), ()):
-                        fr = row_of[fo]
-                        if not queued[fr]:
-                            queued[fr] = True
-                            buckets[level_of[fr]].append(fr)
-            bucket = rest
         for r in bucket:
             gid = int(gids[r])
             cell_name = cells_map[gid]

@@ -224,7 +224,13 @@ def remove_buffers(circuit: Circuit) -> int:
 
 
 def merge_duplicates(circuit: Circuit) -> int:
-    """Structural hashing: merge gates with identical cell and fan-ins."""
+    """Structural hashing: merge gates with identical cell and fan-ins.
+
+    Of two duplicates the smaller gate ID survives and the larger one's
+    consumers move to it, whichever comes first in topological order:
+    every consumer of the larger ID has a larger ID still, so a
+    gid-topological circuit stays gid-topological.
+    """
     total = 0
     merged: set = set()
     changed = True
@@ -236,13 +242,16 @@ def merge_duplicates(circuit: Circuit) -> int:
                 continue
             function, _ = split_cell_name(circuit.cells[gid])
             key = (function, circuit.fanins[gid])
-            if key in seen:
-                circuit.substitute(gid, seen[key])
-                merged.add(gid)
-                total += 1
-                changed = True
-            else:
+            other = seen.get(key)
+            if other is None:
                 seen[key] = gid
+                continue
+            keep, drop = min(gid, other), max(gid, other)
+            circuit.substitute(drop, keep)
+            merged.add(drop)
+            seen[key] = keep
+            total += 1
+            changed = True
     return total
 
 

@@ -50,7 +50,7 @@ def build_adder(width: int, name: str = "adder") -> Circuit:
 
 
 def build_wide_circuit() -> Circuit:
-    """Levels wide enough to force the timing walk's vectorized kernel."""
+    """Wide levels: 24 same-cell gates in each of three levels."""
     b = CircuitBuilder("wide")
     pis = b.pis(24)
     l1 = [b.nand2(pis[i], pis[(i + 1) % 24]) for i in range(24)]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import random_control_circuit
+from repro.bench.suite import SUITE, build_benchmark
 from repro.netlist import (
     CONST0,
     CONST1,
@@ -151,6 +152,29 @@ class TestStructuralHashing:
         circuit = b.done()
         assert merge_duplicates(circuit) == 0
 
+    def test_smaller_duplicate_id_survives(self):
+        b = CircuitBuilder("dup-order")
+        x, y = b.pis(2)
+        g1 = b.and2(x, y)
+        h = b.inv(g1)  # a consumer of g1 numbered below g2
+        g2 = b.and2(x, y)
+        b.po(b.or2(h, g2), "o")
+        circuit = b.done()
+        # List g2 before g1: the larger duplicate then comes first in
+        # topological order.
+        order = [x, y, g2] + [g for g in circuit.fanins if g not in (x, y, g2)]
+        circuit.fanins = {g: circuit.fanins[g] for g in order}
+        circuit.cells = {g: circuit.cells[g] for g in order}
+        topo = circuit.topological_order()
+        assert topo.index(g2) < topo.index(g1)
+        baseline = circuit.copy()
+        assert merge_duplicates(circuit) == 1
+        assert circuit.fanins[h] == (g1,)
+        assert circuit.gid_order_topo()
+        sweep(circuit)
+        assert g2 not in circuit.fanins
+        assert check_equivalence(baseline, circuit).equivalent
+
     def test_cascaded_merges(self):
         b = CircuitBuilder("cascdup")
         x, y = b.pis(2)
@@ -202,6 +226,14 @@ class TestOptimizeNetlist:
         assert stats.duplicates_merged >= 1
         assert stats.gates_swept >= 2
         assert check_equivalence(baseline, circuit).equivalent
+
+    @pytest.mark.parametrize("profile", ["paper", "scaled"])
+    @pytest.mark.parametrize("name", sorted(SUITE))
+    def test_suite_circuits_stay_gid_topological(self, name, profile):
+        circuit = build_benchmark(name, profile)
+        assert circuit.gid_order_topo()
+        optimize_netlist(circuit)
+        assert circuit.gid_order_topo()
 
     def test_clean_circuit_is_noop(self, adder8):
         before = adder8.copy()

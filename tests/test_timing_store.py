@@ -1,14 +1,14 @@
-"""Structure-of-arrays timing store: layout, kernels, and the
+"""Structure-of-arrays timing store: layout, the gate kernel, and the
 stale-propagation bugfixes in incremental STA.
 
 Four contracts are pinned here:
 
 * the SoA analyzer is **bit-identical** to the historical per-gate
   scalar walk (a verbatim port of which lives in this file as the
-  reference), on thin circuits (scalar kernel) and wide ones
-  (vectorized kernel);
-* the batched NLDM lookup equals ``NLDMTable.lookup`` bit for bit on
-  on-grid, out-of-range, and random interior points;
+  reference), on thin and wide circuits, and on a library whose delay
+  and output-slew tables have different axes;
+* the one-locate gate kernel equals the two-lookup first-wins scan bit
+  for bit on on-grid, out-of-range, random interior and tied points;
 * ``update_timing`` propagates whenever **any** of a gate's four
   outputs changed, compared exactly — the tie-resolution and
   tolerance-drift bugs both lived in that predicate (a constant-delay
@@ -19,9 +19,9 @@ Four contracts are pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,7 +35,12 @@ from reference_circuits import (
 )
 
 from repro.cells import FUNCTIONS, Cell, Library, cell_name, default_library
-from repro.cells.timing_model import NLDMTable, TimingArc
+from repro.cells.timing_model import (
+    LinearTimingSpec,
+    NLDMTable,
+    TimingArc,
+    characterize,
+)
 from repro.core import (
     DCGWO,
     DCGWOConfig,
@@ -54,13 +59,11 @@ from repro.netlist import CircuitBuilder, is_const
 from repro.sim import ErrorMode, value_rows
 from repro.sta import (
     STAEngine,
-    lookup_many,
     timing_index,
-    timing_levels,
     update_timing,
     update_timing_batch,
 )
-from repro.sta.store import VECTOR_MIN_GROUP
+from repro.sta.store import eval_gate_scalar
 
 
 # ----------------------------------------------------------------------
@@ -172,42 +175,140 @@ class TestAnalyzeBitIdentity:
             circuit, report, *_scalar_analyze(engine, circuit)
         )
 
-    def test_wide_circuit_exercises_vector_kernel(self, library):
-        # Some level must hold a same-(cell, arity) group big enough for
-        # the walk's vectorized kernel.
-        circuit = _wide_circuit()
-        levels = timing_levels(circuit)
-        groups = Counter(
-            (
-                int(levels.level_of[levels.index.row[gid]]),
-                circuit.cells[gid],
-                len(circuit.fanins[gid]),
+    def test_kernel_matches_two_lookup_scan(self, library, tie_library):
+        rng = random.Random(7)
+        cells = library.cells()[::3] + tie_library.cells()
+        for cell in cells:
+            table = cell.arc.delay
+            slews = (
+                list(table.slew_axis)
+                + [0.01, 1.0, 5000.0]
+                + [rng.uniform(2.0, 300.0) for _ in range(6)]
             )
-            for gid in circuit.logic_ids()
-        )
-        assert max(groups.values()) >= VECTOR_MIN_GROUP
+            loads = (
+                list(table.load_axis)
+                + [0.0, 0.1, 900.0]
+                + [rng.uniform(0.2, 64.0) for _ in range(6)]
+            )
+            for load in loads:
+                for _ in range(4):
+                    fan_timing = _random_fan_timing(rng, cell, slews)
+                    assert eval_gate_scalar(
+                        cell, fan_timing, load, 10.0
+                    ) == _two_lookup_scan(cell, fan_timing, load, 10.0)
+            assert eval_gate_scalar(cell, [], 1.0, 10.0) == (
+                0.0, 10.0, 1, -1
+            )
 
-    def test_lookup_many_matches_scalar_lookup(self, library):
-        rng = np.random.default_rng(7)
-        for cell in library.cells()[::5]:
-            for table in (cell.arc.delay, cell.arc.output_slew):
-                s = np.concatenate(
-                    [
-                        np.asarray(table.slew_axis),
-                        [0.01, 1.0, 5000.0],
-                        rng.uniform(2.0, 300.0, 24),
-                    ]
+    def test_kernel_first_fanin_wins_exact_ties(self, tie_library):
+        cell = tie_library.cell("AND2D1")
+        tied = [(4.0, 10.0, 2, 7), (4.0, 10.0, 5, 9)]
+        assert eval_gate_scalar(cell, tied, 1.5, 10.0) == (5.0, 10.0, 3, 7)
+        assert _two_lookup_scan(cell, tied, 1.5, 10.0) == (5.0, 10.0, 3, 7)
+
+
+class TestMixedAxesLibrary:
+    """A cell whose delay and output-slew tables are indexed by
+    different axes (as a Liberty-parsed library may be) locates each
+    table on its own axes: analyze and update_timing still equal the
+    historical scalar walk bit for bit."""
+
+    @pytest.mark.parametrize(
+        "build", [lambda: build_adder(8), _wide_circuit]
+    )
+    def test_analyze_matches_scalar_reference(self, build):
+        library = _mixed_axes_library()
+        assert not any(c.arc.shared_axes for c in library.cells())
+        circuit = build()
+        engine = STAEngine(library)
+        _assert_reports_equal(
+            circuit,
+            engine.analyze(circuit),
+            *_scalar_analyze(engine, circuit),
+        )
+
+    def test_update_timing_matches_scalar_reference(self):
+        library = _mixed_axes_library()
+        engine = STAEngine(library)
+        circuit = build_adder(8)
+        rng = random.Random(11)
+        report = engine.analyze(circuit)
+        for _ in range(8):
+            child = _random_lac_child(circuit, rng)
+            inc = update_timing(engine, child, report, _changed_of(child))
+            _assert_reports_equal(
+                child, inc, *_scalar_analyze(engine, child)
+            )
+        resized = circuit.copy()
+        gid = resized.logic_ids()[5]
+        resized.set_cell(gid, library.upsize(resized.cells[gid]).name)
+        inc = update_timing(engine, resized, report, [gid])
+        _assert_reports_equal(
+            resized, inc, *_scalar_analyze(engine, resized)
+        )
+
+
+def _two_lookup_scan(cell, fan_timing, load, input_slew):
+    """The first-wins fan-in scan of ``_scalar_analyze``: one delay
+    lookup per arc and one output-slew lookup per improvement."""
+    best_arr, best_slew, best_src, best_depth = 0.0, input_slew, -1, 0
+    first = True
+    for a, s, d, src in fan_timing:
+        arr = a + cell.delay(s, load)
+        if first or arr > best_arr:
+            best_arr = arr
+            best_slew = cell.output_slew(s, load)
+            best_src = src
+            best_depth = d
+            first = False
+    return best_arr, best_slew, best_depth + 1, best_src
+
+
+def _random_fan_timing(rng, cell, slews):
+    """One kernel input: ``cell.arity`` fan-ins with slews drawn from
+    ``slews``, some constants, and arrivals from a small grid so equal
+    arrivals (and, in a constant-delay library, exact ties) occur."""
+    fan_timing = []
+    for pin in range(cell.arity):
+        if rng.random() < 0.15:
+            fan_timing.append((0.0, 10.0, 0, -1))
+        else:
+            fan_timing.append(
+                (
+                    rng.choice([0.0, 4.0, 8.0, rng.uniform(0.0, 40.0)]),
+                    rng.choice(slews),
+                    rng.randrange(6),
+                    100 + pin,
                 )
-                load = np.concatenate(
-                    [
-                        np.asarray(table.load_axis)[: len(s)],
-                        [0.0, 0.1, 900.0],
-                        rng.uniform(0.2, 64.0, 24),
-                    ]
-                )[: len(s)]
-                got = lookup_many(table, s, load)
-                for k in range(len(s)):
-                    assert got[k] == table.lookup(float(s[k]), float(load[k]))
+            )
+    return fan_timing
+
+
+def _mixed_axes_library():
+    """The default library's functions with delay and output-slew
+    tables characterised on different axes (lengths differ as well)."""
+    cells = []
+    for cell in default_library().cells():
+        scale = cell.area + cell.input_cap
+        arc = TimingArc(
+            delay=characterize(
+                LinearTimingSpec(intrinsic=6.0 * scale, resistance=2.5),
+                slew_axis=(4.0, 12.0, 30.0, 70.0, 150.0, 320.0),
+                load_axis=(0.4, 1.5, 3.0, 7.0, 15.0, 40.0),
+            ),
+            output_slew=characterize(
+                LinearTimingSpec(
+                    intrinsic=3.0 * scale,
+                    resistance=1.9,
+                    slew_sensitivity=0.18,
+                    cross=0.03,
+                ),
+                slew_axis=(5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 250.0),
+                load_axis=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
+            ),
+        )
+        cells.append(dataclasses.replace(cell, arc=arc))
+    return Library("mixed-axes", cells)
 
 
 class TestStoreLayout:
@@ -633,14 +734,12 @@ class TestStackedFrontier:
             _assert_same_timing(child, got, engine.analyze(child))
 
     def test_wide_dirty_frontier_sequential_vectorized(self, library):
-        # A single edit that dirties >= VECTOR_MIN_GROUP same-cell gates
-        # on one level: hits the vectorized branch of the frontier walk.
+        # A single edit that dirties 12 same-cell gates on one level.
         circuit, src, alt = _fanout_heavy_circuit()
         engine = STAEngine(library)
         previous = engine.analyze(circuit)
         child = circuit.copy()
         changed = child.substitute(src, alt)
-        assert len(changed) >= VECTOR_MIN_GROUP
         inc = update_timing(engine, child, previous, changed)
         _assert_same_timing(child, inc, engine.analyze(child))
 

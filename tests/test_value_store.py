@@ -9,7 +9,10 @@ Pins the value layer under the evaluation hot path:
   names, and simulate's rows are bit-identical to a verbatim port of
   the dict-based walk;
 * ``resimulate_cone`` reuses covering stores and simulates diverged
-  gate-ID sets in full, both matching ``simulate``;
+  gate-ID sets in full, both matching ``simulate``; its event-driven
+  walk equals ``simulate`` on value-neutral, PO-reaching, PO-rewire,
+  constant, cell-only and crossover changes, on any vector count, and
+  evaluates only the seeded gates when no value changes;
 * ``evaluate_batch`` equals full ``evaluate`` per item across
   tie-heavy LAC generations, crossover generations, structure-diverged
   children, and ``jobs=2`` shard runs;
@@ -21,6 +24,7 @@ Pins the value layer under the evaluation hot path:
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 
@@ -54,6 +58,7 @@ from repro.core.reproduction import po_bits
 from repro.netlist import (
     CONST0,
     CONST1,
+    CircuitBuilder,
     PI_CELL,
     PO_CELL,
     relabel_compact,
@@ -70,8 +75,10 @@ from repro.sim import (
     resimulate_cone,
     simulate,
 )
+from repro.sim import bitsim
 from repro.sim.error import _unpack_matrix
 from repro.sim.store import value_rows
+from repro.sta.incremental import _shared_fanouts
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +275,176 @@ class TestValueStore:
         assert set(value_rows(fast.index)) == set(value_rows(full.index))
         for gid in value_rows(full.index):
             assert np.array_equal(fast[gid], full[gid]), gid
+
+
+# ----------------------------------------------------------------------
+# the event-driven value walk
+# ----------------------------------------------------------------------
+_SYMMETRIC = {"AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2"}
+
+
+def _symmetric_gate(circuit):
+    """The two-input gate with the widest fan-out cone among those
+    whose function ignores pin order."""
+    return max(
+        (
+            gid
+            for gid in circuit.logic_ids()
+            if split_cell_name(circuit.cells[gid])[0] in _SYMMETRIC
+        ),
+        key=lambda gid: len(circuit.transitive_fanout(gid)),
+    )
+
+
+def _swap_pins(circuit):
+    """Child whose one changed gate reads its pins reversed."""
+    child = circuit.copy()
+    gid = _symmetric_gate(child)
+    child.fanins[gid] = child.fanins[gid][::-1]
+    return child, {gid}
+
+
+def _upsize(circuit):
+    """Child whose one changed gate only swaps its library cell."""
+    child = circuit.copy()
+    gid = _symmetric_gate(child)
+    child.set_cell(gid, default_library().upsize(child.cells[gid]).name)
+    return child, {gid}
+
+
+def _to_constant(circuit):
+    child = circuit.copy()
+    return child, set(child.substitute(child.logic_ids()[3], CONST1))
+
+
+def _reach_pos(circuit):
+    """Child that rewires the LSB carry to a PI: every carry changes."""
+    child = circuit.copy()
+    target = child.logic_ids()[1]
+    return child, set(child.substitute(target, child.pi_ids[0]))
+
+
+def _rewire_po(circuit):
+    """Child whose first PO reads the second PO's driver."""
+    child = circuit.copy()
+    po, other = child.po_ids[0], child.po_ids[1]
+    child.fanins[po] = child.fanins[other]
+    return child, {po}
+
+
+_CHANGES = [_swap_pins, _upsize, _to_constant, _reach_pos, _rewire_po]
+
+
+class TestEventDrivenValueWalk:
+    """``resimulate_cone`` == ``simulate`` bit for bit, whichever
+    fan-out map drives it, and it stops where values stop changing."""
+
+    @pytest.mark.parametrize("num_vectors", [256, 100])
+    @pytest.mark.parametrize("change", _CHANGES)
+    def test_matches_simulate(self, change, num_vectors):
+        circuit = build_adder(6)
+        vectors = random_vectors(len(circuit.pi_ids), num_vectors, seed=8)
+        base = simulate(circuit, vectors)
+        child, changed = change(circuit)
+        full = simulate(child, vectors)
+        for fanouts in (None, _shared_fanouts(child, circuit, changed)):
+            fast = resimulate_cone(child, vectors, base, changed, fanouts)
+            assert fast.index is base.index
+            assert np.array_equal(fast.matrix, full.matrix)
+
+    def test_reconvergent_paths_of_unequal_length(self):
+        # a reaches z directly and through x and w: z must wait for w,
+        # which a queue in first-come order would not do.
+        b = CircuitBuilder("reconverge")
+        p, q = b.pis(2)
+        a = b.and2(p, q)
+        w = b.inv(b.inv(a))
+        b.po(b.and2(a, w), "z")
+        circuit = b.done()
+        vectors = random_vectors(2, 64, seed=1)
+        base = simulate(circuit, vectors)
+        child = circuit.copy()
+        child.set_cell(a, "OR2D1")
+        fast = resimulate_cone(child, vectors, base, {a})
+        full = simulate(child, vectors)
+        assert not np.array_equal(full.matrix, base.matrix)
+        assert np.array_equal(fast.matrix, full.matrix)
+
+    def test_value_neutral_and_po_changes(self):
+        circuit = build_adder(6)
+        vectors = random_vectors(len(circuit.pi_ids), 256, seed=8)
+        base = simulate(circuit, vectors)
+        for change in (_swap_pins, _upsize):
+            child, changed = change(circuit)
+            fast = resimulate_cone(child, vectors, base, changed)
+            assert np.array_equal(fast.matrix, base.matrix)
+        child, changed = _reach_pos(circuit)
+        fast = resimulate_cone(child, vectors, base, changed)
+        assert not np.array_equal(
+            po_words(child, fast), po_words(circuit, base)
+        )
+
+    def test_crossover_child_matches_simulate(self, library):
+        ctx = _ctx(build_adder(6), library, seed=13, num_vectors=100)
+        ref = ctx.reference_eval()
+        rng = random.Random(13)
+        evs = [
+            evaluate_incremental(ctx, _random_lac_child(ref, rng), ref)
+            for _ in range(4)
+        ]
+        for i, j in [(0, 1), (1, 2), (2, 3), (0, 3)]:
+            kid = circuit_reproduce(evs[i], evs[j], ctx)
+            prov = kid.valid_provenance()
+            parent = next(e for e in evs if e.circuit is prov.parent)
+            fast = resimulate_cone(
+                kid, ctx.vectors, parent.values, prov.changed,
+                _shared_fanouts(kid, parent.circuit, prov.changed),
+            )
+            full = simulate(kid, ctx.vectors)
+            assert np.array_equal(fast.matrix, full.matrix)
+
+    @pytest.mark.parametrize("change", [_swap_pins, _upsize])
+    def test_value_neutral_change_evaluates_only_seeds(
+        self, change, monkeypatch
+    ):
+        circuit = build_adder(6)
+        vectors = random_vectors(len(circuit.pi_ids), 256, seed=8)
+        base = simulate(circuit, vectors)
+        child, changed = change(circuit)
+        (gid,) = changed
+        # A TFO walk would re-evaluate every logic gate of this cone.
+        assert len(
+            [g for g in circuit.transitive_fanout(gid) if circuit.is_logic(g)]
+        ) > 1
+        calls = []
+
+        def counting(fn):
+            def word_eval(inputs):
+                calls.append(fn.name)
+                return fn.word_eval(inputs)
+
+            return dataclasses.replace(fn, word_eval=word_eval)
+
+        monkeypatch.setattr(
+            bitsim,
+            "FUNCTIONS",
+            {name: counting(fn) for name, fn in FUNCTIONS.items()},
+        )
+        fast = resimulate_cone(child, vectors, base, changed)
+        assert calls == [split_cell_name(child.cells[gid])[0]]
+        assert np.array_equal(fast.matrix, base.matrix)
+
+
+def _random_lac_child(parent_eval, rng):
+    """A safe random LAC child of an evaluated circuit."""
+    circuit = parent_eval.circuit
+    logic = circuit.logic_ids()
+    while True:
+        target = rng.choice(logic)
+        tfi = sorted(circuit.transitive_fanin(target))
+        lac = LAC(target=target, switch=rng.choice(tfi + [CONST0, CONST1]))
+        if is_safe(circuit, lac):
+            return applied_copy(circuit, lac)
 
 
 # ----------------------------------------------------------------------
