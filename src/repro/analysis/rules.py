@@ -46,7 +46,6 @@ MEMO_ACCESSORS = frozenset(
         "transitive_fanin",
         "transitive_fanout",
         "timing_index",
-        "timing_levels",
         "po_bits",
         "value_rows",
         "value_store_index",

@@ -1,11 +1,7 @@
 """Static timing analysis substrate (PrimeTime substitute)."""
 
 from .analyzer import STAEngine, TimingReport
-from .store import (
-    TimingIndex,
-    timing_index,
-    timing_levels,
-)
+from .store import TimingIndex, timing_index
 from .paths import (
     critical_paths,
     path_delay,
@@ -28,7 +24,6 @@ __all__ = [
     "TimingReport",
     "TimingIndex",
     "timing_index",
-    "timing_levels",
     "critical_paths",
     "path_delay",
     "path_logic_gates",

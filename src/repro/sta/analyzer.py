@@ -10,10 +10,11 @@ critical-path backtraces.
 Results live in a **structure-of-arrays timing store**
 (:mod:`repro.sta.store`): numpy ``float64`` arrays for arrival/slew/load
 and ``int32`` arrays for unit depth / critical fan-in, indexed by the
-dense per-structure :class:`~repro.sta.store.TimingIndex`.  Propagation
-is the level-ordered frontier walk (:func:`~repro.sta.store.walk_frontier`)
-with every row seeded, one gate kernel for every gate; the floats equal
-the historical per-gate scalar walk exactly.
+dense per-structure :class:`~repro.sta.store.TimingIndex`.  The full
+pass evaluates every gate in topological order with
+:func:`~repro.sta.store.gate_timing`, the per-gate evaluation the
+incremental walk shares; the floats equal the historical per-gate
+scalar walk exactly.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ import numpy as np
 from ..analysis.sanitize import publish_arrays
 from ..cells import Library
 from ..netlist import Circuit
-from .store import (
-    TimingIndex,
-    timing_index,
-    timing_levels,
-    walk_frontier,
-)
+from .store import TimingIndex, gate_timing, timing_index
 
 
 class TimingReport:
@@ -251,26 +247,26 @@ class STAEngine:
     def analyze(self, circuit: Circuit) -> TimingReport:
         """Run full STA and return a :class:`TimingReport`.
 
-        Every row is seeded into :func:`~repro.sta.store.walk_frontier`
-        over the memoized :func:`~repro.sta.store.timing_levels`; the
-        fan-out map is empty because every row is already queued.
-        Accepts any DAG: the levels come from a topological order, not
-        from gate IDs.
+        Evaluates every gate in :meth:`Circuit.topological_order` with
+        :func:`~repro.sta.store.gate_timing`, as
+        :func:`repro.sim.simulate` does with its gate evaluation, so any
+        DAG is accepted.
         """
-        levels = timing_levels(circuit)
-        index = levels.index
+        index = timing_index(circuit)
         n = index.n
         loads = self._loads_array(circuit, index)
-        # Initialization covers PIs and the sentinel row in one shot:
-        # arrival 0, slew = input slew, depth 0, no critical fan-in.
+        # Every gate's row is written below; the initial values are the
+        # sentinel row's: arrival 0, slew = input slew, depth 0, no
+        # critical fan-in.
         arr = np.zeros(n + 1, dtype=np.float64)
         slew = np.full(n + 1, self.input_slew, dtype=np.float64)
         depth = np.zeros(n + 1, dtype=np.int32)
         cf = np.full(n + 1, -1, dtype=np.int32)
-        walk_frontier(
-            self, circuit, index, levels, {}, np.arange(n), loads,
-            arr, slew, depth, cf
-        )
+        timing = gate_timing(self, circuit, index, loads, arr, slew, depth)
+        row = index.row
+        for gid in circuit.topological_order():
+            r = row[gid]
+            arr[r], slew[r], depth[r], cf[r] = timing(gid, r)
         return TimingReport(
             circuit, index, arr, slew, loads, depth, cf, circuit.version
         )

@@ -4,11 +4,14 @@ A LAC or a resize perturbs timing only from a few seeds: the gates whose
 fan-in tuples or cells changed and every gate whose capacitive load
 changed (the old and new switch drivers, or a resized gate's fan-ins).
 :func:`update_timing` copies the parent report's arrays and seeds exactly
-those rows into :func:`~repro.sta.store.walk_frontier`, the same
-level-ordered walk a full :meth:`STAEngine.analyze` runs with every row
-seeded; the walk goes on past a gate only when its timing changed — the
-trick PrimeTime's incremental mode uses to make optimization loops
-affordable, without ever touching the untouched rows.
+those rows into :func:`~repro.sta.store.walk_frontier`, which pops gates
+in ascending gate ID (a topological order on the gid-topological
+circuits the optimizers evaluate) and evaluates each with
+:func:`~repro.sta.store.gate_timing`, the per-gate evaluation a full
+:meth:`STAEngine.analyze` runs over every gate.  The walk goes on past a
+gate only when its timing changed — the trick PrimeTime's incremental
+mode uses to make optimization loops affordable, without ever touching
+the untouched rows.
 
 Results are **bit-identical** to a fresh :meth:`STAEngine.analyze`; the
 equivalence is pinned by tests on randomly mutated circuits.  The walk's
@@ -18,13 +21,13 @@ outputs, which is what keeps that contract airtight.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from ..netlist import Circuit
 from .analyzer import STAEngine, TimingReport
-from .store import TimingIndex, TimingLevels, walk_frontier
+from .store import TimingIndex, walk_frontier
 
 
 class _PatchedFanouts:
@@ -173,20 +176,18 @@ def update_timing(
     analyzed: a distinct object, the parent unmutated since the report,
     the same gate-ID set and the same PO list.  Any other input (an
     in-place edit, a parent mutated after its report, gates added or
-    removed) returns :meth:`STAEngine.analyze` — the same walk with
-    every row seeded.  Callers list only gates whose fan-in tuple or
-    library cell was rewritten; load changes are rederived around them.
+    removed) returns :meth:`STAEngine.analyze`.  Callers list only gates
+    whose fan-in tuple or library cell was rewritten; load changes are
+    rederived around them.
 
     The child shares the parent's dense index and starts from copies of
     its five arrays; the changed rows and every row whose load changed
     seed :func:`~repro.sta.store.walk_frontier`, which takes consumers
     from the child's patched fan-out map (built once per child and
     shared with the value walk, see :func:`_shared_fanouts`).  The child
-    must be gid-topological (every population member is): the walk runs
-    on the parent's memoized levels when the child's rewired fan-ins
-    respect them (every LAC does — switches come from the TFI), else on
-    the sorted-gid rows, so the child never pays an O(V+E) schedule
-    build of its own.
+    must be gid-topological (every population member is): the walk pops
+    gates in ascending gate ID, so the child builds no schedule of its
+    own.
     """
     parent = previous.circuit
     if not (
@@ -220,82 +221,13 @@ def update_timing(
         r = row_of.get(g)
         if r is not None:
             dirty[r] = True
-    seeds = np.flatnonzero(dirty)
-    if len(seeds):
-        walk_frontier(
-            engine,
-            circuit,
-            index,
-            _schedule(previous, circuit, index, changed),
-            fanouts,
-            seeds,
-            loads,
-            arr,
-            slew,
-            depth,
-            cf,
-        )
+    walk_frontier(
+        engine, circuit, index, fanouts, np.flatnonzero(dirty), loads,
+        arr, slew, depth, cf,
+    )
     return TimingReport(
         circuit, index, arr, slew, loads, depth, cf, circuit.version
     )
-
-
-def _schedule(
-    previous: TimingReport,
-    circuit: Circuit,
-    index: TimingIndex,
-    changed: List[int],
-) -> TimingLevels:
-    """The level schedule a child's walk runs on.
-
-    The parent's *already-memoized* level assignment when it is still a
-    valid stratification of the child (every *rewired* fan-in sits at a
-    strictly lower parent level — LACs always qualify: switches come
-    from the target's TFI); otherwise one row per level over the
-    sorted-gid rows, which the gid-topological child makes a valid
-    stratification with no O(V+E) build at all.  The walk's results
-    are schedule-independent: every gate is evaluated after its
-    fan-ins either way.
-    """
-    plevels = previous.circuit._cached("timing_levels")
-    if plevels is not None and _shared_levels_valid(
-        plevels.level_of, index.row, circuit, changed
-    ):
-        return plevels
-    n = index.n
-    return TimingLevels(index, np.arange(n, dtype=np.int32), n)
-
-
-def _shared_levels_valid(
-    level_of: np.ndarray,
-    row_of: Dict[int, int],
-    circuit: Circuit,
-    changed: Iterable[int],
-) -> bool:
-    """Can the parent's level schedule drive this child's dirty cone?
-
-    Only the *changed* gates can have rewired fan-ins; every one of
-    them (and each of its non-constant fan-ins) must exist in the
-    parent index with the fan-in at a strictly lower level.  Unchanged
-    gates carry the parent's edges and are valid by construction, and
-    every LAC passes (switches come from the target's TFI).
-    """
-    fanins = circuit.fanins
-    for gid in changed:
-        if gid < 0:
-            continue
-        rg = row_of.get(gid)
-        fis = fanins.get(gid)
-        if rg is None or fis is None:
-            return False
-        lg = level_of[rg]
-        for fi in fis:
-            if fi < 0:
-                continue
-            rf = row_of.get(fi)
-            if rf is None or level_of[rf] >= lg:
-                return False
-    return True
 
 
 def update_timing_batch(

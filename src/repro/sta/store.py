@@ -9,13 +9,13 @@ dense array replacement:
   *sorted* gate IDs, so any two circuits over the same ID set agree on
   row numbering regardless of dict insertion order).  Memoized per
   circuit structure version alongside ``topological_order()``.
-* :class:`TimingLevels` — the topological level of every row, the
-  schedule :func:`walk_frontier` buckets its rows by.  Also memoized per
-  structure version.
-* :func:`walk_frontier` — the one arrival propagation: a level-ordered
-  frontier walk over the arrays.  Full analysis seeds every row;
-  incremental update seeds the rows an edit touched.
-* :func:`eval_gate_scalar` — the walk's one gate kernel: NLDM bilinear
+* :func:`gate_timing` — the one per-gate timing evaluation, shared by
+  the full pass (:meth:`STAEngine.analyze`, every gate in topological
+  order) and the incremental walk.
+* :func:`walk_frontier` — the incremental walk: seeded with the rows an
+  edit touched, it pops gates in ascending gate ID and stops at every
+  gate whose timing did not change.
+* :func:`eval_gate_scalar` — the one logic-gate kernel: NLDM bilinear
   interpolation that is **bit-identical** to :meth:`NLDMTable.lookup`
   (same index selection, same IEEE-754 operation order) while locating
   each table axis once per gate or fan-in instead of once per lookup.
@@ -29,7 +29,8 @@ that need to mutate must copy (``update_timing`` does).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from heapq import heappop, heappush
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -77,45 +78,6 @@ def timing_index(circuit: Circuit) -> TimingIndex:
         count=len(circuit.po_ids),
     )
     return circuit._store("timing_index", TimingIndex(gids, row, po_rows))
-
-
-class TimingLevels:
-    """Topological level assignment over one circuit structure.
-
-    ``level_of[row]`` is one past the gate's deepest non-constant
-    fan-in, so :func:`walk_frontier`, visiting rows level by level,
-    reaches every gate after all of its fan-ins.
-    """
-
-    __slots__ = ("index", "level_of", "num_levels")
-
-    def __init__(self, index: TimingIndex, level_of: np.ndarray, num_levels: int):
-        self.index = index
-        self.level_of = level_of
-        self.num_levels = num_levels
-
-
-def timing_levels(circuit: Circuit) -> TimingLevels:
-    """The circuit's :class:`TimingLevels`, memoized per structure version."""
-    cached = circuit._cached("timing_levels")
-    if cached is not None:
-        return cached
-    index = timing_index(circuit)
-    row = index.row
-    fanins = circuit.fanins
-    level = np.zeros(index.n, dtype=np.int32)
-    for gid in circuit.topological_order():
-        lv = 0
-        for fi in fanins[gid]:
-            if fi >= 0:
-                cand = level[row[fi]] + 1
-                if cand > lv:
-                    lv = cand
-        level[row[gid]] = lv
-    num_levels = int(level.max()) + 1 if index.n else 0
-    return circuit._store(
-        "timing_levels", TimingLevels(index, level, num_levels)
-    )
 
 
 def eval_gate_scalar(cell, fan_timing, load: float, input_slew: float):
@@ -173,11 +135,65 @@ def eval_gate_scalar(cell, fan_timing, load: float, input_slew: float):
     return best, top * (1.0 - fs) + bot * fs, best_depth + 1, best_src
 
 
+def gate_timing(
+    engine,
+    circuit: Circuit,
+    index: TimingIndex,
+    loads: np.ndarray,
+    arr: np.ndarray,
+    slew: np.ndarray,
+    depth: np.ndarray,
+):
+    """The one per-gate timing evaluation behind both STA passes.
+
+    Returns ``timing(gid, r)``: the ``(arrival, slew, depth,
+    critical_fanin)`` of gate ``gid`` at row ``r``, read from its
+    fan-ins' rows of ``arr``, ``slew`` and ``depth`` and from its load
+    ``loads[r]``.  A PI launches at 0 with the engine's input slew, a
+    PO mirrors its single fan-in, and a logic gate takes
+    :func:`eval_gate_scalar`; constant fan-ins read as
+    ``(0.0, input_slew, 0, -1)``.  :meth:`STAEngine.analyze` calls it
+    in topological order and :func:`walk_frontier` in ascending gate
+    ID, so every fan-in row is final when it is read.
+    """
+    row_of = index.row
+    fanins_map = circuit.fanins
+    cells_map = circuit.cells
+    lib_cell = engine.library.cell
+    input_slew = engine.input_slew
+    source = (0.0, input_slew, 0, -1)
+
+    def timing(gid: int, r: int):
+        cell_name = cells_map[gid]
+        fis = fanins_map[gid]
+        if cell_name == PI_CELL:
+            return source
+        if cell_name == PO_CELL:
+            src = fis[0]
+            if src < 0:
+                return source
+            sr = row_of[src]
+            return float(arr[sr]), float(slew[sr]), int(depth[sr]), src
+        fan_timing = []
+        for fi in fis:
+            if fi < 0:
+                fan_timing.append(source)
+            else:
+                fr = row_of[fi]
+                fan_timing.append(
+                    (float(arr[fr]), float(slew[fr]), int(depth[fr]), fi)
+                )
+        return eval_gate_scalar(
+            lib_cell(cell_name), fan_timing, float(loads[r]), input_slew
+        )
+
+    return timing
+
+
 def walk_frontier(
     engine,
     circuit: Circuit,
     index: TimingIndex,
-    levels: TimingLevels,
     fanouts,
     seeds: np.ndarray,
     loads: np.ndarray,
@@ -188,82 +204,36 @@ def walk_frontier(
 ) -> None:
     """Re-evaluate the ``seeds`` rows and every row they perturb, in place.
 
-    The one arrival propagation behind both STA paths.  ``seeds`` holds
-    unique rows; the walk visits them bucketed by ``levels`` (any valid
-    stratification: every fan-in sits at a strictly lower level), so a
-    gate is evaluated once, after all of its fan-ins.  A re-evaluated
-    gate queues its consumers from ``fanouts`` (anything with a
-    ``get(gid, default)``) when **any** of its four outputs (arrival,
-    slew, unit depth, critical fan-in) changed, compared exactly: a
-    tolerance would let floats drift from a fresh analysis, and
-    stopping on arrival/slew alone would leave downstream depth and
-    backtrace rows stale when a tie between fan-ins resolves
-    differently.
-
-    :meth:`STAEngine.analyze` seeds every row with an empty fan-out map
-    (everything is already queued); :func:`update_timing` seeds the
-    changed rows plus every row whose load changed.  Every logic gate
-    takes :func:`eval_gate_scalar`.
+    :func:`update_timing`'s arrival propagation.  ``seeds`` holds unique
+    rows in ascending order, so their gate IDs already form a heap; the
+    walk pops gates in ascending gate ID, which is a topological order
+    because ``circuit`` must be gid-topological (every population
+    member is), so a gate is evaluated once, after all of its fan-ins,
+    by :func:`gate_timing`.  A re-evaluated gate queues its consumers
+    from ``fanouts`` (anything with a ``get(gid, default)``) when
+    **any** of its four outputs (arrival, slew, unit depth, critical
+    fan-in) changed, compared exactly: a tolerance would let floats
+    drift from a fresh analysis, and stopping on arrival/slew alone
+    would leave downstream depth and backtrace rows stale when a tie
+    between fan-ins resolves differently.
     """
-    n = index.n
-    gids = index.gids
     row_of = index.row
-    level_of = levels.level_of
-    fanins_map = circuit.fanins
-    cells_map = circuit.cells
-    lib_cell = engine.library.cell
-    input_slew = engine.input_slew
-    queued = np.zeros(n, dtype=bool)
-    queued[seeds] = True
-    buckets: List[List[int]] = [[] for _ in range(levels.num_levels)]
-    for r, lv in zip(seeds.tolist(), level_of[seeds].tolist()):
-        buckets[lv].append(r)
-
-    for bucket in buckets:
-        for r in bucket:
-            gid = int(gids[r])
-            cell_name = cells_map[gid]
-            fis = fanins_map[gid]
-            if cell_name == PI_CELL:
-                na, ns, nd, ncf = 0.0, input_slew, 0, -1
-            elif cell_name == PO_CELL:
-                src = fis[0]
-                if src < 0:
-                    na, ns, nd, ncf = 0.0, input_slew, 0, -1
-                else:
-                    sr = row_of[src]
-                    na = float(arr[sr])
-                    ns = float(slew[sr])
-                    nd = int(depth[sr])
-                    ncf = src
-            else:
-                fan_timing = []
-                for fi in fis:
-                    if fi < 0:
-                        fan_timing.append((0.0, input_slew, 0, -1))
-                    else:
-                        fr = row_of[fi]
-                        fan_timing.append(
-                            (
-                                float(arr[fr]),
-                                float(slew[fr]),
-                                int(depth[fr]),
-                                fi,
-                            )
-                        )
-                na, ns, nd, ncf = eval_gate_scalar(
-                    lib_cell(cell_name), fan_timing, float(loads[r]), input_slew
-                )
-            out_changed = (
-                na != arr[r] or ns != slew[r] or nd != depth[r] or ncf != cf[r]
-            )
-            arr[r] = na
-            slew[r] = ns
-            depth[r] = nd
-            cf[r] = ncf
-            if out_changed:
-                for fo in fanouts.get(gid, ()):
-                    fr = row_of[fo]
-                    if not queued[fr]:
-                        queued[fr] = True
-                        buckets[level_of[fr]].append(fr)
+    timing = gate_timing(engine, circuit, index, loads, arr, slew, depth)
+    heap = index.gids[seeds].tolist()
+    queued = set(heap)
+    while heap:
+        gid = heappop(heap)
+        r = row_of[gid]
+        na, ns, nd, ncf = timing(gid, r)
+        out_changed = (
+            na != arr[r] or ns != slew[r] or nd != depth[r] or ncf != cf[r]
+        )
+        arr[r] = na
+        slew[r] = ns
+        depth[r] = nd
+        cf[r] = ncf
+        if out_changed:
+            for fo in fanouts.get(gid, ()):
+                if fo not in queued:
+                    queued.add(fo)
+                    heappush(heap, fo)

@@ -246,16 +246,28 @@ class TestIncrementalSTA:
         self._assert_reports_match(full, fast)
 
     def test_chain_of_edits(self, adder8, library):
-        """Repeated incremental updates must not drift from full STA."""
+        """Repeated incremental updates must not drift from full STA.
+
+        Each step retimes a copy of the previous step's circuit against
+        the report the previous ``update_timing`` returned.
+        """
         engine = STAEngine(library)
-        child = adder8.copy()
-        report = engine.analyze(child)
+        circuit = adder8
+        report = engine.analyze(circuit)
+        steps = 0
         for idx in (3, 9, 15):
-            logic = child.logic_ids()
+            logic = circuit.logic_ids()
             target = logic[idx % len(logic)]
-            if not child.fanouts()[target]:
+            if not circuit.fanouts()[target]:
                 continue
+            child = circuit.copy()
             changed = child.substitute(target, CONST0)
-            report = update_timing(engine, child, report, changed)
-        full = engine.analyze(child)
+            inc = update_timing(engine, child, report, changed)
+            # Same rows as the parent: the step did not fall back to
+            # analyze, which would build the child its own index.
+            assert inc.index is report.index
+            circuit, report = child, inc
+            steps += 1
+        assert steps == 3
+        full = engine.analyze(circuit)
         self._assert_reports_match(full, report)

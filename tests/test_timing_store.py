@@ -12,7 +12,8 @@ Four contracts are pinned here:
 * ``update_timing`` propagates whenever **any** of a gate's four
   outputs changed, compared exactly — the tie-resolution and
   tolerance-drift bugs both lived in that predicate (a constant-delay
-  tie library reproduces them deterministically and property-style);
+  tie library reproduces them deterministically and property-style) —
+  and stops at a gate whose outputs did not change;
 * the store's transport contract: reports pickle/pack as raw arrays
   and rebuild their dense index from the circuit on the other side.
 """
@@ -63,6 +64,7 @@ from repro.sta import (
     update_timing,
     update_timing_batch,
 )
+from repro.sta import store
 from repro.sta.store import eval_gate_scalar
 
 
@@ -598,7 +600,8 @@ class TestTiePropagation:
 
 
 class TestLevelReuse:
-    """The parent's memoized level schedule must only be reused validly."""
+    """A child reuses its parent's row index, and never a parent
+    mutated after its report."""
 
     def test_lac_child_reuses_parent_index(self, library):
         circuit = build_adder(6)
@@ -616,8 +619,8 @@ class TestLevelReuse:
         previous = engine.analyze(circuit)
         child = circuit.copy()
         changed = child.substitute(child.logic_ids()[3], -1)
-        # Mutate the parent *after* the report: its cached levels no
-        # longer describe the structure the report was computed for.
+        # Mutate the parent *after* the report: it no longer has the
+        # structure the report was computed for.
         circuit.set_cell(circuit.logic_ids()[0], "AND2D2")
         inc = update_timing(engine, child, previous, changed)
         _assert_same_timing(child, inc, engine.analyze(child))
@@ -634,6 +637,38 @@ class TestLevelReuse:
         changed = child.substitute(target, -1)
         circuit.substitute(target, -2)  # parent rewired in place
         inc = update_timing(engine, child, previous, changed)
+        _assert_same_timing(child, inc, engine.analyze(child))
+
+
+class TestFrontierStopRule:
+    """``update_timing``'s walk stops at a gate whose four outputs are
+    unchanged: the gate's fan-out cone is neither evaluated nor
+    queued."""
+
+    def test_unchanged_gate_stops_the_walk(self, library, monkeypatch):
+        circuit = build_adder(8)
+        engine = STAEngine(library)
+        previous = engine.analyze(circuit)
+        gid = 20
+        assert circuit.cells[gid].startswith("MAJ3")
+        assert len(circuit.transitive_fanout(gid)) == 19
+        row = previous.index.row
+        arrivals = [previous.arrival_a[row[f]] for f in circuit.fanins[gid]]
+        # One fan-in arrives last, so it wins under any pin order.
+        assert arrivals.count(max(arrivals)) == 1
+        child = circuit.copy()
+        fis = child.fanins[gid]
+        child.fanins[gid] = fis[1:] + fis[:1]  # rotate the pins
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return eval_gate_scalar(*args)
+
+        monkeypatch.setattr(store, "eval_gate_scalar", counting)
+        inc = update_timing(engine, child, previous, [gid])
+        # The seed only: a walk that never stops evaluates its cone too.
+        assert len(calls) == 1
         _assert_same_timing(child, inc, engine.analyze(child))
 
 
@@ -696,7 +731,7 @@ def _fanout_heavy_circuit():
     return b.done(), src, alt
 
 
-class TestStackedFrontier:
+class TestParentGroups:
     """Group timing and evaluation of one parent's children == full
     ``analyze``/``evaluate``, bit for bit (ties, wide frontiers, deleted
     gates, stale parents, crossover children)."""
@@ -717,7 +752,7 @@ class TestStackedFrontier:
             assert got.index is previous.index  # shares the parent's rows
             _assert_same_timing(child, got, engine.analyze(child))
 
-    def test_tie_reresolution_stacked(self, tie_library):
+    def test_tie_reresolution_batch(self, tie_library):
         rng = random.Random(3)
         circuit = _random_tie_circuit(rng)
         engine = _tie_engine(tie_library)
@@ -733,7 +768,7 @@ class TestStackedFrontier:
         for (child, _), got in zip(children, batch):
             _assert_same_timing(child, got, engine.analyze(child))
 
-    def test_wide_dirty_frontier_sequential_vectorized(self, library):
+    def test_wide_dirty_frontier(self, library):
         # A single edit that dirties 12 same-cell gates on one level.
         circuit, src, alt = _fanout_heavy_circuit()
         engine = STAEngine(library)
@@ -743,7 +778,7 @@ class TestStackedFrontier:
         inc = update_timing(engine, child, previous, changed)
         _assert_same_timing(child, inc, engine.analyze(child))
 
-    def test_wide_dirty_frontier_stacked(self, library):
+    def test_wide_dirty_frontier_batch(self, library):
         circuit, src, alt = _fanout_heavy_circuit()
         engine = STAEngine(library)
         previous = engine.analyze(circuit)
@@ -818,7 +853,7 @@ class TestStackedFrontier:
             assert g.report.max_unit_depth == r.report.max_unit_depth
             _assert_same_timing(g.circuit, g.report, r.report)
 
-    def test_crossover_children_stacked_identity(self, library):
+    def test_crossover_children_batch_identity(self, library):
         circuit = build_adder(6)
         ctx = EvalContext.build(
             circuit, library, ErrorMode.ER, num_vectors=128, seed=13
