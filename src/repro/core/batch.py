@@ -6,9 +6,10 @@
   its ``(full structure key, library digest, vector digest)`` address;
 * children are grouped by the parent evaluation their provenance record
   points at (:func:`group_by_parent`), and each group runs the per-child
-  value and timing walks once (:func:`repro.core.fitness._evaluate_cones`),
-  reusing the parent's memoized row index and fan-out map — a child
-  never builds its own O(V+E) structures;
+  walks (:func:`repro.core.fitness._evaluate_cones`; a child's timing
+  walk runs on the first read of its timing), reusing the parent's
+  memoized row index and fan-out map — a child never builds its own
+  O(V+E) structures;
 * children in ``singles`` (no valid provenance match) that share a full
   structure key are evaluated once per key and the result is shared by
   item index.

@@ -25,13 +25,34 @@ Two evaluation paths produce bit-identical results:
   :func:`repro.core.batch.evaluate_batch` once per parent group; both
   fall back to the full path whenever the provenance is missing, stale,
   or no matching parent eval is supplied.
+
+A matched child's values and error are computed at once, its timing
+on first read: the timing walk and the Eq. 8 fields that follow from it
+(``report``, ``depth``, ``area``, ``fd``, ``fa``, ``fitness``) run
+together the first time any of them is read (:class:`CircuitEval`).
+The optimizers read ``error`` first and drop a child over the bound,
+so such a child is never timed.  Every other path — :func:`evaluate`,
+the reference eval, lake hits and shard replies — builds complete
+evals, and pickling forces pending timing.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -49,7 +70,7 @@ from ..sim import (
     simulate,
 )
 from ..sim.error import make_unpack_cache
-from ..sta import STAEngine, TimingReport, update_timing_batch
+from ..sta import STAEngine, TimingReport, update_timing
 from ..sta.incremental import _shared_fanouts
 
 #: Guard against division by zero on fully-degenerate circuits.
@@ -204,13 +225,28 @@ class EvalContext:
         )
 
 
+#: The fields a timing report decides; a pending eval computes them
+#: together on the first read of any one (see :class:`CircuitEval`).
+_TIMED = frozenset(("report", "depth", "area", "fd", "fa", "fitness"))
+
+
 @dataclass
 class CircuitEval:
-    """A fully-evaluated approximate circuit.
+    """An evaluated approximate circuit.
 
     ``fd`` and ``fa`` are the paper's depth/area objective functions
     (``Depth_ori/Depth_app`` and ``Area_ori/Area_app``); ``fitness`` is
     their Eq. 8 weighted sum.  Larger is better for all three.
+
+    A child evaluated against its parent (:func:`_evaluate_cones`) is
+    built with its timing pending: ``values``, ``error`` and
+    ``per_po_error`` are set, and ``report``, ``depth``, ``area``,
+    ``fd``, ``fa`` and ``fitness`` (and so ``cpd``) are computed
+    together on the first read of any of them, bit for bit what
+    :func:`evaluate` gives.  The pending computation holds the parent's
+    report, and so the parent circuit, until it runs; it is dropped
+    after.  It refuses a circuit mutated since evaluation, and pickling
+    runs it first.
     """
 
     circuit: Circuit
@@ -232,20 +268,53 @@ class CircuitEval:
         """Critical-path delay of this circuit (ps)."""
         return self.report.cpd
 
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute the instance lacks: a timed
+        # field of an eval whose timing is still pending.
+        if name in _TIMED and "_pending" in self.__dict__:
+            self._run_timing()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        if "_pending" in self.__dict__:
+            self._run_timing()
+        return self.__dict__
+
+    def _run_timing(self) -> None:
+        """Compute the pending timed fields and drop the computation."""
+        if self.circuit.version != self.circuit_version:
+            raise RuntimeError(
+                "circuit changed since it was evaluated; its pending "
+                "timing would describe a different circuit"
+            )
+        state = self.__dict__
+        state.update(state["_pending"]())
+        del state["_pending"]
+
 
 def _finish_eval(
     ctx: EvalContext,
     circuit: Circuit,
-    report: TimingReport,
+    report: Union[TimingReport, Callable[[], TimingReport]],
     values: ValueStore,
 ) -> CircuitEval:
     """Shared metric tail: error + area + Eq. 8 from report and values.
 
-    Both evaluation paths funnel through here so their outputs are
-    computed by the exact same float operations.  Consumes the circuit's
-    provenance record (sets it to ``None``) — once evaluated, the eval
-    itself is the parent future children derive from, and dropping the
-    record releases the reference chain to older ancestors.
+    Every evaluation path funnels through here so their outputs are
+    computed by the exact same float operations.  ``values``, ``error``
+    and ``per_po_error`` are computed at once.  ``report`` is either
+    the circuit's :class:`TimingReport` or a function that computes it;
+    given a function, the eval's timed fields stay pending until first
+    read (see :class:`CircuitEval`).  The context fields Eq. 8 reads
+    are captured now, so the result does not depend on when that is.
+
+    Consumes the circuit's provenance record (sets it to ``None``) —
+    once evaluated, the eval itself is the parent future children
+    derive from, and dropping the record releases the reference chain
+    to older ancestors.
     """
     app_po = po_words(circuit, values)
     nv = ctx.vectors.num_vectors
@@ -257,29 +326,38 @@ def _finish_eval(
         ref_cache=ctx._ref_unpack_cache,
     )
     po_errors = per_po_error(ctx.error_mode, ctx.reference_po, app_po, nv)
-    depth = (
-        report.cpd
-        if ctx.depth_mode is DepthMode.DELAY
-        else float(report.max_unit_depth)
-    )
-    area = circuit.area(ctx.library)
-    fd = ctx.depth_ori / max(depth, _EPS)
-    fa = ctx.area_ori / max(area, _EPS)
-    fitness = ctx.wd * fd + ctx.wa * fa
+    library = ctx.library
+    delay = ctx.depth_mode is DepthMode.DELAY
+    depth_ori, area_ori, wd = ctx.depth_ori, ctx.area_ori, ctx.wd
+    wa = 1.0 - wd  # ctx.wa
+
+    def timed(report: TimingReport) -> Dict[str, Any]:
+        depth = report.cpd if delay else float(report.max_unit_depth)
+        area = circuit.area(library)
+        fd = depth_ori / max(depth, _EPS)
+        fa = area_ori / max(area, _EPS)
+        return dict(
+            report=report,
+            depth=depth,
+            area=area,
+            fd=fd,
+            fa=fa,
+            fitness=wd * fd + wa * fa,
+        )
+
     circuit.provenance = None
-    return CircuitEval(
+    known = dict(
         circuit=circuit,
-        report=report,
         values=values,
-        depth=depth,
-        area=area,
         error=error,
         per_po_error=po_errors,
-        fd=fd,
-        fa=fa,
-        fitness=fitness,
         circuit_version=circuit.version,
     )
+    if isinstance(report, TimingReport):
+        return CircuitEval(**known, **timed(report))
+    ev = object.__new__(CircuitEval)
+    ev.__dict__.update(known, _pending=lambda: timed(report()))
+    return ev
 
 
 def evaluate(ctx: EvalContext, circuit: Circuit) -> CircuitEval:
@@ -332,19 +410,19 @@ def _evaluate_cones(
     around the changed gates (memoized on the child) — the child never
     builds an O(V+E) map of its own.  Each such child runs the
     event-driven value walk from its changed gates
-    (:func:`repro.sim.resimulate_cone`), the group is retimed through
-    :func:`repro.sta.update_timing_batch` on the same map, and the
-    metric tail runs through :func:`_finish_eval`.  A child whose
-    gate-ID set diverged from the parent's (gates added or removed)
-    takes :func:`evaluate`.  Results are bit-identical to
-    :func:`evaluate` for every child.
+    (:func:`repro.sim.resimulate_cone`) and the metric tail
+    (:func:`_finish_eval`) with its timing pending: the first read of
+    a timed field runs :func:`repro.sta.update_timing` against the
+    parent's report on the same map.  A child whose gate-ID set
+    diverged from the parent's (gates added or removed) takes
+    :func:`evaluate`.  Results are bit-identical to :func:`evaluate`
+    for every child.
     """
-    out: List[Optional[CircuitEval]] = [None] * len(children)
+    out: List[CircuitEval] = []
     pc = parent.circuit
-    walked = []
-    for k, (circuit, changed) in enumerate(children):
+    for circuit, changed in children:
         if not circuit.same_gid_set(pc):
-            out[k] = evaluate(ctx, circuit)
+            out.append(evaluate(ctx, circuit))
             continue
         values = resimulate_cone(
             circuit,
@@ -353,15 +431,11 @@ def _evaluate_cones(
             changed,
             _shared_fanouts(circuit, pc, changed),
         )
-        walked.append((k, circuit, changed, values))
-    reports = update_timing_batch(
-        ctx.sta,
-        parent.report,
-        [(circuit, changed) for _, circuit, changed, _ in walked],
-    )
-    for (k, circuit, _, values), report in zip(walked, reports):
-        out[k] = _finish_eval(ctx, circuit, report, values)
-    return out  # type: ignore[return-value]
+        report = partial(
+            update_timing, ctx.sta, circuit, parent.report, changed
+        )
+        out.append(_finish_eval(ctx, circuit, report, values))
+    return out
 
 
 def evaluate_incremental(

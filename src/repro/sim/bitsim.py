@@ -28,17 +28,25 @@ from .vectors import VectorSet
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
+#: Cell name -> its function's name, so each cell name is parsed once;
+#: a name that fails to parse is not stored.  The function itself is
+#: looked up in ``FUNCTIONS`` per call.
+_FUNCTION_OF: Dict[str, str] = {}
+
 
 def _gate_words(cell: str, fis, matrix: np.ndarray, rows) -> np.ndarray:
     """One PO or logic gate's output words from its fan-in rows.
 
     The one gate evaluation behind :func:`simulate` and
     :func:`resimulate_cone`: a PO mirrors its single fan-in, a logic
-    gate applies its cell function to the packed fan-in words.
+    gate applies its cell function to the packed fan-in words.  A cell
+    name that does not parse raises ``ValueError``.
     """
     if cell == PO_CELL:
         return matrix[rows[fis[0]]]
-    function, _ = split_cell_name(cell)
+    function = _FUNCTION_OF.get(cell)
+    if function is None:
+        function = _FUNCTION_OF[cell] = split_cell_name(cell)[0]
     return FUNCTIONS[function].word_eval([matrix[rows[fi]] for fi in fis])
 
 

@@ -17,6 +17,12 @@ Results are **bit-identical** to a fresh :meth:`STAEngine.analyze`; the
 equivalence is pinned by tests on randomly mutated circuits.  The walk's
 changed-predicate is exact (no tolerance) and covers all four per-gate
 outputs, which is what keeps that contract airtight.
+
+The evaluator runs :func:`update_timing` once per child, on the first
+read of the child's timing (see :class:`repro.core.fitness.CircuitEval`),
+so a child whose timing is never read is never walked.
+:func:`update_timing_batch`, a loop over it, has no caller in the
+package; perfbench's tracer still binds it.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ regression tests for the structural cache invalidation, the stable
 from __future__ import annotations
 
 import gc
+import pickle
 import random
 import subprocess
 import sys
@@ -38,10 +39,12 @@ from repro.core import (
     applied_copy,
     circuit_reproduce,
     evaluate,
+    evaluate_batch,
     evaluate_incremental,
     is_safe,
     simplified_copy,
 )
+from repro.core import fitness as fitness_module
 from repro.core.fitness import DepthMode
 from repro.core.simplify import propose_simplification
 from repro.netlist import (
@@ -318,7 +321,9 @@ class TestRenumberOnEntry:
 class TestAncestryRelease:
     def test_evaluated_child_does_not_pin_its_parent(self, library):
         # Reference counting alone must free a parent once its eval is
-        # dropped: an evaluated child holds no reference to it.
+        # dropped: a child whose timing has been read holds no reference
+        # to it.  (An untimed child keeps its parent's report and circuit
+        # until its timing runs; see TestDeferredTiming.)
         circuit = build_adder(8)
         ctx = EvalContext.build(
             circuit, library, ErrorMode.NMED, num_vectors=128, seed=2
@@ -335,6 +340,7 @@ class TestAncestryRelease:
             lac = _random_safe_lac(parent, parent_ev.values, rng, nv)
             child = applied_copy(parent, lac)
             child_ev = evaluate_incremental(ctx, child, parent_ev)
+            assert child_ev.fitness > 0.0
             ref = weakref.ref(parent)
             del parent, parent_ev
             assert ref() is None
@@ -342,6 +348,118 @@ class TestAncestryRelease:
         finally:
             if enabled:
                 gc.enable()
+
+
+def _pending(ev):
+    """Whether ``ev``'s timing has not been computed yet."""
+    return "_pending" in vars(ev)
+
+
+class TestDeferredTiming:
+    """A child's timing runs on the first read of a timed field."""
+
+    @staticmethod
+    def _context(library):
+        ctx = EvalContext.build(
+            build_adder(8), library, ErrorMode.ER, num_vectors=128, seed=2
+        )
+        ctx.lake = False  # lake write-through would time every child
+        return ctx
+
+    @staticmethod
+    def _children(ctx, count, seed=5):
+        root = ctx.reference_eval()
+        rng = random.Random(seed)
+        nv = ctx.vectors.num_vectors
+        children = []
+        while len(children) < count:
+            lac = _random_safe_lac(ctx.reference, root.values, rng, nv)
+            children.append(applied_copy(ctx.reference, lac))
+        return root, children
+
+    @staticmethod
+    def _count_update_timing(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return update_timing(*args, **kwargs)
+
+        monkeypatch.setattr(fitness_module, "update_timing", counting)
+        return calls
+
+    def test_timing_runs_once_on_first_read(self, library, monkeypatch):
+        ctx = self._context(library)
+        root, children = self._children(ctx, 4)
+        calls = self._count_update_timing(monkeypatch)
+        evals = evaluate_batch(ctx, [(c, root) for c in children])
+        assert calls == []
+        assert all(_pending(ev) for ev in evals)
+        first = evals[0]
+        assert first.fitness > 0.0
+        assert calls == [first.circuit]
+        assert first.report.circuit is first.circuit
+        assert first.fd > 0.0
+        assert calls == [first.circuit]
+        assert not _pending(first)
+        assert all(_pending(ev) for ev in evals[1:])
+
+    def test_pickle_forces_timing_and_round_trips(self, library):
+        ctx = self._context(library)
+        root, (child,) = self._children(ctx, 1)
+        twin = child.copy()
+        ev = evaluate_incremental(ctx, child, root)
+        assert _pending(ev)
+        clone = pickle.loads(pickle.dumps(ev))
+        assert not _pending(ev)
+        want = evaluate(ctx, twin)
+        # The five timing arrays (pack()'s last entry is the version).
+        for got, expected in zip(
+            clone.report.pack()[:5], want.report.pack()[:5]
+        ):
+            assert np.array_equal(got, expected)
+        for name in ("depth", "area", "fd", "fa", "fitness", "error"):
+            assert getattr(clone, name) == getattr(want, name), name
+        assert clone.per_po_error == want.per_po_error
+        assert np.array_equal(clone.values.matrix, want.values.matrix)
+
+    def test_reading_timing_after_a_mutation_raises(self, library):
+        ctx = self._context(library)
+        root, (child,) = self._children(ctx, 1)
+        ev = evaluate_incremental(ctx, child, root)
+        gid = child.logic_ids()[0]
+        child.set_cell(gid, library.upsize(child.cells[gid]).name)
+        with pytest.raises(RuntimeError, match="changed since"):
+            ev.fitness
+        with pytest.raises(RuntimeError, match="changed since"):
+            pickle.dumps(ev)
+
+    def test_run_times_only_children_it_reads(self, library, monkeypatch):
+        # ER 5% on an 8-bit adder: most single-LAC children exceed the
+        # bound, so their timing is never read.  The run still equals
+        # its full-evaluation oracle, and every survivor is timed, so no
+        # pending computation chains a member to its ancestors.
+        walks = []
+        timings = self._count_update_timing(monkeypatch)
+
+        def counting_walk(circuit, *args, **kwargs):
+            walks.append(circuit)
+            return resimulate_cone(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(fitness_module, "resimulate_cone", counting_walk)
+        built = []
+
+        def build():
+            ctx = self._context(library)
+            cfg = DCGWOConfig(population_size=6, imax=4, seed=21, jobs=1)
+            built.append(DCGWO(ctx, 0.05, cfg))
+            return built[-1]
+
+        assert_matches_full_evaluation(build)
+        assert 0 < len(timings) < len(walks)
+        state = built[0].last_state
+        assert state.best is not None and not _pending(state.best)
+        assert not any(_pending(ev) for ev in state.population)
 
 
 class TestFullEvaluationOracle:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cells import split_cell_name
 from repro.netlist import CONST0, CONST1, CircuitBuilder
 from repro.sim import (
     ErrorMode,
@@ -25,6 +26,7 @@ from repro.sim import (
     similarity,
     simulate,
 )
+from repro.sim import bitsim
 from repro.sim.vectors import VectorSet
 
 
@@ -127,6 +129,32 @@ class TestSimulate:
         full = simulate(approx, vecs)
         for gid in approx.fanins:
             assert (fast[gid] == full[gid]).all(), gid
+
+    def test_cell_names_parsed_once(self, adder4, monkeypatch):
+        parsed = []
+
+        def counting(name):
+            parsed.append(name)
+            return split_cell_name(name)
+
+        monkeypatch.setattr(bitsim, "_FUNCTION_OF", {})
+        monkeypatch.setattr(bitsim, "split_cell_name", counting)
+        vecs = exhaustive_vectors(8)
+        want = simulate(adder4, vecs)
+        got = simulate(adder4, vecs)
+        assert np.array_equal(got.matrix, want.matrix)
+        logic = {adder4.cells[g] for g in adder4.logic_ids()}
+        assert sorted(parsed) == sorted(logic)
+
+    def test_bad_cell_name_raises_every_time(self, adder4, monkeypatch):
+        monkeypatch.setattr(bitsim, "_FUNCTION_OF", {})
+        vecs = exhaustive_vectors(8)
+        bad = adder4.copy()
+        bad.cells[bad.logic_ids()[0]] = "NOT_A_CELL"
+        for _ in range(2):
+            with pytest.raises(ValueError, match="NOT_A_CELL"):
+                simulate(bad, vecs)
+        assert "NOT_A_CELL" not in bitsim._FUNCTION_OF
 
 
 class TestErrorMetrics:
