@@ -1,16 +1,19 @@
-"""Count the lines of ``src/`` in one or more checkouts.
+"""Count the lines and settings of ``src/`` in one or more checkouts.
 
 Usage::
 
     python3 .github/count_src_lines.py [LABEL=]TREE...
 
-Counts two numbers over ``TREE/src/**/*.py`` in every tree: all lines,
-as ``wc -l`` does, and code lines, which excludes blank lines,
+Counts three numbers over ``TREE/src/**/*.py`` in every tree: all
+lines, as ``wc -l`` does; code lines, which excludes blank lines,
 comment-only lines and the lines of docstrings (a string literal that
-stands alone as a statement).  Writes one markdown table to standard
-output; with several trees each cell reads ``first → ... → last``,
-followed by the change from the first tree to the last.  A tree is
-named by its ``LABEL`` in the heading, else by its path.  Stdlib only.
+stands alone as a statement); and the fields declared on dataclasses
+whose name ends in ``Config``, the settings a run can be given (a
+subclass counts only the fields it adds).  Writes one markdown table
+to standard output; with several trees each cell reads ``first → ...
+→ last``, followed by the change from the first tree to the last.  A
+tree is named by its ``LABEL`` in the heading, else by its path.
+Stdlib only.
 The numbers are reported, never gated: the exit code is 0 even when a
 tree or a file cannot be read.
 """
@@ -50,18 +53,40 @@ def docstring_lines(source: str) -> Set[int]:
     return lines
 
 
-def count_file(source: str) -> Tuple[int, int]:
-    """``(all lines, code lines)`` of one Python source."""
+def config_fields(source: str) -> int:
+    """Fields declared on the ``*Config`` dataclasses of one source."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.ClassDef)
+            and node.name.endswith("Config")
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        ):
+            count += sum(
+                isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and "ClassVar" not in ast.unparse(stmt.annotation)
+                for stmt in node.body
+            )
+    return count
+
+
+def count_file(source: str) -> Tuple[int, int, int]:
+    """``(all lines, code lines, Config fields)`` of one Python source."""
     code: Set[int] = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in NON_CODE:
             code.update(range(tok.start[0], tok.end[0] + 1))
-    return source.count("\n"), len(code - docstring_lines(source))
+    return (
+        source.count("\n"),
+        len(code - docstring_lines(source)),
+        config_fields(source),
+    )
 
 
-def count_tree(tree: str) -> Tuple[int, int]:
-    """``(all lines, code lines)`` summed over ``tree/src/**/*.py``."""
-    total = code = 0
+def count_tree(tree: str) -> Tuple[int, int, int]:
+    """:func:`count_file` summed over ``tree/src/**/*.py``."""
+    totals = [0, 0, 0]
     for dirpath, dirnames, filenames in os.walk(os.path.join(tree, "src")):
         dirnames[:] = [d for d in dirnames if d != "__pycache__"]
         for name in filenames:
@@ -69,13 +94,12 @@ def count_tree(tree: str) -> Tuple[int, int]:
                 continue
             try:
                 with open(os.path.join(dirpath, name), encoding="utf-8") as f:
-                    lines, code_lines = count_file(f.read())
+                    counts = count_file(f.read())
             except (OSError, SyntaxError, ValueError) as exc:
                 print(f"skipped {name}: {exc}", file=sys.stderr)
                 continue
-            total += lines
-            code += code_lines
-    return total, code
+            totals = [t + c for t, c in zip(totals, counts)]
+    return tuple(totals)
 
 
 def cell(values) -> str:
@@ -99,6 +123,10 @@ def main(args) -> int:
     print(
         "| code lines (no blank, comment or docstring lines) | "
         f"{cell([c[1] for c in counts])} |"
+    )
+    print(
+        "| fields of `*Config` dataclasses | "
+        f"{cell([c[2] for c in counts])} |"
     )
     return 0
 

@@ -40,25 +40,26 @@ SEEDS = (0, 1)
 
 def _scaled_config(run_seed: int, **overrides) -> DCGWOConfig:
     e = effort()
-    cfg = DCGWOConfig(
+    return DCGWOConfig(
         population_size=max(int(round(30 * e)), 6),
         imax=max(int(round(20 * e)), 4),
         seed=run_seed,
+        **overrides,
     )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
 
 
 def run_ablations():
     library = default_library()
+    # label -> (the context's depth measure, DCGWOConfig overrides)
     variants = {
-        "full DCGWO": {},
-        "no reproduction": dict(use_reproduction=False),
-        "no relaxation": dict(use_relaxation=False),
-        "no crowding": dict(use_crowding=False),
-        "unit-depth fitness": dict(depth_mode=DepthMode.UNIT),
-        "+simplification": dict(enable_simplification=True),
+        "full DCGWO": (DepthMode.DELAY, {}),
+        "no reproduction": (DepthMode.DELAY, dict(use_reproduction=False)),
+        "no relaxation": (DepthMode.DELAY, dict(use_relaxation=False)),
+        "no crowding": (DepthMode.DELAY, dict(use_crowding=False)),
+        "unit-depth fitness": (DepthMode.UNIT, {}),
+        "+simplification": (
+            DepthMode.DELAY, dict(enable_simplification=True)
+        ),
     }
     sums = {label: [0.0, 0.0] for label in variants}  # ratio, error
     runs = 0
@@ -66,10 +67,7 @@ def run_ablations():
         accurate = build_benchmark(name, profile())
         for run_seed in SEEDS:
             contexts = {}
-            for label, overrides in variants.items():
-                depth_mode = overrides.get(
-                    "depth_mode", DepthMode.DELAY
-                )
+            for label, (depth_mode, overrides) in variants.items():
                 if depth_mode not in contexts:
                     contexts[depth_mode] = EvalContext.build(
                         accurate, library, mode,

@@ -378,16 +378,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .lake import open_cache, resolve_cache_dir
+    from .lake import resolve_lake
 
-    directory = resolve_cache_dir(args.dir)
-    if directory is None:
+    cache = resolve_lake(args.dir or None)
+    if not cache:
         print(
             "cache: no directory given and REPRO_CACHE is unset",
             file=sys.stderr,
         )
         return 2
-    cache = open_cache(directory)
     if args.cache_command == "stats":
         info = cache.aggregate_stats()
     elif args.cache_command == "compact":

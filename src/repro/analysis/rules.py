@@ -13,8 +13,8 @@ R2  A ``Circuit`` obtained from ``.copy()`` and mutated in the same
     function must declare its edit (``extend_provenance``) or
     explicitly drop the record (``provenance = ...``) there.
 R3  The process-wide registries (the lake ``_OPEN`` map, the dispatcher
-    singleton ``ctx._dispatcher``, the tri-state ``ctx.lake``) may only
-    be touched inside their lock-protected helpers.
+    singleton ``ctx._dispatcher``) may only be touched inside their
+    lock-protected helpers.
 R4  Core evaluation paths (``core/``, ``sta/``, ``sim/``) must be
     deterministic: no wall-clock reads, no global-RNG draws, no
     ``id()``-ordered iteration.
@@ -111,7 +111,6 @@ REGISTRY_GLOBALS: Dict[str, Set[str]] = {
 #: Guarded attributes -> functions allowed to touch them (R3).
 GUARDED_ATTRS: Dict[str, Set[str]] = {
     "_dispatcher": {"get_dispatcher", "close_dispatcher"},
-    "lake": {"context_cache"},
 }
 
 #: Path fragments selecting the deterministic evaluation core (R4/R5).

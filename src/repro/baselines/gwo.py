@@ -17,6 +17,7 @@ contribution.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from typing import List, Optional
@@ -66,9 +67,10 @@ class SingleChaseGWO(DCGWO):
         error_bound: float,
         config: Optional[GWOConfig] = None,
     ):
-        cfg = config or GWOConfig()
-        cfg.use_relaxation = False
-        cfg.use_crowding = False
+        # A copy: the caller's config object is left as it was passed.
+        cfg = dataclasses.replace(
+            config or GWOConfig(), use_relaxation=False, use_crowding=False
+        )
         super().__init__(ctx, error_bound, cfg)
 
     def _chase_children(
@@ -77,7 +79,6 @@ class SingleChaseGWO(DCGWO):
         iteration: int,
         rng: random.Random,
         weights: LevelWeights,
-        seen=None,
     ):
         """Single chase: everyone consults the alpha/beta/delta mean."""
         cfg = self.config
@@ -87,7 +88,7 @@ class SingleChaseGWO(DCGWO):
         leader_mean = sum(ev.fitness for ev in leaders) / len(leaders)
         a = scaling_factor(iteration, cfg.imax)
         children = []
-        seen_keys = seen if seen is not None else set()
+        seen_keys = {ev.circuit.structure_key() for ev in population}
 
         def search(ev: CircuitEval) -> None:
             for _ in range(max(cfg.search_retries, 1)):

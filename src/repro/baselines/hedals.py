@@ -34,8 +34,6 @@ class HedalsConfig:
     max_round_evals: int = 32  # similarity-ordered scan depth per round
     slack_fraction: float = 0.05  # paths within 5% of CPD are critical
     seed: int = 0
-    #: Evaluation-lake directory (None: session/REPRO_CACHE resolution).
-    cache_dir: Optional[str] = None
 
 
 @register_method(

@@ -33,8 +33,6 @@ class SasimiConfig:
     max_candidates: int = 120  # targets sampled per round
     beam: int = 8  # candidates error-checked per round
     seed: int = 0
-    #: Evaluation-lake directory (None: session/REPRO_CACHE resolution).
-    cache_dir: Optional[str] = None
 
 
 @register_method(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.fitness import CircuitEval, ParentEvals
 from ..core.lacs import LAC, applied_copy, is_safe
@@ -42,8 +42,6 @@ class VaacsConfig:
     elitism: int = 2
     seed: int = 0
     jobs: int = 0  # worker processes (0: serial unless REPRO_JOBS is set)
-    #: Evaluation-lake directory (None: session/REPRO_CACHE resolution).
-    cache_dir: Optional[str] = None
 
 
 @register_method(

@@ -27,6 +27,7 @@ from dataclasses import replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.sanitize import publish_array
+from ..lake import context_digests
 from ..netlist import Circuit
 from ..sim.store import ValueStore, value_store_index
 from ..sta import TimingReport
@@ -194,9 +195,9 @@ def evaluate_batch(
     same floats a separate evaluation would produce, because evaluation
     is a pure function of the full structure.
 
-    When the context has an evaluation lake attached (``cache=`` /
-    ``cache_dir=`` on the session or config, or the ``REPRO_CACHE``
-    environment), every item is first looked up by its
+    When the context has an evaluation lake (``ctx.lake``, decided by
+    :meth:`~repro.core.fitness.EvalContext.build`), every item is
+    first looked up by its
     ``(structure key, library digest, vector digest)`` address; hits
     skip STA and simulation entirely and re-run only the metric tail,
     misses are computed by the core path and written through.  Items
@@ -207,10 +208,8 @@ def evaluate_batch(
     to evaluating each item with ``evaluate_incremental``, with or
     without a cache.
     """
-    from ..lake import context_cache, context_digests
-
-    cache = context_cache(ctx)
-    if cache is None or not items:
+    cache = ctx.lake
+    if not cache or not items:
         return _evaluate_batch_core(ctx, items)
     lib, vec = context_digests(ctx)
     keys = [circuit.full_structure_key() for circuit, _ in items]

@@ -34,7 +34,7 @@ from typing import List, Optional, Set, Tuple
 from ..netlist import Circuit
 from ..registry import register_method
 from ..sim import best_switch
-from .fitness import CircuitEval, DepthMode, EvalContext
+from .fitness import CircuitEval, EvalContext
 from .lacs import LAC, applied_copy, is_safe
 from .pareto import nsga2_select
 from .population import (
@@ -59,20 +59,16 @@ class DCGWOConfig:
 
     population_size: int = 30  # N
     imax: int = 20  # upper iteration limit
-    wd: float = 0.8  # depth weight in Eq. 8 (Fig. 6 optimum)
     se: float = 0.0  # elite decision threshold
     s_omega: float = 0.0  # omega decision threshold
     num_paths: int = 2  # critical paths mined per search
     search_retries: int = 4  # re-draws when a search child is a duplicate
     seed: int = 0
     relax_start_fraction: float = 0.25
-    depth_mode: DepthMode = DepthMode.DELAY
     use_relaxation: bool = True  # ablation hook
     use_crowding: bool = True  # ablation hook: False = plain fitness sort
     use_reproduction: bool = True  # ablation hook: False = searching only
     jobs: int = 0  # worker processes (0: serial unless REPRO_JOBS is set)
-    #: Evaluation-lake directory (None: session/REPRO_CACHE resolution).
-    cache_dir: Optional[str] = None
     enable_simplification: bool = False  # extension: in-place gate rewrites
     simplification_rate: float = 0.3  # P(simplify) per search action
 
@@ -194,22 +190,22 @@ class DCGWO(Optimizer):
         iteration: int,
         rng: random.Random,
         weights: LevelWeights,
-        seen: Optional[Set[int]] = None,
     ) -> List[Tuple[Circuit, Tuple[CircuitEval, ...]]]:
         """Run both chases plus the leader search; returns new circuits,
         each paired with the parent eval(s) it derives from so the main
         loop can evaluate it incrementally.
 
-        ``seen`` holds structure keys already in the candidate pool; a
-        searched child that duplicates one is re-drawn (fresh random
-        target) up to ``search_retries`` times, which keeps evaluation
-        budget from being wasted once the population starts converging.
+        Every child's structure key is distinct and absent from the
+        population: a searched child that duplicates a key already in
+        the candidate pool is re-drawn (fresh random target) up to
+        ``search_retries`` times, which keeps evaluation budget from
+        being wasted once the population starts converging.
         """
         cfg = self.config
         division = divide_population(population)
         a = scaling_factor(iteration, cfg.imax)
         children: List[Tuple[Circuit, Tuple[CircuitEval, ...]]] = []
-        seen_keys: Set[int] = seen if seen is not None else set()
+        seen_keys = {ev.circuit.structure_key() for ev in population}
 
         def search(ev: CircuitEval) -> None:
             for _ in range(max(cfg.search_retries, 1)):
@@ -323,19 +319,10 @@ class DCGWO(Optimizer):
         iteration = state.iteration + 1
         constraint = self._relaxation.at(iteration)
         population = state.population
-        seen = {ev.circuit.structure_key() for ev in population}
         children = self._chase_children(
-            population, iteration, state.rng, state.extra["weights"], seen
+            population, iteration, state.rng, state.extra["weights"]
         )
-        items: List[Tuple[Circuit, Tuple[CircuitEval, ...]]] = []
-        evaluated: Set[int] = set()
-        for child, parents in children:
-            key = child.structure_key()
-            if key in evaluated:
-                continue
-            evaluated.add(key)
-            items.append((child, parents))
-        child_evals = self._evaluate_generation(items)
+        child_evals = self._evaluate_generation(children)
         for ev in child_evals:
             self._consider(state, ev)
         state.population = self._select(

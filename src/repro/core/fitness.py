@@ -57,6 +57,7 @@ from typing import (
 import numpy as np
 
 from ..cells import Library
+from ..lake import EvalCache, resolve_lake
 from ..netlist import Circuit, relabel_compact
 from ..sim import (
     ErrorMode,
@@ -110,12 +111,12 @@ class EvalContext:
     _ref_unpack_cache: List[object] = field(
         default_factory=make_unpack_cache, repr=False, compare=False
     )
-    #: The attached evaluation lake (:class:`repro.lake.EvalCache`).
-    #: Tri-state: an ``EvalCache`` caches batch evaluations across runs,
-    #: ``False`` disables caching outright (the ``REPRO_CACHE``
-    #: environment is not consulted), ``None`` (default) resolves the
-    #: environment lazily on first batch evaluation.
-    lake: Optional[object] = field(default=None, repr=False, compare=False)
+    #: The evaluation lake batch evaluations read and write through
+    #: (:class:`repro.lake.EvalCache`), or ``False`` for none; decided
+    #: once by :meth:`build` (:func:`repro.lake.resolve_lake`).
+    lake: Union[EvalCache, bool] = field(
+        default=False, repr=False, compare=False
+    )
 
     @property
     def wa(self) -> float:
@@ -183,6 +184,7 @@ class EvalContext:
         depth_mode: DepthMode = DepthMode.DELAY,
         vectors: Optional[VectorSet] = None,
         sta: Optional[STAEngine] = None,
+        lake: Union[EvalCache, str, bool, None] = None,
     ) -> "EvalContext":
         """Construct a context around one accurate circuit.
 
@@ -192,6 +194,11 @@ class EvalContext:
         any other is renumbered with
         :func:`~repro.netlist.relabel_compact` (PI and PO order kept),
         and result IDs then refer to the renumbered reference.
+
+        ``lake`` is resolved here, once, by
+        :func:`~repro.lake.resolve_lake`: an ``EvalCache`` or a
+        directory attaches that lake, ``False`` none, and ``None`` the
+        one ``REPRO_CACHE`` names, if any.
         """
         if not 0.0 <= wd <= 1.0:
             raise ValueError("wd must be in [0, 1]")
@@ -222,6 +229,7 @@ class EvalContext:
             reference_report=report,
             wd=wd,
             depth_mode=depth_mode,
+            lake=resolve_lake(lake),
         )
 
 

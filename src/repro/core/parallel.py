@@ -97,6 +97,7 @@ import numpy as np
 
 from .. import faults
 from ..analysis.sanitize import TrackedLock, publish_array
+from ..lake import EvalCache
 from ..netlist import Circuit
 from ..netlist.circuit import Provenance
 from ..sim import ErrorMode, VectorSet
@@ -213,16 +214,13 @@ class _ContextSpec:
     num_vectors: int
     wd: float
     depth_mode: DepthMode
-    #: Evaluation-lake directory workers write through to (``None``:
-    #: unset — workers resolve ``REPRO_CACHE`` themselves, matching the
-    #: parent's lazy resolution; ``cache_off`` ships an explicit
-    #: ``cache=False`` so a disabled parent disables its workers too).
-    cache_dir: Optional[str] = None
-    cache_off: bool = False
+    #: The parent's resolved lake, an ``EvalCache`` (which pickles as
+    #: its directory) or ``False``, so workers never consult
+    #: ``REPRO_CACHE`` themselves.
+    lake: Union[EvalCache, bool]
 
     @classmethod
     def from_ctx(cls, ctx: EvalContext) -> "_ContextSpec":
-        lake = getattr(ctx, "lake", None)
         return cls(
             reference=ctx.reference,
             library=ctx.library,
@@ -231,28 +229,19 @@ class _ContextSpec:
             num_vectors=ctx.vectors.num_vectors,
             wd=ctx.wd,
             depth_mode=ctx.depth_mode,
-            cache_dir=lake.path if lake else None,
-            cache_off=lake is False,
+            lake=ctx.lake,
         )
 
     def build(self) -> EvalContext:
-        ctx = EvalContext.build(
+        return EvalContext.build(
             self.reference,
             self.library,
             self.error_mode,
             vectors=VectorSet(self.vector_words, self.num_vectors),
             wd=self.wd,
             depth_mode=self.depth_mode,
+            lake=self.lake,
         )
-        if self.cache_off:
-            # lint: allow[R3] worker-local context built before serving
-            ctx.lake = False
-        elif self.cache_dir:
-            from ..lake import open_cache
-
-            # lint: allow[R3] worker-local context built before serving
-            ctx.lake = open_cache(self.cache_dir)
-        return ctx
 
 
 # A CircuitEval's ``values`` are a dense SoA matrix laid out by the
@@ -384,12 +373,11 @@ def _worker_eval(
         for (index, _, _, child_key), ev in zip(members, evals):
             cache[child_key] = ev
             results.append((index, _pack_eval(ev)))
-    lake = getattr(ctx, "lake", None)
-    if lake:
+    if ctx.lake:
         # Workers exit through ``os._exit`` (no atexit), so lake hit/put
         # counters are flushed per shard — one appended delta line, and
         # only when the counters actually moved.
-        lake.flush_stats()
+        ctx.lake.flush_stats()
     return results
 
 

@@ -229,15 +229,6 @@ class Optimizer(ABC):
         #: see ``Session.warm_start``).  Methods that build populations
         #: consume them in ``_init_state``; greedy methods ignore them.
         self.seed_circuits: List[Circuit] = []
-        cache_dir = getattr(config, "cache_dir", None)
-        if cache_dir and getattr(ctx, "lake", None) is None:
-            # A config-level cache_dir attaches the evaluation lake to
-            # the shared context, but never overrides a session-level
-            # attachment (or an explicit cache=False).
-            from ..lake import open_cache
-
-            # lint: allow[R3] optimizer-construction time, no dispatcher yet
-            ctx.lake = open_cache(cache_dir)
 
     # ------------------------------------------------------------------
     # evaluation funnels

@@ -13,8 +13,9 @@ against the live context on every hit.
 Public surface:
 
 * :class:`EvalCache` / :func:`open_cache` — the store itself;
-* :func:`resolve_cache_dir` / :func:`context_cache` — the resolution
-  chain (argument > config ``cache_dir`` > ``REPRO_CACHE`` env);
+* :func:`resolve_lake` — which lake one evaluation context uses,
+  decided once by ``EvalContext.build``: an ``EvalCache``, a
+  directory, ``False`` for none, or ``REPRO_CACHE``'s directory;
 * :func:`library_digest` / :func:`vectors_digest` /
   :func:`context_digests` — the content-address components;
 * :class:`Catalog` / :class:`RunRecord` — past-run records behind
@@ -26,10 +27,9 @@ See ``repro cache {stats,compact,gc}`` for the maintenance CLI.
 from .cache import (
     DEFAULT_MEMORY_BUDGET,
     EvalCache,
-    context_cache,
     flush_open_caches,
     open_cache,
-    resolve_cache_dir,
+    resolve_lake,
 )
 from .catalog import Catalog, RunRecord
 from .keys import context_digests, library_digest, vectors_digest
@@ -39,11 +39,10 @@ __all__ = [
     "EvalCache",
     "Catalog",
     "RunRecord",
-    "context_cache",
     "context_digests",
     "flush_open_caches",
     "library_digest",
     "open_cache",
-    "resolve_cache_dir",
+    "resolve_lake",
     "vectors_digest",
 ]

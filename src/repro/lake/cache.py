@@ -31,7 +31,9 @@ consumer so hit-path results stay bit-identical to computed ones.
 
 Caches are process-local singletons per directory (:func:`open_cache`)
 and pickle as their path, so a context spec shipped to a shard worker
-reattaches the same lake there.
+reattaches the same lake there.  :func:`resolve_lake` decides which
+lake, if any, one evaluation context uses; ``EvalContext.build`` calls
+it once.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ import atexit
 import json
 import os
 import pickle
-import threading
 import time
 import warnings
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import faults
 from ..analysis.sanitize import TrackedLock
@@ -68,25 +69,13 @@ class EvalCache:
     Args:
         path: the lake directory (created if absent).
         memory_budget: byte cap of the decoded-payload LRU.
-        max_bytes: default on-disk size budget for :meth:`gc` /
-            :meth:`compact` (``None``: unbounded).
-        max_age_s: default record age bound for maintenance
-            (``None``: keep forever).
     """
 
-    def __init__(
-        self,
-        path: str,
-        memory_budget: int = DEFAULT_MEMORY_BUDGET,
-        max_bytes: Optional[int] = None,
-        max_age_s: Optional[float] = None,
-    ):
+    def __init__(self, path: str, memory_budget: int = DEFAULT_MEMORY_BUDGET):
         self.path = os.path.abspath(path)
         self.segments_dir = os.path.join(self.path, "segments")
         os.makedirs(self.segments_dir, exist_ok=True)
         self.memory_budget = memory_budget
-        self.max_bytes = max_bytes
-        self.max_age_s = max_age_s
         self.catalog = Catalog(os.path.join(self.path, "catalog"))
         self._index: Dict[bytes, _IndexEntry] = {}
         self._seen: set = set()
@@ -339,8 +328,6 @@ class EvalCache:
         young enough.  Size eviction removes oldest-written segments
         first until the directory fits the budget.
         """
-        max_bytes = max_bytes if max_bytes is not None else self.max_bytes
-        max_age_s = max_age_s if max_age_s is not None else self.max_age_s
         self.refresh()
         now = time.time()
         census: List[Tuple[float, str, int]] = []  # (newest ts, name, size)
@@ -403,8 +390,6 @@ class EvalCache:
         the process that owns the lake (the session parent / the CLI):
         concurrent readers of replaced segments degrade to misses.
         """
-        max_bytes = max_bytes if max_bytes is not None else self.max_bytes
-        max_age_s = max_age_s if max_age_s is not None else self.max_age_s
         self.refresh()
         before = self._segment_files()
         now = time.time()
@@ -518,33 +503,32 @@ class EvalCache:
 #: Process-local cache registry: one ``EvalCache`` per lake directory.
 _OPEN: Dict[str, EvalCache] = {}
 
-#: Guards the registry and the lazy ``ctx.lake`` resolution below:
-#: serve-mode jobs share one process and open/resolve caches from
-#: concurrent threads, and two racing opens must not build two
-#: instances (two indexes, two LRUs, double-counted stats) for one
+#: Guards the registry: serve-mode jobs share one process and open
+#: caches from concurrent threads, and two racing opens must not build
+#: two instances (two indexes, two LRUs, double-counted stats) for one
 #: directory.
 _OPEN_LOCK = TrackedLock("lake._OPEN_LOCK")
 
 
-def open_cache(path: str, **knobs: Any) -> EvalCache:
+def open_cache(path: str) -> EvalCache:
     """The process's shared :class:`EvalCache` for ``path``.
 
     Sharing one instance per directory keeps the index, the LRU and the
     hit/miss counters coherent across every consumer in the process
-    (sessions, optimizers, the batch evaluator).  ``knobs`` apply only
-    when this call creates the instance.  Thread-safe: concurrent
-    callers for one directory always receive the same instance.
+    (sessions, optimizers, the batch evaluator).  Thread-safe:
+    concurrent callers for one directory always receive the same
+    instance.
     """
     with _OPEN_LOCK:
-        return _open_locked(path, **knobs)
+        return _open_locked(path)
 
 
-def _open_locked(path: str, **knobs: Any) -> EvalCache:
+def _open_locked(path: str) -> EvalCache:
     """Registry lookup/creation; caller holds ``_OPEN_LOCK``."""
     key = os.path.abspath(path)
     cache = _OPEN.get(key)
     if cache is None:
-        cache = EvalCache(key, **knobs)
+        cache = EvalCache(key)
         _OPEN[key] = cache
     return cache
 
@@ -557,35 +541,20 @@ def flush_open_caches() -> None:
         cache.flush_stats()
 
 
-def resolve_cache_dir(
-    cache_dir: Optional[str] = None, config: Any = None
-) -> Optional[str]:
-    """Lake-directory resolution: argument > config > ``REPRO_CACHE``."""
-    if cache_dir:
-        return cache_dir
-    if config is not None:
-        cfg_dir = getattr(config, "cache_dir", None)
-        if cfg_dir:
-            return cfg_dir
-    env = os.environ.get("REPRO_CACHE", "").strip()
-    return env or None
+def resolve_lake(
+    lake: Union[EvalCache, str, bool, None] = None
+) -> Union[EvalCache, bool]:
+    """The evaluation lake of one context: an ``EvalCache`` or ``False``.
 
-
-def context_cache(ctx: Any) -> Optional[EvalCache]:
-    """The context's attached lake, resolving ``REPRO_CACHE`` lazily.
-
-    ``ctx.lake`` is tri-state: an :class:`EvalCache` (attached), ``False``
-    (caching explicitly disabled — the env is *not* consulted), or
-    ``None`` (unset: resolve the environment once and memoize).  The
-    lazy mutation is lock-protected (double-checked) so concurrent
-    jobs sharing one context resolve the environment exactly once.
+    An :class:`EvalCache`, or ``False`` for no lake, is returned as
+    is; a directory opens the lake there; ``None`` opens the lake that
+    ``REPRO_CACHE`` names, or gives ``False`` when it is unset or
+    empty.  Anything else raises ``TypeError``.
     """
-    lake = getattr(ctx, "lake", None)
     if lake is None:
-        with _OPEN_LOCK:
-            lake = getattr(ctx, "lake", None)
-            if lake is None:
-                env = os.environ.get("REPRO_CACHE", "").strip()
-                lake = _open_locked(env) if env else False
-                ctx.lake = lake
-    return lake or None
+        lake = os.environ.get("REPRO_CACHE", "").strip() or False
+    if isinstance(lake, str):
+        return open_cache(lake)
+    if lake is False or isinstance(lake, EvalCache):
+        return lake
+    raise TypeError(f"not an evaluation lake: {lake!r}")

@@ -17,8 +17,9 @@ Two pieces build every method:
 * :class:`MethodSpec` — one registry row: the optimizer class, its
   config dataclass, and a declarative mapping from budget fields to
   config fields.  ``spec.build(ctx, flow_cfg)`` instantiates the
-  optimizer, forwarding whichever of ``seed`` / ``wd`` /
-  ``depth_mode`` the config declares.
+  optimizer, forwarding ``seed`` and ``jobs`` when the config declares
+  them.  The Eq. 8 weight, the depth measure and the evaluation lake
+  belong to the context the optimizer is built on, not to its config.
 
 Lookups are case-insensitive and honour aliases ("DCGWO" -> "Ours").
 """
@@ -100,11 +101,10 @@ class MethodSpec:
     def make_config(self, flow_cfg: Any) -> Any:
         """Build this method's config from a flow-level config.
 
-        Budget fields are effort-scaled; ``seed`` / ``wd`` /
-        ``depth_mode`` / ``jobs`` / ``cache_dir`` are forwarded
-        whenever the config declares them (``jobs`` is how a flow-level
-        worker count reaches every method's generation evaluation, and
-        ``cache_dir`` how a flow-level evaluation lake does).
+        Budget fields are effort-scaled; ``seed`` and ``jobs`` are
+        forwarded whenever the config declares them (``jobs`` is how a
+        flow-level worker count reaches every method's generation
+        evaluation).
         """
         scaled = self.budget.scaled(getattr(flow_cfg, "effort", 1.0))
         kwargs: Dict[str, Any] = {
@@ -112,7 +112,7 @@ class MethodSpec:
             for cfg_field, budget_field in self.budget_fields.items()
         }
         declared = {f.name for f in dataclasses.fields(self.config_cls)}
-        for common in ("seed", "wd", "depth_mode", "jobs", "cache_dir"):
+        for common in ("seed", "jobs"):
             if common in declared and hasattr(flow_cfg, common):
                 kwargs[common] = getattr(flow_cfg, common)
         return self.config_cls(**kwargs)

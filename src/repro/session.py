@@ -58,7 +58,7 @@ from .core.fitness import (
 )
 from .core.protocol import Callbacks, Optimizer, OptimizerState
 from .core.result import OptimizationResult
-from .lake import EvalCache, RunRecord, context_cache, open_cache
+from .lake import EvalCache, RunRecord
 from .netlist import Circuit
 from .postopt import PostOptResult, post_optimize
 from .registry import get_method, method_names
@@ -142,14 +142,17 @@ class Session:
         config: flow-level knobs; defaults to :class:`FlowConfig`.
         library: cell library; defaults to the bundled 28nm-class one.
         ctx: pass a pre-built context to reuse reference simulation
-            across sessions (skips ``pre_synth`` handling).
+            across sessions (skips ``pre_synth`` handling); it keeps
+            its own evaluation lake, and ``cache``/``cache_dir`` are
+            not consulted.
         cache: an :class:`~repro.lake.EvalCache` to attach, or ``False``
             to disable caching outright (the ``REPRO_CACHE`` environment
             is then ignored too).
         cache_dir: open (or create) the evaluation lake at this
             directory; ``config.cache_dir`` is the fallback, then the
-            ``REPRO_CACHE`` environment (resolved lazily).  Cached
-            results are bit-identical to computed ones.
+            ``REPRO_CACHE`` environment.  The choice is made once, when
+            the context is built.  Cached results are bit-identical to
+            computed ones.
     """
 
     def __init__(
@@ -163,12 +166,21 @@ class Session:
     ):
         self.config = config or FlowConfig()
         self.library = library or default_library()
+        #: Cache configuration persisted by :meth:`checkpoint` so
+        #: :meth:`resume` reattaches the same lake directory (explicit
+        #: attachments only — an env-resolved lake travels with the
+        #: environment, not the checkpoint).
+        self._cache_spec: Optional[Dict[str, Any]] = None
         if ctx is None:
             if self.config.pre_synth:
                 from .synth import optimize_netlist
 
                 circuit = circuit.copy()
                 optimize_netlist(circuit)
+            lake = (
+                cache if cache is not None
+                else cache_dir or self.config.cache_dir or None
+            )
             ctx = EvalContext.build(
                 circuit,
                 self.library,
@@ -177,29 +189,11 @@ class Session:
                 seed=self.config.seed,
                 wd=self.config.wd,
                 depth_mode=self.config.depth_mode,
+                lake=lake,
             )
+            if lake:
+                self._cache_spec = {"cache_dir": ctx.lake.path}
         self.ctx = ctx
-        #: Cache configuration persisted by :meth:`checkpoint` so
-        #: :meth:`resume` reattaches the same lake directory (explicit
-        #: attachments only — an env-resolved lake travels with the
-        #: environment, not the checkpoint).
-        self._cache_spec: Optional[Dict[str, Any]] = None
-        if cache is False:
-            # lint: allow[R3] single-threaded Session setup, no dispatcher yet
-            self.ctx.lake = False
-        elif cache is not None:
-            # lint: allow[R3] single-threaded Session setup, no dispatcher yet
-            self.ctx.lake = cache
-            self._cache_spec = {"cache_dir": cache.path}
-        else:
-            directory = cache_dir or self.config.cache_dir
-            if directory:
-                opened = open_cache(directory)
-                # lint: allow[R3] single-threaded setup, no dispatcher yet
-                self.ctx.lake = opened
-                self._cache_spec = {"cache_dir": opened.path}
-            # else: leave ctx.lake unset; the batch evaluator resolves
-            # REPRO_CACHE lazily (and memoizes the answer per context).
         #: Paused optimizer runs by canonical method name.
         self._pending: Dict[str, Tuple[Optimizer, OptimizerState]] = {}
         #: The optimizer currently inside :meth:`optimize`, if any —
@@ -217,8 +211,8 @@ class Session:
 
     @property
     def cache(self) -> Optional[EvalCache]:
-        """The attached evaluation lake, if any (resolving the env)."""
-        return context_cache(self.ctx)
+        """The context's evaluation lake, if it has one."""
+        return self.ctx.lake or None
 
     @staticmethod
     def methods() -> Tuple[str, ...]:
@@ -597,7 +591,11 @@ class Session:
         circuit: Circuit = payload["circuit"]
         library: Library = payload["library"]
         # The stored circuit already went through pre_synth (when
-        # enabled), so the context is rebuilt directly from it.
+        # enabled), so the context is rebuilt directly from it.  It
+        # reattaches the evaluation lake the checkpointed session
+        # used; cached hits are bit-identical, so resume + warm cache
+        # replays the same trajectory as an uninterrupted run.
+        spec = payload.get("cache")
         ctx = EvalContext.build(
             circuit,
             library,
@@ -606,15 +604,10 @@ class Session:
             seed=config.seed,
             wd=config.wd,
             depth_mode=config.depth_mode,
+            lake=spec["cache_dir"] if spec else config.cache_dir,
         )
         session = cls(circuit, config=config, library=library, ctx=ctx)
-        spec = payload.get("cache")
         if spec:
-            # Reattach the same evaluation lake the checkpointed session
-            # used; cached hits are bit-identical, so resume + warm cache
-            # replays the same trajectory as an uninterrupted run.
-            # lint: allow[R3] fresh single-threaded session, no dispatcher yet
-            session.ctx.lake = open_cache(spec["cache_dir"])
             session._cache_spec = dict(spec)
         for key, (method_config, state) in payload["pending"].items():
             optimizer = get_method(key).build(
@@ -652,9 +645,8 @@ class Session:
         the pool respawns on the next parallel call.
         """
         close_dispatcher(self.ctx)
-        lake = getattr(self.ctx, "lake", None)
-        if lake:  # False (disabled) and None (never resolved) skip
-            lake.flush_stats()
+        if self.ctx.lake:
+            self.ctx.lake.flush_stats()
 
     def __enter__(self) -> "Session":
         return self

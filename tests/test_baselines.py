@@ -54,6 +54,13 @@ class TestSingleChaseGWO:
             for h in result.history
         )
 
+    def test_caller_config_unchanged(self, ctx):
+        cfg = GWOConfig(population_size=6, imax=3, seed=7)
+        gwo = SingleChaseGWO(ctx, 0.02, cfg)
+        assert (cfg.use_relaxation, cfg.use_crowding) == (True, True)
+        assert not gwo.config.use_relaxation
+        assert not gwo.config.use_crowding
+
     def test_deterministic(self, ctx):
         cfg = GWOConfig(population_size=6, imax=3, seed=7)
         r1 = SingleChaseGWO(ctx, 0.02, cfg).optimize()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import GWOConfig, SingleChaseGWO
 from repro.core import DCGWO, DCGWOConfig, EvalContext, evaluate
 from repro.netlist import validate
 from repro.sim import ErrorMode
@@ -131,3 +132,31 @@ class TestAblationHooks:
         )
         result = DCGWO(adder_ctx, 0.05, cfg).optimize()
         assert result.best.error <= 0.05
+
+
+class TestChaseChildren:
+    """The chases never return a structure twice, nor one already in
+    the population, so a generation needs no dedup before evaluation."""
+
+    @pytest.mark.parametrize(
+        "cls, cfg_cls",
+        [(DCGWO, DCGWOConfig), (SingleChaseGWO, GWOConfig)],
+        ids=["DCGWO", "GWO"],
+    )
+    def test_keys_distinct_and_new(self, adder_ctx, cls, cfg_cls):
+        cfg = cfg_cls(population_size=8, imax=5, seed=3)
+        opt = cls(adder_ctx, 0.03, cfg)
+        state = opt._init_state()
+        for iteration in range(1, 6):
+            population = {
+                ev.circuit.structure_key() for ev in state.population
+            }
+            children = opt._chase_children(
+                state.population, iteration, state.rng,
+                state.extra["weights"],
+            )
+            keys = [child.structure_key() for child, _ in children]
+            assert keys
+            assert len(set(keys)) == len(keys)
+            assert population.isdisjoint(keys)
+            opt._step(state)

@@ -360,11 +360,11 @@ class TestDeferredTiming:
 
     @staticmethod
     def _context(library):
-        ctx = EvalContext.build(
-            build_adder(8), library, ErrorMode.ER, num_vectors=128, seed=2
+        # No lake: its write-through would time every child.
+        return EvalContext.build(
+            build_adder(8), library, ErrorMode.ER, num_vectors=128, seed=2,
+            lake=False,
         )
-        ctx.lake = False  # lake write-through would time every child
-        return ctx
 
     @staticmethod
     def _children(ctx, count, seed=5):
@@ -483,9 +483,7 @@ class TestFullEvaluationOracle:
                 depth_mode=depth_mode,
             )
             if method == "Ours":
-                cfg = DCGWOConfig(
-                    population_size=5, imax=3, seed=33, depth_mode=depth_mode
-                )
+                cfg = DCGWOConfig(population_size=5, imax=3, seed=33)
                 return DCGWO(ctx, 0.05, cfg)
             cfg = VaacsConfig(population_size=6, generations=3, seed=33)
             return VaACS(ctx, 0.05, cfg)

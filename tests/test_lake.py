@@ -14,7 +14,8 @@ Contracts pinned here:
   bit-identical cold (write-through) and warm (hits from disk), corrupt
   records are recomputed, and duplicate keys share one rebuilt eval;
 * **session wiring** — ``cache_dir=``/``cache=``/``REPRO_CACHE``
-  resolution, cold/warm full-run bit-identity, checkpoint/resume
+  resolution (once, at context build), cold/warm full-run
+  bit-identity, checkpoint/resume
   reattachment, the run catalog and ``warm_start`` seeding;
 * **concurrent writers** — two ``REPRO_JOBS=2`` processes sharing one
   cache directory interleave segments and agree bit-for-bit;
@@ -49,11 +50,10 @@ from repro.core import (
 )
 from repro.lake import (
     EvalCache,
-    context_cache,
     context_digests,
     library_digest,
     open_cache,
-    resolve_cache_dir,
+    resolve_lake,
     vectors_digest,
 )
 from repro.lake import segment as seg
@@ -371,14 +371,21 @@ class TestEvalCache:
         assert totals["puts"] == 1
         assert totals["hit_rate"] == pytest.approx(2 / 3)
 
-    def test_resolve_cache_dir_chain(self, monkeypatch):
+    def test_resolve_lake_chain(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_CACHE", raising=False)
-        assert resolve_cache_dir() is None
-        monkeypatch.setenv("REPRO_CACHE", "/env/lake")
-        assert resolve_cache_dir() == "/env/lake"
-        cfg = FlowConfig(cache_dir="/cfg/lake")
-        assert resolve_cache_dir(config=cfg) == "/cfg/lake"
-        assert resolve_cache_dir("/arg/lake", cfg) == "/arg/lake"
+        assert resolve_lake() is False
+        monkeypatch.setenv("REPRO_CACHE", "")
+        assert resolve_lake(None) is False
+        env_dir = str(tmp_path / "env")
+        monkeypatch.setenv("REPRO_CACHE", env_dir)
+        assert resolve_lake() is open_cache(env_dir)
+        arg_dir = str(tmp_path / "arg")
+        assert resolve_lake(arg_dir) is open_cache(arg_dir)
+        given = EvalCache(str(tmp_path / "given"))
+        assert resolve_lake(given) is given
+        assert resolve_lake(False) is False
+        with pytest.raises(TypeError):
+            resolve_lake(True)
 
 
 # ----------------------------------------------------------------------
@@ -528,14 +535,29 @@ class TestBatchWithLake:
         assert evals[1].circuit is twin_b
         _assert_same_eval(evals[0], evals[1])
 
-    def test_env_disable_tristate(self, adder4, library, monkeypatch):
+    def test_build_decides_lake_once(
+        self, adder4, library, monkeypatch, tmp_path
+    ):
+        env_dir = str(tmp_path / "env")
         monkeypatch.setenv("REPRO_CACHE", "")
         ctx = _ctx(adder4, library)
-        assert context_cache(ctx) is None
-        assert ctx.lake is False  # memoized: env consulted exactly once
-        ctx.lake = False
-        monkeypatch.setenv("REPRO_CACHE", "/somewhere")
-        assert context_cache(ctx) is None  # False wins over the env
+        assert ctx.lake is False
+        monkeypatch.setenv("REPRO_CACHE", env_dir)
+        (child,) = _lac_children(ctx, 1)
+        evaluate_batch(ctx, [(child, None)])
+        assert ctx.lake is False  # the env is read at build, not later
+        assert not os.path.exists(env_dir)
+
+        assert _ctx(adder4, library).lake is open_cache(env_dir)
+        off = EvalContext.build(
+            adder4, library, ErrorMode.NMED, num_vectors=64, lake=False
+        )
+        assert off.lake is False  # False wins over the env
+        arg_dir = str(tmp_path / "arg")
+        by_dir = EvalContext.build(
+            adder4, library, ErrorMode.NMED, num_vectors=64, lake=arg_dir
+        )
+        assert by_dir.lake is open_cache(arg_dir)
 
 
 # ----------------------------------------------------------------------
@@ -573,15 +595,18 @@ class TestSessionLake:
         assert after["misses"] == before["misses"]  # fully warm
         assert after["puts"] == before["puts"]
 
-    def test_config_cache_dir_reaches_method_configs(self, tmp_path):
+    def test_config_cache_dir_attaches_lake(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
         lake_dir = str(tmp_path / "lake")
         cfg = FlowConfig(effort=0.2, cache_dir=lake_dir)
         session = Session(build_adder(4), cfg)
-        assert session.cache is not None
-        from repro import get_method
-
-        method_cfg = get_method("Ours").make_config(cfg)
-        assert method_cfg.cache_dir == lake_dir
+        assert session.cache is open_cache(lake_dir)
+        assert session.ctx.lake is session.cache
+        session.close()
+        # The argument wins over the config field.
+        arg_dir = str(tmp_path / "arg")
+        session = Session(build_adder(4), cfg, cache_dir=arg_dir)
+        assert session.cache is open_cache(arg_dir)
         session.close()
 
     def test_cache_false_ignores_env(self, monkeypatch, tmp_path):
@@ -672,6 +697,41 @@ class TestSessionLake:
         )
         assert other.warm_start() == []
         other.close()
+
+
+# ----------------------------------------------------------------------
+# the lake decision crosses the shard pipe
+# ----------------------------------------------------------------------
+class TestShardLake:
+    """Shard workers use the lake their parent's context decided on,
+    never one of their own from ``REPRO_CACHE``."""
+
+    @staticmethod
+    def _evaluate_sharded(session):
+        children = _lac_children(session.ctx, 4)
+        parent = session.ctx.reference_eval()
+        evals = session.evaluate_batch(children, parent, jobs=2)
+        assert len(evals) == 4
+
+    def test_cache_false_reaches_workers(self, monkeypatch, tmp_path):
+        env_dir = str(tmp_path / "envlake")
+        monkeypatch.setenv("REPRO_CACHE", env_dir)
+        cfg = FlowConfig(num_vectors=64)
+        with Session(build_adder(6), cfg, cache=False) as session:
+            self._evaluate_sharded(session)
+        assert not os.path.exists(env_dir)
+
+    def test_cache_dir_reaches_workers(self, monkeypatch, tmp_path):
+        env_dir = str(tmp_path / "envlake")
+        monkeypatch.setenv("REPRO_CACHE", env_dir)
+        lake_dir = str(tmp_path / "lake")
+        cfg = FlowConfig(num_vectors=64)
+        with Session(build_adder(6), cfg, cache_dir=lake_dir) as session:
+            self._evaluate_sharded(session)
+        segments = os.listdir(os.path.join(lake_dir, "segments"))
+        writers = {int(name.split("-")[1]) for name in segments}
+        assert writers and os.getpid() not in writers  # workers wrote
+        assert not os.path.exists(env_dir)
 
 
 # ----------------------------------------------------------------------

@@ -237,11 +237,13 @@ class TestRegistry:
         assert ours.config.population_size == 6
         assert ours.config.imax == 4
         assert ours.config.seed == 9
-        assert ours.config.wd == 0.7
         greedy = get_method("HEDALS").build(ctx, cfg)
         assert greedy.config.max_changes == 12
         assert greedy.config.beam == 8
         assert greedy.config.seed == 9
+        # The Eq. 8 weight reaches a method through the session's context.
+        session = Session(adder8, cfg, cache=False)
+        assert session.optimizer("Ours").ctx.wd == 0.7
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 PR 8's bugfix half.  The CLI wraps every run in ``try/finally`` around
 ``session.close()`` and installs a SIGINT/SIGTERM guard that turns the
 first signal into a cooperative pause; the lake's process-wide registry
-and the context's lazy ``ctx.lake`` resolution are lock-protected.  Each
+is lock-protected, so contexts built concurrently share one lake.  Each
 test here kills a run some way — an exception mid-flow, a real SIGINT —
 and asserts the world is clean afterwards: zero live worker processes,
 a flushed stats ledger, and (with ``--checkpoint``) a checkpoint that
@@ -25,7 +25,7 @@ import pytest
 from reference_circuits import build_adder
 
 from repro.__main__ import EXIT_INTERRUPTED, main
-from repro.lake import context_cache, open_cache
+from repro.lake import open_cache
 from repro.netlist import write_verilog
 from repro.session import FlowConfig, Session
 
@@ -181,7 +181,7 @@ class TestInterrupt:
 
 
 # ----------------------------------------------------------------------
-# thread-safety of the lake registry and lazy context resolution
+# thread-safety of the lake registry
 # ----------------------------------------------------------------------
 class TestLakeThreadSafety:
     N = 16
@@ -214,30 +214,35 @@ class TestLakeThreadSafety:
         caches = self._hammer(lambda: open_cache(path))
         assert all(c is caches[0] for c in caches)
 
+    def _build(self, **kwargs):
+        return Session(build_adder(4), FlowConfig(num_vectors=64), **kwargs)
+
     def test_context_cache_resolves_env_exactly_once(
         self, tmp_path, monkeypatch
     ):
         lake_dir = str(tmp_path / "envlake")
         monkeypatch.setenv("REPRO_CACHE", lake_dir)
-        session = Session(build_adder(4), FlowConfig(num_vectors=64))
+        sessions = self._hammer(self._build)
         try:
-            ctx = session.ctx
-            assert getattr(ctx, "lake", None) is None  # still lazy
-            caches = self._hammer(lambda: context_cache(ctx))
-            assert caches[0] is not None
-            assert all(c is caches[0] for c in caches)
-            assert ctx.lake is caches[0]
+            lake = open_cache(lake_dir)
+            assert all(s.ctx.lake is lake for s in sessions)
+            # decided at build: the env is not read again afterwards
+            monkeypatch.delenv("REPRO_CACHE")
+            assert all(s.cache is lake for s in sessions)
         finally:
-            session.close()
+            for session in sessions:
+                session.close()
 
-    def test_context_cache_disabled_stays_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "/nonexistent/never")
-        session = Session(
-            build_adder(4), FlowConfig(num_vectors=64), cache=False
-        )
+    def test_context_cache_disabled_stays_disabled(
+        self, tmp_path, monkeypatch
+    ):
+        lake_dir = str(tmp_path / "never")
+        monkeypatch.setenv("REPRO_CACHE", lake_dir)
+        sessions = self._hammer(lambda: self._build(cache=False))
         try:
-            caches = self._hammer(lambda: context_cache(session.ctx))
-            assert caches == [None] * self.N
-            assert session.ctx.lake is False
+            assert all(s.ctx.lake is False for s in sessions)
+            assert all(s.cache is None for s in sessions)
+            assert not os.path.exists(lake_dir)
         finally:
-            session.close()
+            for session in sessions:
+                session.close()
