@@ -15,6 +15,9 @@ lookup when disabled.  Three layers, one per contract family:
   provenance parent and raises :class:`SanitizerError` when the
   declared ``changed`` set does not cover the actual structural edits,
   or when the derived circuit is not gid-topological.
+  :func:`verify_derived` checks each structure memo ``Circuit`` derives
+  from a parent's (fan-out map, live set, record digests, structure
+  keys) against the one it builds from scratch, as it is derived.
 * :class:`TrackedLock` — a named wrapper around ``threading`` locks
   used by the dispatcher/lake registries.  It records the global
   lock-acquisition order and raises on the first order inversion
@@ -36,6 +39,7 @@ __all__ = [
     "publish_array",
     "publish_arrays",
     "sanitize_enabled",
+    "verify_derived",
     "verify_provenance",
 ]
 
@@ -111,6 +115,23 @@ def verify_provenance(circuit) -> None:
             "derived circuit is not gid-topological: some gate has a "
             "fan-in with a larger ID, so the incremental consumers "
             "would evaluate it out of order"
+        )
+
+
+def verify_derived(circuit, name: str, derived, scratch) -> None:
+    """Check a memo derived from the provenance parent's.
+
+    Called by ``Circuit._memo`` under the sanitizer with the derived
+    value and the from-scratch one.  A difference means the derivation
+    missed an effect of the declared edits, and every consumer of that
+    memo (population dedup, lake keys, the value and timing walks) would
+    silently work on the wrong structure, so it raises.
+    """
+    if derived != scratch:
+        raise SanitizerError(
+            f"derived memo {name!r} of {circuit!r} differs from its "
+            "from-scratch value (provenance changed="
+            f"{sorted(circuit.provenance.changed)[:8]})"
         )
 
 

@@ -72,7 +72,6 @@ from ..sim import (
 )
 from ..sim.error import make_unpack_cache
 from ..sta import STAEngine, TimingReport, update_timing
-from ..sta.incremental import _shared_fanouts
 
 #: Guard against division by zero on fully-degenerate circuits.
 _EPS = 1e-9
@@ -414,14 +413,15 @@ def _evaluate_cones(
 
     ``children`` pairs each circuit whose provenance matched ``parent``
     with its changed-gate set.  A copy-then-mutate child shares the
-    parent's gate-ID set, so its fan-out map is the parent's patched
-    around the changed gates (memoized on the child) — the child never
-    builds an O(V+E) map of its own.  Each such child runs the
-    event-driven value walk from its changed gates
-    (:func:`repro.sim.resimulate_cone`) and the metric tail
-    (:func:`_finish_eval`) with its timing pending: the first read of
-    a timed field runs :func:`repro.sta.update_timing` against the
-    parent's report on the same map.  A child whose gate-ID set
+    parent's gate-ID set, so its fan-out map is derived from the
+    parent's around the changed gates (:meth:`Circuit.fanouts`,
+    memoized on the child) — the child never builds an O(V+E) map
+    from scratch.  Each such child runs the event-driven value walk
+    from its changed gates (:func:`repro.sim.resimulate_cone`) and
+    the metric tail (:func:`_finish_eval`) with its timing pending:
+    the first read of a timed field runs
+    :func:`repro.sta.update_timing` against the parent's report on the
+    same map.  A child whose gate-ID set
     diverged from the parent's (gates added or removed) takes
     :func:`evaluate`.  Results are bit-identical to :func:`evaluate`
     for every child.
@@ -433,11 +433,7 @@ def _evaluate_cones(
             out.append(evaluate(ctx, circuit))
             continue
         values = resimulate_cone(
-            circuit,
-            ctx.vectors,
-            parent.values,
-            changed,
-            _shared_fanouts(circuit, pc, changed),
+            circuit, ctx.vectors, parent.values, changed
         )
         report = partial(
             update_timing, ctx.sta, circuit, parent.report, changed

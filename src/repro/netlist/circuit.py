@@ -19,6 +19,13 @@ the fan-in adjacency or cell map — through the mutator methods or by
 direct ``circuit.fanins[gid] = ...`` assignment — bumps the version and
 lazily invalidates every cached answer.  Cached containers are returned
 by reference and must be treated as read-only by callers.
+
+Most circuits an optimizer sees are copies of an evaluated parent with a
+few gates rewritten, and their :class:`Provenance` record names those
+gates.  The fan-out map, live set, record digests and both structure
+keys of such a child are derived from its parent's memos in time
+proportional to the edit (:meth:`Circuit._memo`); every other circuit
+builds them from scratch.
 """
 
 from __future__ import annotations
@@ -27,8 +34,12 @@ import hashlib
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from operator import add
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -40,7 +51,11 @@ from typing import (
     Tuple,
 )
 
-from ..analysis.sanitize import sanitize_enabled, verify_provenance
+from ..analysis.sanitize import (
+    sanitize_enabled,
+    verify_derived,
+    verify_provenance,
+)
 
 #: Reserved fan-in ID for the constant logic value '0'.
 CONST0 = -1
@@ -50,6 +65,12 @@ CONST1 = -2
 #: Pseudo-cell names that carry no library cell.
 PI_CELL = "PI"
 PO_CELL = "PO"
+
+#: Library -> cell name -> area, the pseudo-cells included: the lookup
+#: :meth:`Circuit.area` sums through, built once per library.
+_CELL_AREAS: "weakref.WeakKeyDictionary[Any, Dict[str, float]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def is_const(gid: int) -> bool:
@@ -155,7 +176,9 @@ class Circuit:
     The structure is deliberately close to the paper's Fig. 3: the whole
     circuit is ``{gate_id: (fanin ids...)}`` plus a cell name per gate.
     Instances are mutable (LACs rewrite fan-ins in place); use
-    :meth:`copy` to fork population members.
+    :meth:`copy` to fork population members.  A forked member whose
+    edits are declared in its provenance record derives its structure
+    memos from its parent's (:meth:`_memo`).
     """
 
     def __init__(self, name: str = "top"):
@@ -287,17 +310,72 @@ class Circuit:
         return sum(1 for g in self.fanins if self.is_logic(g))
 
     # ------------------------------------------------------------------
+    # structure memos: derived from the parent's, or built from scratch
+    # ------------------------------------------------------------------
+    def _memo(
+        self,
+        key: str,
+        build: Callable[[], Any],
+        derive: Callable[["Circuit", FrozenSet[int]], Any],
+    ) -> Any:
+        """The memo ``key``, derived from the parent's when possible.
+
+        :meth:`fanouts`, :meth:`live_gates`, :meth:`structure_key`,
+        :meth:`full_structure_key` and their helpers all run through
+        here.  A copy-then-mutate child with a valid provenance record,
+        whose parent has the same gate-ID set and port lists, differs
+        from that parent only at the ``changed`` gates, so
+        ``derive(parent, changed)`` updates the parent's memo around
+        them.  Every other circuit (the reference, unpickled evals,
+        in-place edits, changed gate sets) runs ``build()``, the
+        from-scratch code.  Under ``REPRO_SANITIZE=1`` each derived
+        value is checked against ``build()`` as it is derived.
+        """
+        cached = self._cached(key)
+        if cached is not None:
+            return cached
+        prov = self.valid_provenance()
+        if prov is not None:
+            parent = prov.parent
+            if (
+                parent is not self
+                and parent.po_ids == self.po_ids
+                and parent.pi_ids == self.pi_ids
+                and self.same_gid_set(parent)
+            ):
+                value = derive(parent, prov.changed)
+                if sanitize_enabled():
+                    verify_derived(self, key, value, build())
+                return self._store(key, value)
+        return self._store(key, build())
+
+    def _rewired(
+        self, parent: "Circuit", changed: FrozenSet[int]
+    ) -> List[int]:
+        """The ``changed`` gates whose fan-in tuple is not ``parent``'s."""
+        pfanins, fanins = parent._fanins, self._fanins
+        return [g for g in changed if pfanins.get(g) != fanins.get(g)]
+
+    # ------------------------------------------------------------------
     # graph queries
     # ------------------------------------------------------------------
     def fanouts(self) -> Dict[int, List[int]]:
         """Map each gate to the gates that consume its output.
 
-        Constants are included as keys when referenced.  Memoized per
-        structure version; treat the returned dict as read-only.
+        Each list holds its consumers in fan-in dict order, once per
+        pin (a gate reading a driver on two pins appears twice).
+        Constants are keys only while some gate reads them.  A derived
+        child (see :meth:`_memo`) copies its parent's map at C level and
+        rebuilds only the lists of the drivers its rewired gates read
+        before or after the edit; every other list is the parent's own
+        object.  Memoized per structure version; treat the returned
+        dict and its lists as read-only.
         """
-        cached = self._cached("fanouts")
-        if cached is not None:
-            return cached
+        return self._memo(
+            "fanouts", self._build_fanouts, self._derive_fanouts
+        )
+
+    def _build_fanouts(self) -> Dict[int, List[int]]:
         out: Dict[int, List[int]] = {gid: [] for gid in self._fanins}
         for gid, fis in self._fanins.items():
             for fi in fis:
@@ -307,7 +385,50 @@ class Circuit:
                     out.setdefault(fi, []).append(gid)
                 else:
                     out[fi].append(gid)
-        return self._store("fanouts", out)
+        return out
+
+    def _derive_fanouts(
+        self, parent: "Circuit", changed: FrozenSet[int]
+    ) -> Dict[int, List[int]]:
+        base = parent.fanouts()
+        # Taken while the record is valid, so the child passes the
+        # shared map on to its own children once its record is consumed.
+        pos = self._fanin_positions()
+        rewired = self._rewired(parent, changed)
+        if not rewired:
+            return base
+        pfanins, fanins = parent._fanins, self._fanins
+        moved = set(rewired)
+        added: Dict[int, List[int]] = {}
+        drivers: Set[int] = set()
+        for g in rewired:
+            drivers.update(pfanins[g])
+            for fi in fanins[g]:
+                added.setdefault(fi, []).append(g)
+        drivers.update(added)
+        out = dict(base)
+        for d in drivers:
+            cons = [c for c in base.get(d, ()) if c not in moved]
+            cons += added.get(d, ())
+            cons.sort(key=pos.__getitem__)
+            if cons or d >= 0:
+                out[d] = cons
+            else:
+                del out[d]  # a constant no gate reads any more
+        return out
+
+    def _fanin_positions(self) -> Dict[int, int]:
+        """Each gate's position in fan-in dict order.
+
+        The sort key of the rebuilt fan-out lists.  A copy keeps its
+        source's dict order (the operators only reassign existing
+        keys), so a derived child shares its parent's map.
+        """
+        return self._memo(
+            "fanins_pos",
+            lambda: {g: i for i, g in enumerate(self._fanins)},
+            lambda parent, changed: parent._fanin_positions(),
+        )
 
     def topological_order(self) -> List[int]:
         """Gate IDs in topological order (fan-ins before fan-outs).
@@ -419,14 +540,15 @@ class Circuit:
 
         This is the gate every parent-structure reuse in the evaluation
         hot path runs through (shared timing index, shared value rows,
-        patched fan-out map), and it used to be paid as a full
-        ``fanins.keys() == parent.fanins.keys()`` set comparison per
-        child per evaluation.  Memoized per (this version, other
-        version) pair.  The entry holds ``other`` by weak reference, as
-        the tracked dicts hold their owner: an evaluated child must not
-        keep its parent (and through it every ancestor) alive, and a
-        dead reference never matches, so an ``id()`` recycled by the
-        allocator cannot alias a dead circuit's cached answer.
+        the structure memos :meth:`_memo` derives), and it used to be
+        paid as a full ``fanins.keys() == parent.fanins.keys()`` set
+        comparison per child per evaluation.  Memoized per (this
+        version, other version) pair.  The entry holds ``other`` by weak
+        reference, as the tracked dicts hold their owner: an evaluated
+        child must not keep its parent (and through it every ancestor)
+        alive, and a dead reference never matches, so an ``id()``
+        recycled by the allocator cannot alias a dead circuit's cached
+        answer.
         """
         if other is self:
             return True
@@ -448,11 +570,18 @@ class Circuit:
     def live_gates(self) -> FrozenSet[int]:
         """Gates reachable backwards from any PO (POs and PIs included).
 
-        Memoized per structure version; the returned set is immutable.
+        A derived child (see :meth:`_memo`) re-decides liveness only
+        where its edits can change it: a walk seeded with its rewired
+        gates' old and new fan-ins pops gates in descending gate ID (so,
+        on a gid-topological circuit, after all of their consumers) and
+        goes on to a gate's fan-ins only when its liveness differs from
+        the parent's.  A gate is queued again if a consumer flips after
+        it was popped, so any DAG ends at the same set.  Memoized per
+        structure version; the returned set is immutable.
         """
-        cached = self._cached("live")
-        if cached is not None:
-            return cached
+        return self._memo("live", self._build_live, self._derive_live)
+
+    def _build_live(self) -> FrozenSet[int]:
         fanins = self._fanins
         seen: Set[int] = set()
         stack = list(self.po_ids)
@@ -462,7 +591,43 @@ class Circuit:
                 continue
             seen.add(g)
             stack.extend(fanins[g])
-        return self._store("live", frozenset(seen))
+        return frozenset(seen)
+
+    def _derive_live(
+        self, parent: "Circuit", changed: FrozenSet[int]
+    ) -> FrozenSet[int]:
+        base = parent.live_gates()
+        rewired = self._rewired(parent, changed)
+        walked: Dict[int, bool] = {}
+        if rewired:
+            pfanins, fanins = parent._fanins, self._fanins
+            fanouts = self.fanouts()
+            outputs = set(self.po_ids)
+            queued = {
+                d for g in rewired for d in pfanins[g] + fanins[g] if d >= 0
+            }
+            heap = [-d for d in queued]
+            heapify(heap)
+            while heap:
+                g = -heappop(heap)
+                queued.discard(g)
+                now = g in outputs
+                if not now:
+                    for c in fanouts[g]:
+                        if walked.get(c, c in base):
+                            now = True
+                            break
+                if now == walked.get(g, g in base):
+                    continue
+                walked[g] = now
+                for fi in fanins[g]:
+                    if fi >= 0 and fi not in queued:
+                        queued.add(fi)
+                        heappush(heap, -fi)
+        died = [g for g, now in walked.items() if not now and g in base]
+        born = [g for g, now in walked.items() if now and g not in base]
+        live = base.difference(died) if died else base
+        return live.union(born) if born else live
 
     def dangling_gates(self) -> Set[int]:
         """Logic gates with no path to any PO (the paper's empty-TFO gates)."""
@@ -477,9 +642,14 @@ class Circuit:
 
         With ``live_only`` (the default) dangling gates are excluded —
         this is exactly how the paper computes ``Area_app``: the accurate
-        circuit's area minus the area of dangling gates.  Memoized per
-        structure version (the library object is held as part of the key
-        so identity cannot be recycled).
+        circuit's area minus the area of dangling gates.  The areas are
+        added one by one from 0.0 in ascending gate ID (fan-in dict
+        order with ``live_only=False``), so the float does not depend on
+        the order a live set iterates in.  ``reduce`` over ``add`` does
+        those sequential adds at C speed; the builtin ``sum`` is not
+        used, as from Python 3.12 it compensates float rounding.
+        Memoized per structure version (the library object is held as
+        part of the key so identity cannot be recycled).
         """
         cache = self._cached("area")
         if cache is None:
@@ -488,14 +658,20 @@ class Circuit:
         hit = cache.get(key)
         if hit is not None:
             return hit[1]
-        cells = self._cells
-        lib_cell = library.cell
-        gids = self.live_gates() if live_only else self._fanins
-        total = 0.0
-        for g in gids:
-            cell = cells[g]
-            if cell != PI_CELL and cell != PO_CELL:
-                total += lib_cell(cell).area
+        gids = sorted(self.live_gates()) if live_only else self._fanins
+        areas = _CELL_AREAS.get(library)
+        if areas is None:
+            # PI/PO pseudo-cells weigh 0.0, and adding 0.0 to the running
+            # total (never negative) leaves every bit of it unchanged.
+            areas = {c.name: c.area for c in library.cells()}
+            areas[PI_CELL] = areas[PO_CELL] = 0.0
+            _CELL_AREAS[library] = areas
+        cells = map(self._cells.__getitem__, gids)
+        try:
+            total = reduce(add, map(areas.__getitem__, cells), 0.0)
+        except KeyError as exc:
+            library.cell(exc.args[0])  # raises "cell ... not in library"
+            raise
         # lint: allow[R1] owner-populated memo, version-scoped by _store
         cache[key] = (library, total)
         return total
@@ -571,7 +747,8 @@ class Circuit:
         (still-valid) record — a copy of a derived circuit is the same
         derivation — or a fresh empty-delta record naming the source as
         parent, so a copy-then-mutate flow can extend it into the exact
-        ``changed`` set incremental evaluation needs.
+        ``changed`` set incremental evaluation needs and the structure
+        memos are derived from (:meth:`_memo`).
         """
         if sanitize_enabled():
             # Tripwire (REPRO_SANITIZE=1): a record carried across a
@@ -671,38 +848,33 @@ class Circuit:
         """Per-gate record digests the structure keys are folded from.
 
         Maps every gate ID to a 128-bit BLAKE2b digest of its record
-        ``(gid, cell, fanins)``.  The map is the incremental substrate
-        of :meth:`structure_key` / :meth:`full_structure_key`: a
-        copy-then-mutate child with a valid provenance record inherits
-        the parent's map as a C-level dict copy and re-hashes only the
+        ``(gid, cell, fanins)``.  A derived child (see :meth:`_memo`)
+        copies its parent's map at C level and re-hashes only the
         ``changed`` gates, instead of re-encoding and re-hashing the
         whole adjacency per child per generation (~5% of a DCGWO run
-        before this existed).  Circuits without usable provenance (the
-        reference, unpickled shard payloads, post-hoc edits) compute
-        the map from scratch once and memoize it.  Treat the returned
-        dict as read-only.
+        before this existed).  Treat the returned dict as read-only.
         """
-        cached = self._cached("rec_digests")
-        if cached is not None:
-            return cached
-        prov = self.valid_provenance()
-        if prov is not None and prov.parent is not self:
-            digests = dict(prov.parent._record_digests())
-            for gid in prov.changed:
-                if gid < 0:
-                    continue
-                fis = self._fanins.get(gid)
-                if fis is None:
-                    digests.pop(gid, None)
-                else:
-                    digests[gid] = _record_digest(gid, self._cells[gid], fis)
-        else:
-            cells = self._cells
-            digests = {
-                gid: _record_digest(gid, cells[gid], fis)
-                for gid, fis in self._fanins.items()
-            }
-        return self._store("rec_digests", digests)
+        return self._memo(
+            "rec_digests", self._build_digests, self._derive_digests
+        )
+
+    def _build_digests(self) -> Dict[int, int]:
+        cells = self._cells
+        return {
+            gid: _record_digest(gid, cells[gid], fis)
+            for gid, fis in self._fanins.items()
+        }
+
+    def _derive_digests(
+        self, parent: "Circuit", changed: FrozenSet[int]
+    ) -> Dict[int, int]:
+        digests = dict(parent._record_digests())
+        cells, fanins = self._cells, self._fanins
+        for gid in changed:
+            fis = fanins.get(gid)
+            if fis is not None:
+                digests[gid] = _record_digest(gid, cells[gid], fis)
+        return digests
 
     def full_structure_key(self) -> bytes:
         """Stable digest of the *complete* adjacency (dangling gates too).
@@ -718,11 +890,15 @@ class Circuit:
         digests of :meth:`_record_digests` — XOR is order-independent,
         so no sort is needed, and each gate appears in exactly one
         record (its own gid is hashed inside it), so records can never
-        cancel pairwise.  Memoized per structure version.
+        cancel pairwise.  A derived child (see :meth:`_memo`) XORs the
+        old and new digests of its ``changed`` gates into its parent's
+        key.  Memoized per structure version.
         """
-        cached = self._cached("full_skey")
-        if cached is not None:
-            return cached
+        return self._memo(
+            "full_skey", self._build_full_key, self._derive_full_key
+        )
+
+    def _build_full_key(self) -> bytes:
         acc = 0
         for d in self._record_digests().values():
             acc ^= d
@@ -730,7 +906,16 @@ class Circuit:
         acc ^= int.from_bytes(
             hashlib.blake2b(ports, digest_size=16).digest(), "big"
         )
-        return self._store("full_skey", acc.to_bytes(16, "big"))
+        return acc.to_bytes(16, "big")
+
+    def _derive_full_key(
+        self, parent: "Circuit", changed: FrozenSet[int]
+    ) -> bytes:
+        pdigests, digests = parent._record_digests(), self._record_digests()
+        acc = int.from_bytes(parent.full_structure_key(), "big")
+        for gid in changed:
+            acc ^= pdigests.get(gid, 0) ^ digests.get(gid, 0)
+        return acc.to_bytes(16, "big")
 
     def structure_key(self) -> int:
         """Order-independent digest of the live structure.
@@ -740,19 +925,33 @@ class Circuit:
         hash (BLAKE2b record digests, XOR-folded over the live cone)
         rather than builtin ``hash()`` so dedup decisions — and
         therefore archived results — reproduce across processes
-        regardless of ``PYTHONHASHSEED``.  Memoized per structure
-        version, and incremental through the provenance protocol (see
-        :meth:`_record_digests`) — DCGWO calls this on every child for
-        dedup *before* evaluation, exactly while the record is valid.
+        regardless of ``PYTHONHASHSEED``.  A derived child (see
+        :meth:`_memo`) XORs into its parent's key the digests of the
+        gates whose record or liveness changed — DCGWO calls this on
+        every child for dedup *before* evaluation, exactly while the
+        record is valid.  Memoized per structure version.
         """
-        cached = self._cached("skey")
-        if cached is not None:
-            return cached
+        return self._memo("skey", self._build_skey, self._derive_skey)
+
+    def _build_skey(self) -> int:
         digests = self._record_digests()
         acc = 0
         for gid in self.live_gates():
             acc ^= digests[gid]
-        return self._store("skey", acc)
+        return acc
+
+    def _derive_skey(
+        self, parent: "Circuit", changed: FrozenSet[int]
+    ) -> int:
+        base, live = parent.live_gates(), self.live_gates()
+        pdigests, digests = parent._record_digests(), self._record_digests()
+        acc = parent.structure_key()
+        for gid in changed.union(base.symmetric_difference(live)):
+            if gid in base:
+                acc ^= pdigests[gid]
+            if gid in live:
+                acc ^= digests[gid]
+        return acc
 
     def __repr__(self) -> str:
         return (

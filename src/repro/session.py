@@ -167,9 +167,10 @@ class Session:
         self.config = config or FlowConfig()
         self.library = library or default_library()
         #: Cache configuration persisted by :meth:`checkpoint` so
-        #: :meth:`resume` reattaches the same lake directory (explicit
-        #: attachments only — an env-resolved lake travels with the
-        #: environment, not the checkpoint).
+        #: :meth:`resume` makes the same lake decision: the directory
+        #: of an explicit attachment, or ``False`` for ``cache=False``
+        #: (an env-resolved lake travels with the environment, not the
+        #: checkpoint).
         self._cache_spec: Optional[Dict[str, Any]] = None
         if ctx is None:
             if self.config.pre_synth:
@@ -191,7 +192,9 @@ class Session:
                 depth_mode=self.config.depth_mode,
                 lake=lake,
             )
-            if lake:
+            if lake is False:
+                self._cache_spec = {"cache_dir": False}
+            elif lake:
                 self._cache_spec = {"cache_dir": ctx.lake.path}
         self.ctx = ctx
         #: Paused optimizer runs by canonical method name.
@@ -593,8 +596,9 @@ class Session:
         # The stored circuit already went through pre_synth (when
         # enabled), so the context is rebuilt directly from it.  It
         # reattaches the evaluation lake the checkpointed session
-        # used; cached hits are bit-identical, so resume + warm cache
-        # replays the same trajectory as an uninterrupted run.
+        # used, or none when it was built with ``cache=False``; cached
+        # hits are bit-identical, so resume + warm cache replays the
+        # same trajectory as an uninterrupted run.
         spec = payload.get("cache")
         ctx = EvalContext.build(
             circuit,

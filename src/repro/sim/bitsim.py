@@ -16,7 +16,7 @@ change actually changes, and requires a gid-topological circuit (see
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -86,7 +86,6 @@ def resimulate_cone(
     vectors: VectorSet,
     base_values: ValueStore,
     changed: Iterable[int],
-    fanouts: Optional[Any] = None,
 ) -> ValueStore:
     """Re-evaluate the ``changed`` gates and only the rows they change.
 
@@ -97,13 +96,11 @@ def resimulate_cone(
     topological order because ``circuit`` must be gid-topological
     (every population member is).  A popped row whose re-evaluated
     words equal the parent's stops there; any other row queues its
-    consumers from ``fanouts``, the child's fan-out map (anything with
-    a ``get(gid, default)``; :func:`repro.core.fitness._evaluate_cones`
-    passes the one patched from the parent's, which
-    :func:`repro.sta.update_timing` then reuses; default
-    ``circuit.fanouts()``).  Every row left alone has unchanged fan-in
-    rows and an unchanged gate, so the result equals :func:`simulate`
-    bit for bit, padding bits included.
+    consumers from ``circuit.fanouts()``, which a copy-then-mutate
+    child derives from its parent's map and
+    :func:`repro.sta.update_timing` then reuses.  Every row left alone
+    has unchanged fan-in rows and an unchanged gate, so the result
+    equals :func:`simulate` bit for bit, padding bits included.
 
     Returns a fresh :class:`ValueStore` on the base store's row index
     (one matrix ``memcpy`` plus the changed rows); ``base_values`` is
@@ -113,8 +110,7 @@ def resimulate_cone(
     """
     if not base_values.covers(circuit):
         return simulate(circuit, vectors)
-    if fanouts is None:
-        fanouts = circuit.fanouts()
+    fanouts = circuit.fanouts()
     index = base_values.index
     base = base_values.matrix
     matrix = base_values.fork_matrix()

@@ -27,7 +27,7 @@ package; perfbench's tracer still binds it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,101 +36,13 @@ from .analyzer import STAEngine, TimingReport
 from .store import TimingIndex, walk_frontier
 
 
-class _PatchedFanouts:
-    """The parent's memoized fan-out map with per-driver overrides.
-
-    A copy-then-mutate child's fan-out lists differ from its parent's
-    only for drivers touched by the changed gates' fan-in rewrites;
-    rebuilding the whole O(V+E) map per child was the last per-child
-    schedule build in the incremental hot path.  Only ``get`` is
-    exposed — exactly what the load rederivation and the frontier walk
-    consume.
-    """
-
-    __slots__ = ("base", "overrides")
-
-    def __init__(self, base, overrides):
-        self.base = base
-        self.overrides = overrides
-
-    def get(self, key, default=()):
-        hit = self.overrides.get(key)
-        if hit is not None:
-            return hit
-        return self.base.get(key, default)
-
-
-def _shared_fanouts(
-    circuit: Circuit,
-    parent: Circuit,
-    changed: Iterable[int],
-):
-    """The child's fan-out map, patched from the parent's; memoized.
-
-    Runs under :func:`update_timing`'s precondition (``parent`` is a
-    distinct circuit, unmutated since it was evaluated, with the same
-    gate-ID set).  Consumer lists are reconstructed in the child's
-    fan-in dict order (copies preserve the parent's insertion order,
-    and a stable sort on the parent's position map restores it after
-    membership edits), so the float accumulation order in the load
-    rederivation — and therefore every load bit — matches a
-    from-scratch :meth:`Circuit.fanouts` build.  The map is memoized on
-    the child per structure version: the event-driven value walk
-    (:func:`repro.sim.resimulate_cone`) builds it first and
-    :func:`update_timing` reuses it.
-    """
-    cached = circuit._cached("fanouts")
-    if cached is None:
-        cached = circuit._cached("shared_fanouts")
-    if cached is not None:
-        return cached
-    parent_fo = parent.fanouts()
-    parent_fanins = parent.fanins
-    child_fanins = circuit.fanins
-    changed_set = set()
-    affected = set()
-    for g in changed:
-        if g < 0:
-            continue
-        changed_set.add(g)
-        pf = parent_fanins.get(g, ())
-        cf = child_fanins.get(g, ())
-        if pf != cf:
-            affected.update(pf)
-            affected.update(cf)
-    if not affected:
-        return circuit._store("shared_fanouts", parent_fo)
-    pos = parent._cached("fanins_pos")
-    if pos is None:
-        pos = parent._store(
-            "fanins_pos", {g: i for i, g in enumerate(parent_fanins)}
-        )
-    overrides = {}
-    for d in affected:
-        if d < 0:
-            continue  # constant sources carry no load row
-        base = parent_fo.get(d, ())
-        # Multiplicity matters: a driver feeding two pins of one gate
-        # appears twice in the consumer list (two pin loads).
-        cons = [c for c in base if c not in changed_set]
-        for g in changed_set:
-            occ = child_fanins[g].count(d)
-            if occ:
-                cons.extend([g] * occ)
-        cons.sort(key=pos.__getitem__)
-        overrides[d] = cons
-    return circuit._store(
-        "shared_fanouts", _PatchedFanouts(parent_fo, overrides)
-    )
-
-
 def _incremental_loads(
     engine: STAEngine,
     circuit: Circuit,
     previous: TimingReport,
     changed: Iterable[int],
     index: TimingIndex,
-    fanouts,
+    fanouts: Dict[int, List[int]],
 ) -> np.ndarray:
     """Load array of ``circuit``, rederiving only perturbed drivers.
 
@@ -189,8 +101,8 @@ def update_timing(
     The child shares the parent's dense index and starts from copies of
     its five arrays; the changed rows and every row whose load changed
     seed :func:`~repro.sta.store.walk_frontier`, which takes consumers
-    from the child's patched fan-out map (built once per child and
-    shared with the value walk, see :func:`_shared_fanouts`).  The child
+    from the child's fan-out map (:meth:`Circuit.fanouts`, derived from
+    the parent's and already memoized by the value walk).  The child
     must be gid-topological (every population member is): the walk pops
     gates in ascending gate ID, so the child builds no schedule of its
     own.
@@ -211,7 +123,7 @@ def update_timing(
         # row-dict build in the hottest path of the optimizer.
         index = circuit._store("timing_index", previous.index)
     n = index.n
-    fanouts = _shared_fanouts(circuit, parent, changed)
+    fanouts = circuit.fanouts()
     loads = _incremental_loads(
         engine, circuit, previous, changed, index, fanouts
     )

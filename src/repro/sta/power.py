@@ -81,7 +81,9 @@ def estimate_power(
     per_gate: Dict[int, float] = {}
     dynamic_w = 0.0
     leakage_w = 0.0
-    for gid in live:
+    # Ascending gate ID: the float sums must not depend on the order a
+    # live set iterates in (a derived one is built by set algebra).
+    for gid in sorted(live):
         if not circuit.is_logic(gid):
             continue
         alpha = toggle_rate(values[gid], vectors.num_vectors)

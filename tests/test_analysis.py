@@ -25,7 +25,7 @@ from repro.core import (
     format_pareto_front,
     pareto_front,
 )
-from repro.netlist import CONST0
+from repro.netlist import CONST0, Circuit
 from repro.sim import ErrorMode
 
 
@@ -483,6 +483,40 @@ class TestProvenanceTripwire:
         child.substitute(8, CONST0)  # undeclared: record goes stale
         assert child.valid_provenance() is None
         verify_provenance(child)  # stale record: nothing to check
+
+
+class TestDerivedMemoCheck:
+    def test_wrong_derivation_raises(self, fig3, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        # A derivation that forgets the edit: gate 8 dies in the child,
+        # but it would keep its parent's live set.
+        monkeypatch.setattr(
+            Circuit,
+            "_derive_live",
+            lambda self, parent, changed: parent.live_gates(),
+        )
+        child = applied_copy(fig3, LAC(8, CONST0))
+        with pytest.raises(SanitizerError, match="'live'"):
+            child.live_gates()
+
+    def test_reordered_fanin_dict_raises(self, fig3, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        child = fig3.copy()
+        since = child.version
+        fanins = child.fanins[11]
+        del child.fanins[11]
+        child.fanins[11] = fanins  # same record, now last in dict order
+        child.extend_provenance([11], since, 2)
+        # Derived fan-out lists are ordered by the parent's positions.
+        with pytest.raises(SanitizerError, match="'fanins_pos'"):
+            child.fanouts()
+
+    def test_derived_memos_pass(self, fig3, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        child = applied_copy(fig3, LAC(8, CONST0))
+        assert 8 not in child.live_gates()
+        child.structure_key()
+        child.full_structure_key()
 
 
 class TestTrackedLock:

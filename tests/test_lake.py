@@ -664,6 +664,28 @@ class TestSessionLake:
         assert resumed.cache is None
         resumed.close()
 
+    def test_checkpoint_keeps_cache_false(self, monkeypatch, tmp_path):
+        # A session built with cache=False resumes without a lake even
+        # when REPRO_CACHE names one, and its results are unchanged.
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        cfg = FlowConfig(num_vectors=64, effort=0.2)
+        plain = Session(build_adder(4), cfg, cache=False)
+        ref = plain.run("Ours")
+        plain.close()
+        ckpt = str(tmp_path / "run.ckpt")
+        first = Session(build_adder(4), cfg, cache=False)
+        assert not first.optimize("Ours", stop_after=1).completed
+        first.checkpoint(ckpt)
+        first.close()
+        env_lake = tmp_path / "envlake"
+        monkeypatch.setenv("REPRO_CACHE", str(env_lake))
+        resumed = Session.resume(ckpt)
+        assert resumed.cache is None
+        result = resumed.run("Ours")
+        resumed.close()
+        assert not env_lake.exists()
+        assert _flow_signature(result) == _flow_signature(ref)
+
     def test_warm_start_seeds_from_catalog(self, tmp_path):
         lake_dir = str(tmp_path / "lake")
         first = Session(

@@ -211,6 +211,11 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate(fig3, library)
 
+    def test_area_names_a_cell_not_in_library(self, fig3, library):
+        fig3.cells[5] = "MAJ3D9"
+        with pytest.raises(KeyError, match="'MAJ3D9' not in library"):
+            fig3.area(library)
+
 
 class TestTransforms:
     def test_remove_dangling(self, fig3):
