@@ -27,10 +27,10 @@ things:
   throughput regressions.
 * **warm cache** — the same generation evaluated cold (write-through
   into a fresh evaluation lake) and then warm from a fresh process-like
-  handle on that lake (empty index and LRU, so every hit comes off
-  disk).  The warm pass is asserted bit-identical to the uncached one
-  and must clear a >50% batch hit rate before its throughput is
-  reported.
+  handle on that lake (the lake holds nothing in memory, so every hit
+  is read off disk).  The warm pass is asserted bit-identical to the
+  uncached one and must clear a >50% batch hit rate before its
+  throughput is reported.
 """
 
 import os
@@ -172,12 +172,11 @@ def run_warm_cache():
     """Cold write-through vs warm hits for one generation via the lake.
 
     The cold pass evaluates a generation with an empty lake attached
-    (paying STA + simulation + the segment write); the warm pass reuses
-    the directory through a *fresh* :class:`EvalCache` (empty in-memory
-    index and LRU — every record is found by directory refresh and read
-    off disk, the cross-run scenario).  Bit-identity with the uncached
-    evaluation and the >50% batch hit rate are asserted before either
-    throughput is reported.
+    (paying STA + simulation + one record file per child); the warm
+    pass reuses the directory through a *fresh* :class:`EvalCache`,
+    which reads every record off disk on every pass (the cross-run
+    scenario).  Bit-identity with the uncached evaluation and the >50%
+    batch hit rate are asserted before either throughput is reported.
     """
     library = default_library()
     rows = {
@@ -247,7 +246,7 @@ def _legacy_pack_bytes(ev):
     save on the wire.
     """
     packed = list(_pack_eval(ev))
-    packed[1] = _legacy_timing_dicts(ev.report)
+    packed[0] = _legacy_timing_dicts(ev.report)
     return len(pickle.dumps(tuple(packed)))
 
 

@@ -24,7 +24,7 @@ Examples::
 
     # inspect / maintain a persistent evaluation cache
     python -m repro cache stats ./lake
-    python -m repro cache compact ./lake --max-bytes 100000000
+    python -m repro cache gc ./lake --max-bytes 100000000
 
     # run the long-lived optimization service, then load-test it
     python -m repro serve --port 8355 --capacity 4
@@ -389,10 +389,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 2
     if args.cache_command == "stats":
         info = cache.aggregate_stats()
-    elif args.cache_command == "compact":
-        info = cache.compact(
-            max_bytes=args.max_bytes, max_age_s=args.max_age_s
-        )
     else:  # gc
         info = cache.gc(
             max_bytes=args.max_bytes, max_age_s=args.max_age_s
@@ -666,8 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     for name, help_text in (
         ("stats", "hit/miss counters and on-disk census"),
-        ("compact", "merge segments, dropping dead record versions"),
-        ("gc", "drop whole segments past the age/size budget"),
+        ("gc", "drop records past the age bound, then oldest-first "
+               "down to the size budget"),
     ):
         p = cache_sub.add_parser(name, help=help_text)
         p.add_argument(

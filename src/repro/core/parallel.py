@@ -250,8 +250,10 @@ class _ContextSpec:
 # repacking — and the row index is rebuilt memoized from the circuit on
 # the receiving side.  Timing rides the same way: the report's SoA
 # arrays ship raw (five numpy arrays instead of five per-gate dicts).
+# The circuit is not packed: a reply is rebuilt on the circuit the
+# parent submitted, and a parent eval shipped to a worker travels as
+# ``(circuit, packed)``.
 _PackedEval = Tuple[
-    Circuit,  # shares identity with report.circuit through one pickle
     Tuple,  # TimingReport.pack(): five SoA arrays + structure version
     np.ndarray,  # value matrix: (index.n + 2, W)
     float,  # depth
@@ -264,10 +266,12 @@ _PackedEval = Tuple[
     int,  # circuit_version
 ]
 
+#: A parent eval on its way to a worker: the circuit, then its packing.
+_ShippedEval = Tuple[Circuit, _PackedEval]
+
 
 def _pack_eval(ev: CircuitEval) -> _PackedEval:
     return (
-        ev.circuit,
         ev.report.pack(),
         ev.values.matrix,
         ev.depth,
@@ -281,9 +285,14 @@ def _pack_eval(ev: CircuitEval) -> _PackedEval:
     )
 
 
-def _unpack_eval(packed: _PackedEval) -> CircuitEval:
+def _unpack_eval(circuit: Circuit, packed: _PackedEval) -> CircuitEval:
+    """Rebuild a packed eval on ``circuit``, the circuit it belongs to.
+
+    Consumes the circuit's provenance record, as ``_finish_eval`` does:
+    the circuit keeps the structure memos it derived from its parent
+    while the record was valid, so its own children derive from them.
+    """
     (
-        circuit,
         report_payload,
         matrix,
         depth,
@@ -295,11 +304,11 @@ def _unpack_eval(packed: _PackedEval) -> CircuitEval:
         fitness,
         version,
     ) = packed
-    # Rebuild the (memoized) row index from the circuit that travelled
-    # alongside — same sorted-gid numbering the sender laid the matrix
-    # out by.  The matrix arrives writable from the pipe; republish it
-    # read-only — a shipped eval is as published as the local one it
-    # mirrors.
+    circuit.provenance = None
+    # Rebuild the (memoized) row index from the circuit — same
+    # sorted-gid numbering the sender laid the matrix out by.  The
+    # matrix arrives writable from the pipe; republish it read-only — a
+    # shipped eval is as published as the local one it mirrors.
     return CircuitEval(
         circuit=circuit,
         report=TimingReport.unpack(circuit, report_payload),
@@ -337,8 +346,8 @@ def _worker_eval(
     ref_key: bytes,
     cache: "Dict[bytes, CircuitEval]",
     evicts: Sequence[bytes],
-    groups: Sequence[Tuple[Optional[bytes], Optional["_PackedEval"], List]],
-) -> List[Tuple[int, "_PackedEval"]]:
+    groups: Sequence[Tuple[Optional[bytes], Optional[_ShippedEval], List]],
+) -> List[Tuple[int, _PackedEval]]:
     """Evaluate one shard: provenance groups, then full-eval singles.
 
     A group keyed ``None`` holds the shard's full-evaluation singles.
@@ -353,7 +362,7 @@ def _worker_eval(
     for key, payload, members in groups:
         parent: Optional[CircuitEval] = None
         if payload is not None:
-            parent = _unpack_eval(payload)
+            parent = _unpack_eval(*payload)
             cache[key] = parent
         elif key == ref_key:
             parent = ctx.reference_eval()
@@ -493,10 +502,10 @@ class _WorkerPlan:
     """One worker's share of a dispatch, built deterministically."""
 
     evicts: List[bytes] = field(default_factory=list)
-    #: ``(parent key, packed parent or None, members)``; the key is
+    #: ``(parent key, shipped parent or None, members)``; the key is
     #: ``None`` for the group of full-evaluation singles.
-    groups: List[Tuple[Optional[bytes], Optional[_PackedEval], List]] = field(
-        default_factory=list
+    groups: List[Tuple[Optional[bytes], Optional[_ShippedEval], List]] = (
+        field(default_factory=list)
     )
 
 
@@ -719,11 +728,11 @@ class ShardDispatcher:
                         self._register(w, child_key, plans[w], pinned)
                 continue
             owner = next((w for w in workers if key in self._known[w]), None)
-            payload: Optional[_PackedEval] = None
+            payload: Optional[_ShippedEval] = None
             if owner is None:
                 # First sighting: route by key hash, ship the parent.
                 owner = workers[int.from_bytes(key[:8], "big") % len(workers)]
-                payload = _pack_eval(parent)
+                payload = (parent.circuit, _pack_eval(parent))
                 self._register(owner, key, plans[owner], pinned)
             else:
                 pinned.add(key)
@@ -918,7 +927,7 @@ class ShardDispatcher:
 
             def handle(reply: List[Tuple[int, _PackedEval]]) -> None:
                 for index, packed in reply:
-                    out[index] = _unpack_eval(packed)
+                    out[index] = _unpack_eval(items[index][0], packed)
 
             plans = self._plan(items, range(len(items)))
             tasks = [

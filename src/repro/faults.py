@@ -5,7 +5,7 @@ dispatcher, retry-from-checkpoint in the serve daemon, miss-and-
 recompute in the evaluation lake — is validated by *injecting* the
 failure it heals, on a schedule that is a pure function of the spec
 string and its seed.  The same ``REPRO_FAULTS`` value always kills the
-same dispatch, hangs the same worker and corrupts the same segment, so
+same dispatch, hangs the same worker and corrupts the same record, so
 a chaos run that fails is a chaos run someone can replay.
 
 Spec grammar (the ``REPRO_FAULTS`` environment variable)::
@@ -27,8 +27,8 @@ up in this repo:
                    worker index)
 ``worker.poison``  shard worker answers with an injected error reply
                    (scope: worker index)
-``lake.corrupt``   one byte of the just-published lake segment is
-                   flipped (scope: unused)
+``lake.corrupt``   one byte of the first lake record a write-through
+                   published is flipped (scope: unused)
 ``serve.crash``    a served job raises after streaming an iteration
                    (scope: the job's tag, falling back to its id)
 
@@ -274,8 +274,8 @@ def corrupt_file(path: str, offset: int = 0) -> None:
     """Flip one byte of ``path`` at ``offset`` — simulated bit rot.
 
     Used by the ``lake.corrupt`` site (and tests) to damage a published
-    segment the way a bad disk would: silently, mid-payload, without
-    truncating the file.
+    lake record the way a bad disk would: silently, mid-payload,
+    without truncating the file.
     """
     with open(path, "r+b") as f:
         f.seek(offset)

@@ -21,11 +21,13 @@ Public surface:
 * :class:`Catalog` / :class:`RunRecord` — past-run records behind
   ``Session.warm_start``.
 
-See ``repro cache {stats,compact,gc}`` for the maintenance CLI.
+The store is one immutable file per composite key under
+``<dir>/records/``, so the filesystem is the index (see
+:mod:`repro.lake.cache`).  See ``repro cache {stats,gc}`` for the
+maintenance CLI.
 """
 
 from .cache import (
-    DEFAULT_MEMORY_BUDGET,
     EvalCache,
     flush_open_caches,
     open_cache,
@@ -35,7 +37,6 @@ from .catalog import Catalog, RunRecord
 from .keys import context_digests, library_digest, vectors_digest
 
 __all__ = [
-    "DEFAULT_MEMORY_BUDGET",
     "EvalCache",
     "Catalog",
     "RunRecord",

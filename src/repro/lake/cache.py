@@ -2,32 +2,32 @@
 
 An ``EvalCache`` is a directory::
 
-    <dir>/segments/seg-<pid>-<n>-<rand>.evs   append-only record batches
-    <dir>/catalog/run-*.pkl                   past-run summaries
-    <dir>/stats.jsonl                         one counter line per process
+    <dir>/records/<key hex>.rec    one immutable file per evaluation
+    <dir>/catalog/run-*.pkl        past-run summaries
+    <dir>/stats.jsonl              one counter line per process
 
-and three layers in front of it:
+The filesystem is the index: a record's name is the hex of its 48-byte
+composite key ``structure_key + library_digest + vector_digest``, so a
+lookup opens that one file and a missing file is a plain miss.  A
+record file is::
 
-* an **in-memory index** mapping the 48-byte composite key
-  ``structure_key + library_digest + vector_digest`` to the segment
-  record holding its payload, refreshed lazily from the directory
-  listing (so records written by *other* processes — shard workers,
-  concurrent runs — become visible without any coordination);
-* an **LRU admission layer** of decoded payloads, byte-budgeted, so a
-  hot working set never touches disk twice;
-* **maintenance** — :meth:`compact` (merge live records into one
-  segment, drop dead versions), :meth:`gc` (segment-granularity
-  retention by age/size), :meth:`stats` (hits/misses/bytes/segments).
+    REC_MAGIC crc32(payload) payload_len structure_key library_digest
+    vector_digest payload
 
-Writers never share files: every :meth:`put_many` flush publishes a
-fresh uniquely-named segment via ``os.replace``, which is the whole
-concurrency story — two ``REPRO_JOBS=2`` runs pointed at one cache
-directory interleave segments, and the worst possible race (a reader
-holding an index entry for a segment a compaction just deleted) reads
-a miss and recomputes.  Payloads are the raw SoA arrays of an
-evaluation (five timing arrays + the dense value matrix), i.e. pure
-functions of the composite key; the metric tail is recomputed by the
-consumer so hit-path results stay bit-identical to computed ones.
+Writers publish each record by writing a ``.tmp-`` file in the same
+directory and ``os.replace``-ing it onto its name, which is the whole
+concurrency story: readers (other runs, shard workers) see a complete
+record or none, and two writers racing on one key publish the same
+bytes.  A record that fails validation (framing, key triple, CRC,
+unpickling) warns, reads as a miss and is deleted, so the caller's
+write-through republishes it — a damaged lake costs recomputation,
+never a crash and never a wrong result.  Payloads are the raw SoA
+arrays of an evaluation (five timing arrays + the dense value matrix),
+i.e. pure functions of the composite key; the metric tail is
+recomputed by the consumer so hit-path results stay bit-identical to
+computed ones.  Nothing is held in memory: :meth:`EvalCache.stats`
+and :meth:`EvalCache.gc` census ``records/`` (skipping ``.tmp-``
+names, taking age from mtime).
 
 Caches are process-local singletons per directory (:func:`open_cache`)
 and pickle as their path, so a context spec shipped to a shard worker
@@ -42,25 +42,22 @@ import atexit
 import json
 import os
 import pickle
+import struct
 import time
 import warnings
-from collections import OrderedDict
+import zlib
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import faults
 from ..analysis.sanitize import TrackedLock
-from . import segment as seg
 from .catalog import Catalog
 
-#: Default byte budget of the in-memory payload LRU.
-DEFAULT_MEMORY_BUDGET = 128 * 1024 * 1024
+#: First bytes of every record file; bump the digit on layout changes.
+REC_MAGIC = b"REVREC01"
 
-#: ``(segment path, header offset, payload length, timestamp)``.
-_IndexEntry = Tuple[str, int, int, float]
-
-
-def _payload_bytes(payload: Tuple) -> int:
-    return sum(int(getattr(a, "nbytes", 64)) for a in payload)
+#: magic, crc32(payload), payload length, key triple.
+_HEADER = struct.Struct("<8sII16s16s16s")
+HEADER_SIZE = _HEADER.size
 
 
 class EvalCache:
@@ -68,23 +65,15 @@ class EvalCache:
 
     Args:
         path: the lake directory (created if absent).
-        memory_budget: byte cap of the decoded-payload LRU.
     """
 
-    def __init__(self, path: str, memory_budget: int = DEFAULT_MEMORY_BUDGET):
+    def __init__(self, path: str):
         self.path = os.path.abspath(path)
-        self.segments_dir = os.path.join(self.path, "segments")
-        os.makedirs(self.segments_dir, exist_ok=True)
-        self.memory_budget = memory_budget
+        self.records_dir = os.path.join(self.path, "records")
+        os.makedirs(self.records_dir, exist_ok=True)
         self.catalog = Catalog(os.path.join(self.path, "catalog"))
-        self._index: Dict[bytes, _IndexEntry] = {}
-        self._seen: set = set()
-        self._memory: "OrderedDict[bytes, Tuple[Tuple, int]]" = OrderedDict()
-        self._memory_bytes = 0
-        self._seq = 0
         self.counters: Dict[str, int] = {
             "hits": 0,
-            "disk_hits": 0,
             "misses": 0,
             "puts": 0,
             "put_bytes": 0,
@@ -99,78 +88,66 @@ class EvalCache:
         # receiving process's singleton for the same lake.
         return (open_cache, (self.path,))
 
-    # ------------------------------------------------------------------
-    # index maintenance
-    # ------------------------------------------------------------------
-    def _segment_files(self) -> List[str]:
-        """Published segment names; a writer's ``.tmp-`` file is not one
-        until its ``os.replace`` lands."""
-        try:
-            names = os.listdir(self.segments_dir)
-        except OSError:
-            return []
-        return sorted(
-            n
-            for n in names
-            if n.endswith(".evs") and not n.startswith(".tmp-")
-        )
-
-    def refresh(self) -> None:
-        """Fold segments other processes published into the index.
-
-        Newest timestamp wins per composite key, so a re-put after a
-        compaction (or a concurrent writer's fresher record) shadows
-        older versions deterministically.
-        """
-        for name in self._segment_files():
-            if name in self._seen:
-                continue
-            self._seen.add(name)
-            path = os.path.join(self.segments_dir, name)
-            for (skey, lib, vec), offset, length, ts in seg.scan_segment(
-                path
-            ):
-                comp = skey + lib + vec
-                current = self._index.get(comp)
-                if current is None or ts >= current[3]:
-                    self._index[comp] = (path, offset, length, ts)
+    def record_path(self, skey: bytes, lib: bytes, vec: bytes) -> str:
+        """Where the record for one composite key lives."""
+        name = (skey + lib + vec).hex() + ".rec"
+        return os.path.join(self.records_dir, name)
 
     def _check_pid(self) -> None:
         """Re-baseline the stats ledger after a ``fork``.
 
-        Forked shard workers inherit the parent's singleton — index and
-        LRU included, which is exactly right — but the inherited
-        counters describe the *parent's* activity, and flushing them
-        from the child would double-count every parent lookup once per
-        worker.  On the first counter-touching call in a new pid the
-        already-flushed ledger is reset to the inherited counters, so
-        this process only ever reports its own deltas.
+        Forked shard workers inherit the parent's singleton, but the
+        inherited counters describe the *parent's* activity, and
+        flushing them from the child would double-count every parent
+        lookup once per worker.  On the first counter-touching call in
+        a new pid the already-flushed ledger is reset to the inherited
+        counters, so this process only ever reports its own deltas.
         """
         if self._pid != os.getpid():
             self._pid = os.getpid()
             self._flushed = dict(self.counters)
 
-    def _drop_entry(self, comp: bytes) -> None:
-        self._index.pop(comp, None)
-        entry = self._memory.pop(comp, None)
-        if entry is not None:
-            self._memory_bytes -= entry[1]
+    def _read(self, path: str, triple: Tuple[bytes, bytes, bytes]) -> Any:
+        """One record's payload, or ``None``: a missing file is a plain
+        miss, and a damaged one warns, counts a drop and is deleted."""
+        try:
+            with open(path, "rb") as f:
+                raw = f.read()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            return self._drop(path, f"cannot read ({exc})")
+        if len(raw) < HEADER_SIZE:
+            return self._drop(path, "truncated header")
+        magic, crc, length, *stored = _HEADER.unpack_from(raw)
+        payload = memoryview(raw)[HEADER_SIZE:]
+        if magic != REC_MAGIC or tuple(stored) != triple:
+            return self._drop(path, "bad framing or mismatched key")
+        if len(payload) != length:
+            return self._drop(path, "length mismatch")
+        if zlib.crc32(payload) != crc:
+            return self._drop(path, "CRC mismatch")
+        try:
+            return pickle.loads(payload)
+        except Exception as exc:  # noqa: BLE001 - degrade, don't die
+            return self._drop(path, f"undecodable payload ({exc!r})")
+
+    def _drop(self, path: str, why: str) -> None:
+        warnings.warn(
+            f"evaluation lake: {path}: {why}; treated as a miss",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         self.counters["drops"] += 1
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+        return None
 
     # ------------------------------------------------------------------
     # the batch read/write surface
     # ------------------------------------------------------------------
-    def _admit(self, comp: bytes, payload: Tuple) -> None:
-        nbytes = _payload_bytes(payload)
-        old = self._memory.pop(comp, None)
-        if old is not None:
-            self._memory_bytes -= old[1]
-        self._memory[comp] = (payload, nbytes)
-        self._memory_bytes += nbytes
-        while self._memory_bytes > self.memory_budget and len(self._memory) > 1:
-            _, (_, evicted) = self._memory.popitem(last=False)
-            self._memory_bytes -= evicted
-
     def get_many(
         self, lib: bytes, vec: bytes, keys: Sequence[bytes]
     ) -> Dict[bytes, Tuple]:
@@ -178,51 +155,19 @@ class EvalCache:
 
         Returns ``{structure_key: payload}`` for the keys found; hit and
         miss counters tally per *requested* key occurrence (what the
-        bench's batch hit rate reports).  Every disk read re-validates
-        framing, key triple and CRC — a failed validation drops the
-        index entry and reports a miss.
+        bench's batch hit rate reports).  Every read validates framing,
+        key triple and CRC.
         """
         self._check_pid()
         found: Dict[bytes, Tuple] = {}
-        unique: Dict[bytes, bytes] = {}
+        for skey in dict.fromkeys(keys):
+            payload = self._read(
+                self.record_path(skey, lib, vec), (skey, lib, vec)
+            )
+            if payload is not None:
+                found[skey] = payload
         for skey in keys:
-            if skey not in unique:
-                unique[skey] = skey + lib + vec
-        if any(comp not in self._index and comp not in self._memory
-               for comp in unique.values()):
-            self.refresh()
-        for skey, comp in unique.items():
-            entry = self._memory.get(comp)
-            if entry is not None:
-                self._memory.move_to_end(comp)
-                found[skey] = entry[0]
-                continue
-            where = self._index.get(comp)
-            if where is None:
-                continue
-            path, offset, length, _ts = where
-            raw = seg.read_record(path, offset, (skey, lib, vec))
-            if raw is None:
-                self._drop_entry(comp)
-                continue
-            try:
-                payload = pickle.loads(raw)
-            except Exception as exc:  # pragma: no cover - defensive
-                warnings.warn(
-                    f"evaluation lake: undecodable record at "
-                    f"{path}:{offset} ({exc!r}); treated as a miss",
-                    RuntimeWarning,
-                )
-                self._drop_entry(comp)
-                continue
-            self._admit(comp, payload)
-            self.counters["disk_hits"] += 1
-            found[skey] = payload
-        for skey in keys:
-            if skey in found:
-                self.counters["hits"] += 1
-            else:
-                self.counters["misses"] += 1
+            self.counters["hits" if skey in found else "misses"] += 1
         return found
 
     def put_many(
@@ -233,86 +178,74 @@ class EvalCache:
     ) -> int:
         """Write-through a batch of ``(structure_key, payload)`` records.
 
-        Already-present keys are skipped (first write wins — payloads
-        for one composite key are bit-identical by construction, so
-        there is nothing to update).  All new records are published as
-        one atomic segment.
+        A key whose record file exists is skipped (payloads for one
+        composite key are bit-identical by construction, so there is
+        nothing to update).  Each new record is published atomically on
+        its own.  Returns the number of records published.
         """
         self._check_pid()
-        now = time.time()
-        records: List[Tuple[seg.KeyTriple, float, bytes]] = []
-        admitted: List[Tuple[bytes, Tuple]] = []
+        published: List[str] = []
         for skey, payload in entries:
-            comp = skey + lib + vec
-            if comp in self._index or comp in self._memory:
+            final = self.record_path(skey, lib, vec)
+            if os.path.exists(final):
                 continue
-            records.append(
-                (
-                    (skey, lib, vec),
-                    now,
-                    pickle.dumps(payload, pickle.HIGHEST_PROTOCOL),
+            raw = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+            tmp = os.path.join(
+                self.records_dir,
+                f".tmp-{os.getpid()}-{os.urandom(4).hex()}.rec",
+            )
+            with open(tmp, "wb") as f:
+                f.write(
+                    _HEADER.pack(
+                        REC_MAGIC, zlib.crc32(raw), len(raw), skey, lib, vec
+                    )
                 )
-            )
-            admitted.append((comp, payload))
-        if not records:
-            return 0
-        self._seq += 1
-        name = (
-            f"seg-{os.getpid()}-{self._seq:06d}-"
-            f"{os.urandom(3).hex()}.evs"
-        )
-        path = seg.write_segment(self.segments_dir, records, name)
-        if path is None:  # pragma: no cover - records is non-empty
-            return 0
-        if faults.should_inject("lake.corrupt"):
-            # Chaos site: simulated bit rot on the just-published
-            # segment (first payload byte → CRC mismatch on read-back;
-            # the lake degrades to miss-and-recompute, never to wrong
-            # data).
-            faults.corrupt_file(
-                path, offset=len(seg.FILE_MAGIC) + seg.HEADER_SIZE
-            )
-        self._seen.add(name)
-        offset = len(seg.FILE_MAGIC)
-        for ((triple, ts, raw), (comp, payload)) in zip(records, admitted):
-            self._index[comp] = (path, offset, len(raw), ts)
-            self._admit(comp, payload)
-            offset += seg.HEADER_SIZE + len(raw)
-        self.counters["puts"] += len(records)
-        self.counters["put_bytes"] += sum(len(r[2]) for r in records)
-        return len(records)
+                f.write(raw)
+            os.replace(tmp, final)
+            published.append(final)
+            self.counters["puts"] += 1
+            self.counters["put_bytes"] += len(raw)
+        if published and faults.should_inject("lake.corrupt"):
+            # Chaos site: simulated bit rot on the first record this
+            # write-through published (first payload byte → CRC
+            # mismatch on read-back; the lake degrades to
+            # miss-and-recompute, never to wrong data).
+            faults.corrupt_file(published[0], offset=HEADER_SIZE)
+        return len(published)
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
+    def _census(self) -> List[Tuple[float, str, int]]:
+        """``(mtime, path, size)`` of every published record; a
+        writer's ``.tmp-`` file is not one until its rename lands."""
+        out = []
+        try:
+            names = os.listdir(self.records_dir)
+        except OSError:
+            return out
+        for name in names:
+            if not name.endswith(".rec") or name.startswith(".tmp-"):
+                continue
+            path = os.path.join(self.records_dir, name)
+            try:
+                st = os.stat(path)
+            except OSError:
+                continue
+            out.append((st.st_mtime, path, st.st_size))
+        return out
+
     def stats(self) -> Dict[str, Any]:
         """Current counters plus an on-disk census."""
-        self.refresh()
-        files = self._segment_files()
-        disk_bytes = 0
-        for name in files:
-            try:
-                disk_bytes += os.path.getsize(
-                    os.path.join(self.segments_dir, name)
-                )
-            except OSError:
-                pass
+        census = self._census()
         c = self.counters
         lookups = c["hits"] + c["misses"]
         return {
             "path": self.path,
-            "hits": c["hits"],
-            "disk_hits": c["disk_hits"],
-            "misses": c["misses"],
+            **c,
             "hit_rate": (c["hits"] / lookups) if lookups else 0.0,
-            "puts": c["puts"],
-            "put_bytes": c["put_bytes"],
-            "drops": c["drops"],
-            "segments": len(files),
-            "records": len(self._index),
-            "disk_bytes": disk_bytes,
-            "memory_records": len(self._memory),
-            "memory_bytes": self._memory_bytes,
+            "records": len(census),
+            "disk_bytes": sum(size for _, _, size in census),
             "catalog_runs": self.catalog.count(),
         }
 
@@ -321,129 +254,32 @@ class EvalCache:
         max_bytes: Optional[int] = None,
         max_age_s: Optional[float] = None,
     ) -> Dict[str, Any]:
-        """Segment-granularity retention: drop old/over-budget segments.
-
-        Whole segments are the eviction unit (cheap: no rewrites); a
-        segment survives an age bound as long as its newest record is
-        young enough.  Size eviction removes oldest-written segments
-        first until the directory fits the budget.
-        """
-        self.refresh()
-        now = time.time()
-        census: List[Tuple[float, str, int]] = []  # (newest ts, name, size)
-        for name in self._segment_files():
-            path = os.path.join(self.segments_dir, name)
-            entries = seg.scan_segment(path)
-            newest = max((e[3] for e in entries), default=0.0)
-            try:
-                size = os.path.getsize(path)
-            except OSError:
-                continue
-            census.append((newest, name, size))
-        doomed: List[str] = []
+        """Retention: drop records past the age bound, then the oldest
+        records until the directory fits the size budget."""
+        census = sorted(self._census())
+        doomed: List[Tuple[float, str, int]] = []
         if max_age_s is not None:
-            cutoff = now - max_age_s
-            doomed.extend(n for ts, n, _ in census if ts < cutoff)
+            cutoff = time.time() - max_age_s
+            doomed = [c for c in census if c[0] < cutoff]
+            census = census[len(doomed):]
         if max_bytes is not None:
-            alive = [c for c in census if c[1] not in doomed]
-            total = sum(size for _, _, size in alive)
-            for ts, name, size in sorted(alive):
+            total = sum(size for _, _, size in census)
+            for entry in census:
                 if total <= max_bytes:
                     break
-                doomed.append(name)
-                total -= size
+                doomed.append(entry)
+                total -= entry[2]
         removed_bytes = 0
-        for name in doomed:
-            path = os.path.join(self.segments_dir, name)
+        for _, path, size in doomed:
             try:
-                removed_bytes += os.path.getsize(path)
                 os.unlink(path)
+                removed_bytes += size
             except OSError:
                 pass
-            self._seen.discard(name)
-        if doomed:
-            doomed_paths = {
-                os.path.join(self.segments_dir, n) for n in doomed
-            }
-            for comp in [
-                comp
-                for comp, (path, *_rest) in self._index.items()
-                if path in doomed_paths
-            ]:
-                self._index.pop(comp, None)
         return {
-            "removed_segments": len(doomed),
+            "removed_records": len(doomed),
             "removed_bytes": removed_bytes,
-            "segments": len(self._segment_files()),
-        }
-
-    def compact(
-        self,
-        max_bytes: Optional[int] = None,
-        max_age_s: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Merge every live record into one segment; drop dead versions.
-
-        "Dead" covers records shadowed by a newer write of the same
-        composite key, records past the age bound, and — when a size
-        budget is given — the oldest records beyond it.  Run this from
-        the process that owns the lake (the session parent / the CLI):
-        concurrent readers of replaced segments degrade to misses.
-        """
-        self.refresh()
-        before = self._segment_files()
-        now = time.time()
-        live: List[Tuple[float, bytes, seg.KeyTriple, bytes]] = []
-        for comp, (path, offset, _length, ts) in self._index.items():
-            if max_age_s is not None and ts < now - max_age_s:
-                continue
-            triple = (comp[:16], comp[16:32], comp[32:48])
-            raw = seg.read_record(path, offset, triple)
-            if raw is None:
-                continue
-            live.append((ts, comp, triple, raw))
-        live.sort(key=lambda r: (r[0], r[1]), reverse=True)  # newest first
-        if max_bytes is not None:
-            kept: List[Tuple[float, bytes, seg.KeyTriple, bytes]] = []
-            total = len(seg.FILE_MAGIC)
-            for rec in live:
-                cost = seg.HEADER_SIZE + len(rec[3])
-                if total + cost > max_bytes and kept:
-                    break
-                total += cost
-                kept.append(rec)
-            live = kept
-        self._seq += 1
-        name = (
-            f"seg-{os.getpid()}-{self._seq:06d}-"
-            f"{os.urandom(3).hex()}.evs"
-        )
-        new_index: Dict[bytes, _IndexEntry] = {}
-        if live:
-            path = seg.write_segment(
-                self.segments_dir,
-                [(triple, ts, raw) for ts, _comp, triple, raw in live],
-                name,
-            )
-            offset = len(seg.FILE_MAGIC)
-            for ts, comp, _triple, raw in live:
-                new_index[comp] = (path, offset, len(raw), ts)
-                offset += seg.HEADER_SIZE + len(raw)
-        removed = 0
-        for old in before:
-            if old == name:
-                continue
-            try:
-                os.unlink(os.path.join(self.segments_dir, old))
-                removed += 1
-            except OSError:
-                pass
-        self._index = new_index
-        self._seen = {name} if live else set()
-        return {
-            "records": len(new_index),
-            "removed_segments": removed,
-            "segments": len(self._segment_files()),
+            "records": len(self._census()),
         }
 
     # ------------------------------------------------------------------
@@ -505,19 +341,17 @@ _OPEN: Dict[str, EvalCache] = {}
 
 #: Guards the registry: serve-mode jobs share one process and open
 #: caches from concurrent threads, and two racing opens must not build
-#: two instances (two indexes, two LRUs, double-counted stats) for one
-#: directory.
+#: two instances (double-counted stats) for one directory.
 _OPEN_LOCK = TrackedLock("lake._OPEN_LOCK")
 
 
 def open_cache(path: str) -> EvalCache:
     """The process's shared :class:`EvalCache` for ``path``.
 
-    Sharing one instance per directory keeps the index, the LRU and the
-    hit/miss counters coherent across every consumer in the process
-    (sessions, optimizers, the batch evaluator).  Thread-safe:
-    concurrent callers for one directory always receive the same
-    instance.
+    Sharing one instance per directory keeps the hit/miss counters
+    coherent across every consumer in the process (sessions,
+    optimizers, the batch evaluator).  Thread-safe: concurrent callers
+    for one directory always receive the same instance.
     """
     with _OPEN_LOCK:
         return _open_locked(path)

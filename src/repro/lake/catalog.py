@@ -6,10 +6,11 @@ config summary, and the final Pareto front (circuits + metrics).
 ``Session.warm_start`` queries it by reference digest to seed a new
 population from prior fronts of the same circuit family.
 
-Files follow the segment store's discipline — uniquely named per
-writer, published with ``os.replace``, unreadable entries skipped
-with a warning — so concurrent runs can record themselves without
-coordination and a damaged catalog can never break a session.
+Files follow the record store's discipline — written to a ``.tmp-``
+file, published with ``os.replace``, unreadable entries skipped with a
+warning — and are uniquely named per writer, so concurrent runs can
+record themselves without coordination and a damaged catalog can
+never break a session.
 """
 
 from __future__ import annotations

@@ -26,17 +26,10 @@ class ErrorMode(enum.Enum):
     NMED = "nmed"
 
 
-def _unpack_bits(row: np.ndarray, num_vectors: int) -> np.ndarray:
-    """Unpack one uint64 row to a 0/1 uint8 array of length num_vectors."""
-    bits = np.unpackbits(row.view(np.uint8), bitorder="little")
-    return bits[:num_vectors]
-
-
 def _unpack_matrix(mat: np.ndarray, num_vectors: int) -> np.ndarray:
     """Unpack a packed ``(num_pos, num_words)`` matrix to 0/1 uint8.
 
-    One batched ``unpackbits`` call instead of a Python loop per PO;
-    rows are identical to :func:`_unpack_bits` of each row.
+    One batched ``unpackbits`` call instead of a Python loop per PO.
     """
     bits = np.unpackbits(
         np.ascontiguousarray(mat).view(np.uint8),

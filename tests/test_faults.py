@@ -359,12 +359,10 @@ class TestLakeCorruption:
             assert cache.put_many(LIB, VEC, [(key, payload)]) == 1
         finally:
             faults.install(None)
-        # A fresh instance (empty memory LRU — the in-process cache
-        # would mask the disk) must detect the rot and degrade to a
-        # miss, never serve damaged bytes.
-        fresh = EvalCache(str(tmp_path / "lake"))
-        with pytest.warns(RuntimeWarning):
-            assert fresh.get_many(LIB, VEC, [key]) == {}
+        # Every read validates the record: the rot is detected and
+        # degrades to a miss, never to damaged bytes.
+        with pytest.warns(RuntimeWarning, match="CRC mismatch"):
+            assert cache.get_many(LIB, VEC, [key]) == {}
 
     def test_corruption_between_runs_recomputes_identically(
         self, tmp_path, library
@@ -393,17 +391,15 @@ class TestLakeCorruption:
         evaluate_batch(
             first, [(c, None) for c in _lac_children(ctx_a, 3)]
         )
-        # Rot every published segment on disk: flip the first payload
-        # byte of each segment's first record, exactly what the
-        # ``lake.corrupt`` site does.
-        from repro.lake import segment as seg
+        # Rot every published record on disk: flip its first payload
+        # byte, exactly what the ``lake.corrupt`` site does.
+        from repro.lake.cache import HEADER_SIZE
 
-        seg_dir = tmp_path / "lake" / "segments"
-        names = sorted(os.listdir(seg_dir))
-        assert names, "the first run published nothing"
-        payload_at = len(seg.FILE_MAGIC) + seg.HEADER_SIZE
+        rec_dir = tmp_path / "lake" / "records"
+        names = sorted(os.listdir(rec_dir))
+        assert len(names) == 3, "the first run published nothing"
         for name in names:
-            faults.corrupt_file(str(seg_dir / name), offset=payload_at)
+            faults.corrupt_file(str(rec_dir / name), offset=HEADER_SIZE)
         # The "retry": same work against the damaged lake.
         ctx_b = _ctx(build_adder(6), library, num_vectors=64)
         second = cached_ctx()
@@ -414,3 +410,16 @@ class TestLakeCorruption:
             )
         for ours, ref in zip(got, want):
             _assert_same_eval(ours, ref)
+        assert second.lake.counters["drops"] == 3
+        # The retry's write-through republished every damaged record,
+        # so a third pass hits all three without a warning.
+        ctx_c = _ctx(build_adder(6), library, num_vectors=64)
+        third = cached_ctx()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = evaluate_batch(
+                third, [(c, None) for c in _lac_children(ctx_c, 3)]
+            )
+        for ours, ref in zip(again, want):
+            _assert_same_eval(ours, ref)
+        assert third.lake.counters["hits"] == 3

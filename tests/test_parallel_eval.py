@@ -15,6 +15,9 @@ pins:
 * run identity — a seeded DCGWO run under jobs=2 produces exactly the
   serial :class:`OptimizationResult` (fitness, error, structure keys,
   evaluation counts, history);
+* reply ownership — each eval a dispatch returns belongs to the circuit
+  object that was submitted, so the parent never rebuilds a population
+  member's structure memos from scratch;
 * crash safety — a worker that raises (poisoned cell library) surfaces
   the *original* exception from ``Session.run`` and leaves no worker
   process behind;
@@ -31,6 +34,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -52,6 +56,7 @@ from repro.core import (
     resolve_jobs,
 )
 from repro.core import parallel as parallel_mod
+from repro.netlist import Circuit
 from repro.sim import ErrorMode, best_switch
 
 
@@ -298,6 +303,55 @@ class TestParallelRunIdentity:
         serial, parallel = results
         assert _run_signature(serial) == _run_signature(parallel)
 
+    def test_replies_belong_to_the_submitted_circuits(self, library):
+        ctx = _ctx(build_adder(8), library)
+        parent = ctx.reference_eval()
+        kids = _lac_children(ctx, 6, seed=5)
+        with ShardDispatcher(ctx, 2) as dispatcher:
+            evals = dispatcher.evaluate_items([(c, parent) for c in kids])
+        for kid, ev in zip(kids, evals):
+            assert ev.circuit is kid
+            assert ev.report.circuit is kid
+            assert kid.provenance is None  # consumed, as a serial eval does
+
+    def test_parallel_dcgwo_rebuilds_no_population_memo(
+        self, library, monkeypatch
+    ):
+        """The parent of a jobs=2 DCGWO run builds no digest map, live
+        set or fan-out map from scratch on a circuit a dispatch returned
+        an eval for: each derived them from its parent before the
+        dispatch, as in a serial run."""
+        from repro.core import close_dispatcher
+
+        returned: "weakref.WeakSet[Circuit]" = weakref.WeakSet()
+        dispatched = []
+        dispatch = ShardDispatcher.evaluate_items
+
+        def evaluate_items(self, items):
+            evals = dispatch(self, items)
+            returned.update(ev.circuit for ev in evals)
+            dispatched.append(len(evals))
+            return evals
+
+        monkeypatch.setattr(ShardDispatcher, "evaluate_items", evaluate_items)
+        rebuilt = []
+        for name in ("_build_fanouts", "_build_live", "_build_digests"):
+
+            def counted(self, _build=getattr(Circuit, name), _name=name):
+                if self in returned:
+                    rebuilt.append(_name)
+                return _build(self)
+
+            monkeypatch.setattr(Circuit, name, counted)
+        ctx = _ctx(build_adder(8), library)
+        cfg = DCGWOConfig(population_size=6, imax=4, seed=11, jobs=2)
+        try:
+            DCGWO(ctx, 0.0244, cfg).optimize()
+        finally:
+            close_dispatcher(ctx)
+        assert sum(dispatched) > 6
+        assert rebuilt == []
+
     def test_vaacs_generation_sharding_identity(self, library):
         from repro.baselines import VaACS
         from repro.baselines.vaacs import VaacsConfig
@@ -313,6 +367,55 @@ class TestParallelRunIdentity:
             close_dispatcher(ctx)
         serial, parallel = results
         assert _run_signature(serial) == _run_signature(parallel)
+
+    def test_replies_belong_to_the_submitted_circuits(self, library):
+        ctx = _ctx(build_adder(8), library)
+        parent = ctx.reference_eval()
+        kids = _lac_children(ctx, 6, seed=5)
+        with ShardDispatcher(ctx, 2) as dispatcher:
+            evals = dispatcher.evaluate_items([(c, parent) for c in kids])
+        for kid, ev in zip(kids, evals):
+            assert ev.circuit is kid
+            assert ev.report.circuit is kid
+            assert kid.provenance is None  # consumed, as a serial eval does
+
+    def test_parallel_dcgwo_rebuilds_no_population_memo(
+        self, library, monkeypatch
+    ):
+        """The parent of a jobs=2 DCGWO run builds no digest map, live
+        set or fan-out map from scratch on a circuit a dispatch returned
+        an eval for: each derived them from its parent before the
+        dispatch, as in a serial run."""
+        from repro.core import close_dispatcher
+
+        returned: "weakref.WeakSet[Circuit]" = weakref.WeakSet()
+        dispatched = []
+        dispatch = ShardDispatcher.evaluate_items
+
+        def evaluate_items(self, items):
+            evals = dispatch(self, items)
+            returned.update(ev.circuit for ev in evals)
+            dispatched.append(len(evals))
+            return evals
+
+        monkeypatch.setattr(ShardDispatcher, "evaluate_items", evaluate_items)
+        rebuilt = []
+        for name in ("_build_fanouts", "_build_live", "_build_digests"):
+
+            def counted(self, _build=getattr(Circuit, name), _name=name):
+                if self in returned:
+                    rebuilt.append(_name)
+                return _build(self)
+
+            monkeypatch.setattr(Circuit, name, counted)
+        ctx = _ctx(build_adder(8), library)
+        cfg = DCGWOConfig(population_size=6, imax=4, seed=11, jobs=2)
+        try:
+            DCGWO(ctx, 0.0244, cfg).optimize()
+        finally:
+            close_dispatcher(ctx)
+        assert sum(dispatched) > 6
+        assert rebuilt == []
 
     def test_compare_parallel_matches_serial(self, library):
         circuit = build_adder(8)
@@ -438,7 +541,7 @@ class TestCrashSafety:
         try:
             parallel_mod.get_dispatcher(ctx, 2).warmup()
 
-            def cut_short(packed):
+            def cut_short(circuit, packed):
                 raise RuntimeError("dispatch cut short")
 
             monkeypatch.setattr(parallel_mod, "_unpack_eval", cut_short)

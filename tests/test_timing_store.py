@@ -369,7 +369,9 @@ class TestTransport:
 
     def test_pack_unpack_round_trip(self, library):
         _, ev = self._child_eval(library)
-        clone = _unpack_eval(pickle.loads(pickle.dumps(_pack_eval(ev))))
+        clone = _unpack_eval(
+            *pickle.loads(pickle.dumps((ev.circuit, _pack_eval(ev))))
+        )
         assert clone.report.circuit is clone.circuit
         assert clone.fitness == ev.fitness
         assert clone.report.cpd == ev.report.cpd

@@ -549,8 +549,9 @@ class TestStackedBatch:
         ev = evaluate_incremental(ctx, child, parent)
         assert isinstance(ev.values, ValueStore)
         packed = _pack_eval(ev)
-        assert packed[2] is ev.values.matrix  # no per-gate key array
-        clone = _unpack_eval(pickle.loads(pickle.dumps(packed)))
+        assert packed[1] is ev.values.matrix  # no per-gate key array
+        # A parent eval crosses the pipe as (circuit, packed).
+        clone = _unpack_eval(*pickle.loads(pickle.dumps((ev.circuit, packed))))
         _assert_same_eval(ev, clone)
 
     def test_singles_dedup_shares_one_evaluation(self, library):
