@@ -78,6 +78,7 @@ import signal
 import time
 import traceback
 import warnings
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
@@ -616,8 +617,10 @@ class ShardDispatcher:
             OrderedDict() for _ in range(jobs)
         ]
         self._rr = 0  # round-robin counter for full-eval singles
-        #: Kept for serial-fallback evaluation and worker respawns.
-        self._ctx = ctx
+        #: Kept for serial-fallback evaluation; weak, so the context
+        #: (which holds its dispatcher) is in no reference cycle and a
+        #: context dropped unclosed frees its pool at once.
+        self._ctx = weakref.ref(ctx)
         self._spec = _ContextSpec.from_ctx(ctx)
         self._mp = multiprocessing.get_context(_start_method())
         self._workers: List[Tuple[Any, Connection]] = []
@@ -951,7 +954,7 @@ class ShardDispatcher:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                serial = evaluate_batch(self._ctx, [items[i] for i in left])
+                serial = evaluate_batch(self._ctx(), [items[i] for i in left])
                 for index, ev in zip(left, serial):
                     out[index] = ev
         return out  # type: ignore[return-value]

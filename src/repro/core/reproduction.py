@@ -29,6 +29,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..netlist import Circuit
 from .fitness import CircuitEval, EvalContext
 
@@ -61,18 +63,22 @@ class LevelWeights:
 def po_levels(
     ev: CircuitEval, ctx: EvalContext, weights: LevelWeights
 ) -> Dict[int, float]:
-    """Eq. 3 Level score for every PO of one evaluated circuit."""
+    """Eq. 3 Level score for every PO of one evaluated circuit.
+
+    One array expression over the POs' arrival times (gathered through
+    ``report.index.po_rows``, in ``po_ids`` order) and their errors;
+    each element is the same float operation as the scalar formula.
+    """
     floor = _error_floor(ctx.vectors.num_vectors)
     # POs driven by constants/PIs arrive at ~0; floor Ta at 1% of the
     # accurate CPD so the timing term saturates instead of exploding and
     # drowning out the error term.
-    ta_floor = 0.01 * ctx.cpd_ori
-    levels: Dict[int, float] = {}
-    for idx, po in enumerate(ev.circuit.po_ids):
-        ta = max(ev.report.po_arrival(po), ta_floor, 1e-9)
-        err = max(ev.per_po_error[idx], floor)
-        levels[po] = weights.wt / ta + weights.we / err
-    return levels
+    ta_floor = max(0.01 * ctx.cpd_ori, 1e-9)
+    report = ev.report
+    ta = np.maximum(report.arrival_a[report.index.po_rows], ta_floor)
+    err = np.maximum(np.array(ev.per_po_error, dtype=np.float64), floor)
+    levels = weights.wt / ta + weights.we / err
+    return dict(zip(ev.circuit.po_ids, levels.tolist()))
 
 
 def po_bits(circuit: Circuit) -> Dict[int, int]:

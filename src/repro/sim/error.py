@@ -3,11 +3,18 @@
 Implements the paper's Eq. (1) and Eq. (2) over Monte-Carlo vector batches:
 ER for random/control circuits, NMED for arithmetic circuits whose PO
 vector encodes an unsigned binary number (LSB-first in ``po_ids`` order).
+
+Each metric is a few array operations over the packed ``(num_pos,
+num_words)`` PO matrices, whatever the PO count: NMED differences the
+unpacked 0/1 rows in int8 and applies one ``weights @ diff`` matmul with
+significance weights built once per PO count; per-PO rates are one
+popcount per row, handed back as a list of Python floats.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -76,6 +83,11 @@ def _unpack_ref(
     return bits
 
 
+def _require_same_shape(ref: np.ndarray, app: np.ndarray) -> None:
+    if ref.shape != app.shape:
+        raise ValueError("PO matrices must have identical shape")
+
+
 def error_rate(
     ref: np.ndarray, app: np.ndarray, num_vectors: int
 ) -> float:
@@ -83,35 +95,64 @@ def error_rate(
 
     ``ref``/``app`` are ``(num_pos, num_words)`` packed PO matrices.
     """
-    if ref.shape != app.shape:
-        raise ValueError("PO matrices must have identical shape")
+    _require_same_shape(ref, app)
     diff = np.bitwise_or.reduce(ref ^ app, axis=0)
     return count_ones(diff, num_vectors) / num_vectors
+
+
+def _po_rates(
+    ref: np.ndarray, app: np.ndarray, num_vectors: int
+) -> np.ndarray:
+    """Per-PO flip probability over ``num_vectors``, as a float64 row."""
+    _require_same_shape(ref, app)
+    counts = popcount_rows(tail_masked(ref ^ app, num_vectors))
+    return counts / float(num_vectors)
 
 
 def per_po_error_rate(
     ref: np.ndarray, app: np.ndarray, num_vectors: int
 ) -> List[float]:
     """Per-output flip probability, used by the Level function (Eq. 3)."""
-    counts = popcount_rows(tail_masked(ref ^ app, num_vectors))
-    nv = float(num_vectors)
-    return [int(c) / nv for c in counts]
+    return _po_rates(ref, app, num_vectors).tolist()
 
 
-def _po_weights(num_pos: int, denom: float = 1.0) -> np.ndarray:
-    """LSB-first significance weights ``2^i / denom`` as a float64 row."""
-    return np.array(
+@functools.lru_cache(maxsize=32)
+def _po_weights(num_pos: int, normalized: bool) -> np.ndarray:
+    """LSB-first significance weights ``2^i / denom`` as a read-only row.
+
+    ``denom`` is ``2^num_pos - 1`` when ``normalized`` (NMED) and 1
+    otherwise.  Built once per PO count and shared by every call.
+    """
+    denom = float(2**num_pos - 1) if normalized else 1.0
+    weights = np.array(
         [float(2**i) / denom for i in range(num_pos)], dtype=np.float64
     )
+    weights.flags.writeable = False
+    return weights
 
 
-def _signed_bit_diff(
-    rbits_all: np.ndarray, abits_all: np.ndarray
-) -> np.ndarray:
-    """Per-(PO, vector) bit difference in {-1, 0, 1} as float64."""
-    diff = rbits_all.astype(np.float64)
-    diff -= abits_all
-    return diff
+def _weighted_distance(
+    ref: np.ndarray,
+    app: np.ndarray,
+    num_vectors: int,
+    normalized: bool,
+    ref_cache: Optional[UnpackCache],
+) -> float:
+    """Mean ``|weights @ (ref - app)|`` over the unpacked PO matrices.
+
+    The signed difference is formed in int8 (every entry is -1, 0 or
+    1) and converted to float64 once, so the one matmul sees the full
+    ``(num_pos, num_vectors)`` float64 matrix, C-contiguous.  Its
+    pairwise summation order differs from a per-PO accumulation loop by
+    ~1e-16-class rounding; every evaluation path shares this function,
+    so they agree bit for bit.
+    """
+    _require_same_shape(ref, app)
+    rbits = _unpack_ref(ref, num_vectors, ref_cache)
+    abits = _unpack_matrix(app, num_vectors)
+    diff = (rbits.view(np.int8) - abits.view(np.int8)).astype(np.float64)
+    acc = _po_weights(ref.shape[0], normalized) @ diff
+    return float(np.abs(acc).mean())
 
 
 def mean_error_distance(
@@ -120,19 +161,8 @@ def mean_error_distance(
     num_vectors: int,
     ref_cache: Optional[UnpackCache] = None,
 ) -> float:
-    """Unnormalized mean |V_ori - V_app| with LSB-first PO weighting.
-
-    One ``weights @ diff`` matmul over the unpacked matrices instead of
-    a Python loop per PO.  The matmul's pairwise float summation order
-    differs from the historical per-PO accumulation by ~1e-16-class
-    rounding (expected values in tests/goldens are pinned against this
-    implementation); both evaluation paths share the function, so the
-    incremental-vs-full bit-identity contract is untouched.
-    """
-    rbits_all = _unpack_ref(ref, num_vectors, ref_cache)
-    abits_all = _unpack_matrix(app, num_vectors)
-    acc = _po_weights(ref.shape[0]) @ _signed_bit_diff(rbits_all, abits_all)
-    return float(np.abs(acc).mean())
+    """Unnormalized mean |V_ori - V_app| with LSB-first PO weighting."""
+    return _weighted_distance(ref, app, num_vectors, False, ref_cache)
 
 
 def nmed(
@@ -143,21 +173,11 @@ def nmed(
 ) -> float:
     """Eq. (2): mean error distance normalized by the max output value.
 
-    Accumulated in the normalized domain so 128-bit outputs stay within
-    float64 range; precision ~1e-16 is far below the 1e-3-class NMED
-    constraints the paper sweeps.  Like :func:`mean_error_distance`,
-    the per-PO accumulation loop is one matmul over the unpacked
-    matrices (same floats on both evaluation paths; expected values
-    re-pinned against the pairwise summation order).
+    Accumulated in the normalized domain (weights ``2^i / (2^n - 1)``)
+    so 128-bit outputs stay within float64 range; precision ~1e-16 is
+    far below the 1e-3-class NMED constraints the paper sweeps.
     """
-    num_pos = ref.shape[0]
-    denom = float(2**num_pos - 1)
-    rbits_all = _unpack_ref(ref, num_vectors, ref_cache)
-    abits_all = _unpack_matrix(app, num_vectors)
-    acc = _po_weights(num_pos, denom) @ _signed_bit_diff(
-        rbits_all, abits_all
-    )
-    return float(np.abs(acc).mean())
+    return _weighted_distance(ref, app, num_vectors, True, ref_cache)
 
 
 def measure_error(
@@ -187,12 +207,10 @@ def per_po_error(
     so high-order bits register as larger errors, matching how they
     contribute to error distance.
     """
-    rates = per_po_error_rate(ref, app, num_vectors)
-    if mode is ErrorMode.ER:
-        return rates
-    num_pos = ref.shape[0]
-    denom = float(2**num_pos - 1)
-    return [r * (float(2**i) / denom) for i, r in enumerate(rates)]
+    rates = _po_rates(ref, app, num_vectors)
+    if mode is ErrorMode.NMED:
+        rates = rates * _po_weights(ref.shape[0], True)
+    return rates.tolist()
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ pins:
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import random
@@ -578,6 +579,27 @@ class TestCrashSafety:
         assert dispatcher.stats["serial_fallbacks"] == 0
         for ours, ref in zip(evals, serial):
             _assert_same_eval(ours, ref)
+
+    def test_dropped_context_closes_its_pool(self, library):
+        """A context dropped without closing its pool frees it at once:
+        the dispatcher holds its context weakly, so the two are in no
+        reference cycle and the workers do not wait for the cyclic
+        collector."""
+        ctx = _ctx(build_adder(8), library)
+        dispatcher = parallel_mod.get_dispatcher(ctx, 2)
+        dispatcher.warmup()
+        procs = [proc for proc, _ in dispatcher._workers]
+        gc.disable()
+        try:
+            del dispatcher, ctx
+            alive = [proc for proc in procs if proc.is_alive()]
+        finally:
+            gc.enable()
+            for proc in procs:  # do not leak what the check caught
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join(timeout=5.0)
+        assert not alive, f"workers outlived their context: {alive}"
 
     @pytest.mark.skipif(
         not os.path.isdir("/proc"), reason="reads process state from /proc"

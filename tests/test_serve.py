@@ -774,7 +774,7 @@ class TestClientReconnect:
             p for p in ("src", env.get("PYTHONPATH")) if p
         )
         env.pop("REPRO_CACHE", None)  # keep the run slow enough
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [
                 sys.executable, "-c", _HELD_DAEMON, "serve",
                 "--port", "0", "--capacity", "1",
@@ -783,22 +783,22 @@ class TestClientReconnect:
             stderr=subprocess.PIPE,
             text=True,
             env=env,
-        )
-        try:
-            line = proc.stderr.readline()
-            assert "listening on " in line, line
-            url = line.rsplit(" ", 1)[-1].strip()
-            client = ServeClient(url, timeout=30)
-            spec = quick_spec(seed=72, effort=0.6, vectors=256)
-            job = client.submit(spec)
-            with pytest.raises(ConnectionError, match="reconnect"):
-                for event in client.events(job["id"], max_reconnects=2):
-                    if event["type"] == "iteration":
-                        proc.kill()  # SIGKILL: no drain, no goodbye
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait()
+        ) as proc:
+            try:
+                line = proc.stderr.readline()
+                assert "listening on " in line, line
+                url = line.rsplit(" ", 1)[-1].strip()
+                client = ServeClient(url, timeout=30)
+                spec = quick_spec(seed=72, effort=0.6, vectors=256)
+                job = client.submit(spec)
+                with pytest.raises(ConnectionError, match="reconnect"):
+                    for event in client.events(job["id"], max_reconnects=2):
+                        if event["type"] == "iteration":
+                            proc.kill()  # SIGKILL: no drain, no goodbye
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                proc.wait()
 
 
 # ----------------------------------------------------------------------
@@ -850,7 +850,7 @@ class TestDrain:
         # job to completion before SIGTERM lands mid-run; the drain
         # path under test is cache-independent, so pin it cold.
         env.pop("REPRO_CACHE", None)
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [
                 sys.executable, "-c", _HELD_DAEMON, "serve",
                 "--port", "0", "--capacity", "1",
@@ -859,25 +859,25 @@ class TestDrain:
             stderr=subprocess.PIPE,
             text=True,
             env=env,
-        )
-        try:
-            line = proc.stderr.readline()
-            assert "listening on " in line, line
-            url = line.rsplit(" ", 1)[-1].strip()
-            # A job long enough that SIGTERM lands mid-run.
-            spec = quick_spec(seed=71, effort=0.6, vectors=256)
-            client = ServeClient(url, timeout=120)
-            job = client.submit(spec)
-            for event in client.events(job["id"]):
-                if event["type"] == "iteration":
-                    break  # properly under way
-            proc.send_signal(signal.SIGTERM)
-            code = proc.wait(timeout=120)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        assert code == 0, proc.stderr.read()
+        ) as proc:
+            try:
+                line = proc.stderr.readline()
+                assert "listening on " in line, line
+                url = line.rsplit(" ", 1)[-1].strip()
+                # A job long enough that SIGTERM lands mid-run.
+                spec = quick_spec(seed=71, effort=0.6, vectors=256)
+                client = ServeClient(url, timeout=120)
+                job = client.submit(spec)
+                for event in client.events(job["id"]):
+                    if event["type"] == "iteration":
+                        break  # properly under way
+                proc.send_signal(signal.SIGTERM)
+                code = proc.wait(timeout=120)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+            assert code == 0, proc.stderr.read()
         ckpt = spool / f"{job['id']}.ckpt"
         assert ckpt.exists(), "drain did not spool a checkpoint"
         # The drained checkpoint carries the paused run; finishing it

@@ -125,7 +125,7 @@ class TestInterrupt:
         # so pin the subprocess cold.
         env.pop("REPRO_CACHE", None)
         # Long enough that SIGINT lands mid-optimization.
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "optimize", adder4_v,
                 "--vectors", "256", "--effort", "0.6", "--seed", "3",
@@ -134,18 +134,18 @@ class TestInterrupt:
             stderr=subprocess.PIPE,
             text=True,
             env=env,
-        )
-        try:
-            for line in proc.stderr:
-                if "] iter " in line:  # first completed iteration
-                    proc.send_signal(signal.SIGINT)
-                    break
-            code = proc.wait(timeout=120)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        assert code == EXIT_INTERRUPTED, proc.stderr.read()
+        ) as proc:
+            try:
+                for line in proc.stderr:
+                    if "] iter " in line:  # first completed iteration
+                        proc.send_signal(signal.SIGINT)
+                        break
+                code = proc.wait(timeout=120)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+            assert code == EXIT_INTERRUPTED, proc.stderr.read()
         assert ckpt.exists(), "SIGINT did not write the checkpoint"
 
         session = Session.resume(str(ckpt))

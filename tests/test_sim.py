@@ -265,6 +265,35 @@ class TestErrorMetrics:
         with pytest.raises(ValueError):
             error_rate(ref, app, 64)
 
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            error_rate,
+            nmed,
+            mean_error_distance,
+            per_po_error_rate,
+            lambda ref, app, nv: per_po_error(ErrorMode.ER, ref, app, nv),
+            lambda ref, app, nv: per_po_error(ErrorMode.NMED, ref, app, nv),
+        ],
+        ids=[
+            "error_rate", "nmed", "mean_error_distance",
+            "per_po_error_rate", "per_po_error_er", "per_po_error_nmed",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "ref_shape,app_shape", [((4, 1), (1, 1)), ((1, 2), (1, 1))]
+    )
+    def test_broadcastable_shape_mismatch_rejected(
+        self, metric, ref_shape, app_shape
+    ):
+        """Shapes numpy would broadcast are still a caller error."""
+        ref = np.zeros(ref_shape, dtype=np.uint64)
+        app = np.ones(app_shape, dtype=np.uint64)
+        with pytest.raises(ValueError, match="identical shape"):
+            metric(ref, app, 8)
+        with pytest.raises(ValueError, match="identical shape"):
+            metric(app, ref, 8)
+
 
 class TestSimilarity:
     def test_similarity_bounds_and_identity(self, fig3):
