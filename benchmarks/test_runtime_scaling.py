@@ -19,12 +19,13 @@ things:
   bit-identical to the serial one before its throughput is reported.
   Speedups are meaningful only when the host grants the process that
   many cores — the available core count is printed alongside.
-* **transport size** — pickled bytes of one shard-packed child eval
-  (the unit that crosses a worker pipe every generation), next to what
-  the same eval would cost with the pre-SoA per-gate timing dicts, and
-  the value payload alone (dense matrix vs the PR-3 keyed row packing).
-  Tracked alongside evals/s so packing regressions are as visible as
-  throughput regressions.
+* **transport size** — pickled bytes of one child's evaluation
+  payload (:func:`repro.core.fitness.eval_payload`, the unit that
+  crosses a worker pipe every generation and that the lake stores),
+  next to what the same payload would cost with the pre-SoA per-gate
+  timing dicts, and the value matrix alone (dense vs the keyed row
+  packing it replaced).  Tracked alongside evals/s so packing
+  regressions are as visible as throughput regressions.
 * **warm cache** — the same generation evaluated cold (write-through
   into a fresh evaluation lake) and then warm from a fresh process-like
   handle on that lake (the lake holds nothing in memory, so every hit
@@ -57,7 +58,7 @@ from repro.core import (
     get_dispatcher,
     is_safe,
 )
-from repro.core.parallel import _pack_eval
+from repro.core.fitness import eval_payload
 from repro.lake import EvalCache
 from repro.netlist import CONST0, CONST1
 from repro.reporting import format_series
@@ -239,19 +240,18 @@ def _legacy_timing_dicts(report):
 
 
 def _legacy_pack_bytes(ev):
-    """Pickled size of the pre-SoA packing (five per-gate timing dicts).
+    """Pickled size of the payload with five per-gate timing dicts.
 
-    The value matrix packing is kept (that was PR 3's win); only the
-    timing store differs, so the delta isolates what the SoA arrays
-    save on the wire.
+    The dense value matrix is kept; only the timing store differs, so
+    the delta isolates what the SoA arrays save on the wire.
     """
-    packed = list(_pack_eval(ev))
-    packed[0] = _legacy_timing_dicts(ev.report)
-    return len(pickle.dumps(tuple(packed)))
+    legacy = (*_legacy_timing_dicts(ev.report), ev.values.matrix)
+    return len(pickle.dumps(legacy))
 
 
 def run_transport_sizes():
-    """Per-eval shard transport bytes: SoA arrays vs legacy dicts."""
+    """Per-eval payload bytes (shard pipes, lake records): SoA arrays
+    vs legacy dicts."""
     library = default_library()
     # Published in kB so values fit format_series's fixed-width columns.
     rows = {
@@ -270,13 +270,14 @@ def run_transport_sizes():
         # A representative generation member: one LAC off the parent.
         child = applied_copy(circuit, LAC(circuit.logic_ids()[-1], -1))
         ev = evaluate_incremental(ctx, child, parent)
-        soa = len(pickle.dumps(_pack_eval(ev)))
+        payload = eval_payload(ev)
+        soa = len(pickle.dumps(payload))
         legacy = _legacy_pack_bytes(ev)
         rows["soa_kb"].append(soa / 1024.0)
         rows["dict_kb"].append(legacy / 1024.0)
         rows["ratio"].append(soa / legacy)
-        # The value payload alone: dense matrix (no keys on the wire)
-        # vs the PR-3 keyed row packing it replaced.
+        # The value matrix alone: dense (no keys on the wire) vs the
+        # keyed row packing it replaced.
         values = ev.values
         dense = len(pickle.dumps(values.matrix))
         keys = [CONST0, CONST1, *values.index.row]
@@ -291,11 +292,10 @@ def run_transport_sizes():
         rows["val_dense_kb"].append(dense / 1024.0)
         rows["val_keyed_kb"].append(keyed / 1024.0)
         rows["val_ratio"].append(dense / keyed)
-        # The timing report alone (what the SoA store changed).
-        report = ev.report
-        rows["rpt_soa_kb"].append(len(pickle.dumps(report.pack())) / 1024.0)
+        # The timing arrays alone (what the SoA store changed).
+        rows["rpt_soa_kb"].append(len(pickle.dumps(payload[:5])) / 1024.0)
         rows["rpt_dict_kb"].append(
-            len(pickle.dumps(_legacy_timing_dicts(report))) / 1024.0
+            len(pickle.dumps(_legacy_timing_dicts(ev.report))) / 1024.0
         )
     return rows
 
@@ -350,8 +350,8 @@ def test_runtime_scaling(benchmark):
     )
     transport_rows = run_transport_sizes()
     text += "\n\n" + format_series(
-        "Per-eval shard transport (pickled kB: SoA timing arrays "
-        "vs pre-SoA per-gate dicts)",
+        "Per-eval transport (pickled kB of eval_payload: SoA timing "
+        "arrays vs pre-SoA per-gate dicts)",
         "width",
         list(PARALLEL_WIDTHS),
         transport_rows,

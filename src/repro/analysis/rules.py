@@ -48,7 +48,6 @@ MEMO_ACCESSORS = frozenset(
         "timing_index",
         "po_bits",
         "value_rows",
-        "value_store_index",
         "_cached",
         "_store",
     }

@@ -33,7 +33,6 @@ class HedalsConfig:
     beam: int = 8  # feasible candidates compared per round
     max_round_evals: int = 32  # similarity-ordered scan depth per round
     slack_fraction: float = 0.05  # paths within 5% of CPD are critical
-    seed: int = 0
 
 
 @register_method(

@@ -26,20 +26,18 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..analysis.sanitize import publish_array
 from ..lake import context_digests
 from ..netlist import Circuit
-from ..sim.store import ValueStore, value_store_index
-from ..sta import TimingReport
 from .fitness import (
     CircuitEval,
     EvalContext,
     ParentEvals,
     _evaluate_cones,
-    _finish_eval,
     _match_parent,
     _normalize_parents,
+    eval_payload,
     evaluate,
+    rebuild_eval,
 )
 
 #: One batch entry: the candidate circuit plus the parent eval(s) its
@@ -119,47 +117,6 @@ def _evaluate_batch_core(
     return out  # type: ignore[return-value]
 
 
-def _rebuild_cached_eval(
-    ctx: EvalContext, circuit: Circuit, payload: Tuple
-) -> Optional[CircuitEval]:
-    """Turn a lake payload back into a live eval for ``circuit``.
-
-    The payload holds only context-key-pure data (the five SoA timing
-    arrays and the dense value matrix); the metric tail is re-run
-    through the same :func:`~repro.core.fitness._finish_eval` every
-    computed path uses, so a hit is bit-identical to a fresh
-    evaluation by construction.  The report and store are rebuilt on
-    the *requesting* circuit's memoized row index and current version —
-    a cached record never leaks its original circuit object.  Returns
-    ``None`` (caller recomputes) if the payload's shape does not match
-    the circuit — defense in depth; the composite key already rules
-    this out short of digest collisions.
-    """
-    try:
-        arrival, slew, load, unit_depth, critical, matrix = payload
-    except (TypeError, ValueError):
-        return None
-    index = value_store_index(circuit)
-    if (
-        getattr(arrival, "shape", None) != (index.n + 1,)
-        or getattr(matrix, "shape", (0,))[0] != index.n + 2
-    ):
-        return None
-    report = TimingReport(
-        circuit,
-        index,
-        arrival,
-        slew,
-        load,
-        unit_depth,
-        critical,
-        circuit.version,
-    )
-    # Lake payloads arrive writable (pickle round-trip): republish.
-    values = ValueStore(index, publish_array(matrix))
-    return _finish_eval(ctx, circuit, report, values)
-
-
 def _store_new_evals(
     cache, lib: bytes, vec: bytes,
     keys: Sequence[bytes], evals: Sequence[CircuitEval],
@@ -171,7 +128,7 @@ def _store_new_evals(
         if key in seen:
             continue
         seen.add(key)
-        entries.append((key, (*ev.report.pack()[:5], ev.values.matrix)))
+        entries.append((key, eval_payload(ev)))
     if entries:
         cache.put_many(lib, vec, entries)
 
@@ -199,8 +156,10 @@ def evaluate_batch(
     :meth:`~repro.core.fitness.EvalContext.build`), every item is
     first looked up by its
     ``(structure key, library digest, vector digest)`` address; hits
-    skip STA and simulation entirely and re-run only the metric tail,
-    misses are computed by the core path and written through.  Items
+    skip STA and simulation entirely
+    (:func:`~repro.core.fitness.rebuild_eval` re-runs only the metric
+    tail), misses are computed by the core path and written through
+    (:func:`~repro.core.fitness.eval_payload`).  Items
     sharing a key with a hit share one rebuilt report/value store,
     mirroring the singles dedup above.
 
@@ -220,7 +179,6 @@ def evaluate_batch(
     miss_pos: List[int] = []
     for i, ((circuit, parents), key) in enumerate(zip(items, keys)):
         payload = hits.get(key)
-        rebuilt: Optional[CircuitEval] = None
         if payload is not None:
             j = first_of.get(key)
             if j is not None:
@@ -232,13 +190,14 @@ def evaluate_batch(
                     out[j], circuit=circuit, circuit_version=circuit.version
                 )
                 continue
-            rebuilt = _rebuild_cached_eval(ctx, circuit, payload)
-        if rebuilt is None:
-            miss_items.append((circuit, parents))
-            miss_pos.append(i)
-            continue
-        first_of[key] = i
-        out[i] = rebuilt
+            try:
+                out[i] = rebuild_eval(ctx, circuit, payload)
+                first_of[key] = i
+                continue
+            except ValueError:
+                pass  # only a key collision gets here: recompute
+        miss_items.append((circuit, parents))
+        miss_pos.append(i)
     if miss_items:
         computed = _evaluate_batch_core(ctx, miss_items)
         for pos, ev in zip(miss_pos, computed):

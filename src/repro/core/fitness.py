@@ -34,6 +34,12 @@ The optimizers read ``error`` first and drop a child over the bound,
 so such a child is never timed.  Every other path — :func:`evaluate`,
 the reference eval, lake hits and shard replies — builds complete
 evals, and pickling forces pending timing.
+
+An evaluation is stored (the lake) and shipped (the shard pool) as one
+payload, :func:`eval_payload`: the report's five timing arrays and the
+value matrix.  :func:`rebuild_eval` turns it back into an eval of the
+receiving circuit and re-runs the metric tail, so a rebuilt eval is
+bit-identical to a computed one.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from typing import (
 
 import numpy as np
 
+from ..analysis.sanitize import publish_array
 from ..cells import Library
 from ..lake import EvalCache, resolve_lake
 from ..netlist import Circuit, relabel_compact
@@ -71,7 +78,7 @@ from ..sim import (
     simulate,
 )
 from ..sim.error import make_unpack_cache
-from ..sta import STAEngine, TimingReport, update_timing
+from ..sta import STAEngine, TimingReport, timing_index, update_timing
 
 #: Guard against division by zero on fully-degenerate circuits.
 _EPS = 1e-9
@@ -365,6 +372,62 @@ def _finish_eval(
     ev = object.__new__(CircuitEval)
     ev.__dict__.update(known, _pending=lambda: timed(report()))
     return ev
+
+
+#: What the lake stores and the shard pool ships for one evaluation:
+#: the report's arrival, slew, load, unit-depth and critical-fan-in
+#: arrays, then the value matrix.
+EvalPayload = Tuple[np.ndarray, ...]
+
+
+def eval_payload(ev: CircuitEval) -> EvalPayload:
+    """The arrays :func:`rebuild_eval` rebuilds ``ev`` from.
+
+    They are a pure function of the circuit's full structure, the
+    library and the vectors; the metric tail is not stored, and neither
+    is the row index, which the receiving circuit has.  Reading the
+    report runs a pending eval's timing.
+    """
+    report = ev.report
+    return (
+        report.arrival_a,
+        report.slew_a,
+        report.load_a,
+        report.unit_depth_a,
+        report.critical_fanin_a,
+        ev.values.matrix,
+    )
+
+
+def rebuild_eval(
+    ctx: EvalContext, circuit: Circuit, payload: EvalPayload
+) -> CircuitEval:
+    """An eval of ``circuit`` rebuilt from :func:`eval_payload`'s arrays.
+
+    The arrays are laid on the circuit's own row index
+    (:func:`repro.sta.timing_index`; a child with a valid provenance
+    record takes its parent's), republished read-only (they arrive
+    writable from a pipe or a lake file) and the metric tail re-runs
+    through :func:`_finish_eval`, so the result is bit-identical to
+    evaluating ``circuit``.  The report's version is the circuit's.
+    Consumes the circuit's provenance record, as every evaluation does.
+    Raises ``ValueError`` when the payload does not fit the circuit.
+    """
+    try:
+        arrival, slew, load, depth, critical, matrix = payload
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"not an evaluation payload: {exc}") from exc
+    index = timing_index(circuit)
+    if (
+        getattr(arrival, "shape", None) != (index.n + 1,)
+        or getattr(matrix, "shape", ())[:1] != (index.n + 2,)
+    ):
+        raise ValueError("evaluation payload does not fit the circuit")
+    report = TimingReport(
+        circuit, index, arrival, slew, load, depth, critical, circuit.version
+    )
+    values = ValueStore(index, publish_array(matrix))
+    return _finish_eval(ctx, circuit, report, values)
 
 
 def evaluate(ctx: EvalContext, circuit: Circuit) -> CircuitEval:

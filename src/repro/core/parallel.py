@@ -21,14 +21,20 @@ How determinism is preserved:
   path decisions of their own.
 * **Parents travel once, children every generation.**  A provenance
   group is shipped as (parent key, children-with-changed-sets).  The
-  first time a parent reaches a worker its full
-  :class:`~repro.core.fitness.CircuitEval` rides along and is cached
-  worker-side (the parent process mirrors the cache bookkeeping, so it
-  knows which worker owns which parent); subsequent generations ship
-  only the children.  Workers re-stamp each child's provenance against
-  their cached parent copy and run the ordinary batch path
+  first time a parent reaches a worker its circuit and payload ride
+  along and the rebuilt eval is cached worker-side (the parent process
+  mirrors the cache bookkeeping, so it knows which worker owns which
+  parent); subsequent generations ship only the children.  Workers
+  re-stamp each child's provenance against their cached parent copy
+  and run the ordinary batch path
   (:func:`repro.core.batch.evaluate_batch`) — the same code, the same
   floats.  Full-evaluation singles ride as one parentless group.
+* **Replies are rebuilt like lake hits.**  Evals cross a pipe in both
+  directions as :func:`~repro.core.fitness.eval_payload`'s arrays and
+  are rebuilt by :func:`~repro.core.fitness.rebuild_eval` on the
+  receiving side, which re-runs the metric tail.  A reply carries no
+  circuit: it is rebuilt on the circuit the parent submitted, on the
+  row index that circuit derived from its parent's.
 * **Results merge by item index**, so completion order is irrelevant.
 
 Evaluating each gate's value and timing is a pure function of circuit
@@ -97,15 +103,20 @@ from typing import (
 import numpy as np
 
 from .. import faults
-from ..analysis.sanitize import TrackedLock, publish_array
+from ..analysis.sanitize import TrackedLock
 from ..lake import EvalCache
 from ..netlist import Circuit
 from ..netlist.circuit import Provenance
 from ..sim import ErrorMode, VectorSet
-from ..sim.store import ValueStore, value_store_index
-from ..sta import TimingReport
 from .batch import BatchItem, evaluate_batch, group_by_parent
-from .fitness import CircuitEval, DepthMode, EvalContext
+from .fitness import (
+    CircuitEval,
+    DepthMode,
+    EvalContext,
+    EvalPayload,
+    eval_payload,
+    rebuild_eval,
+)
 
 #: Set in worker processes so :func:`resolve_jobs` never nests pools.
 _IN_WORKER = False
@@ -245,84 +256,8 @@ class _ContextSpec:
         )
 
 
-# A CircuitEval's ``values`` are a dense SoA matrix laid out by the
-# same sorted-gid row numbering as the timing arrays, so evals cross
-# the pipe with that matrix shipped raw — no per-gate keys, no dict
-# repacking — and the row index is rebuilt memoized from the circuit on
-# the receiving side.  Timing rides the same way: the report's SoA
-# arrays ship raw (five numpy arrays instead of five per-gate dicts).
-# The circuit is not packed: a reply is rebuilt on the circuit the
-# parent submitted, and a parent eval shipped to a worker travels as
-# ``(circuit, packed)``.
-_PackedEval = Tuple[
-    Tuple,  # TimingReport.pack(): five SoA arrays + structure version
-    np.ndarray,  # value matrix: (index.n + 2, W)
-    float,  # depth
-    float,  # area
-    float,  # error
-    List[float],  # per_po_error
-    float,  # fd
-    float,  # fa
-    float,  # fitness
-    int,  # circuit_version
-]
-
-#: A parent eval on its way to a worker: the circuit, then its packing.
-_ShippedEval = Tuple[Circuit, _PackedEval]
-
-
-def _pack_eval(ev: CircuitEval) -> _PackedEval:
-    return (
-        ev.report.pack(),
-        ev.values.matrix,
-        ev.depth,
-        ev.area,
-        ev.error,
-        ev.per_po_error,
-        ev.fd,
-        ev.fa,
-        ev.fitness,
-        ev.circuit_version,
-    )
-
-
-def _unpack_eval(circuit: Circuit, packed: _PackedEval) -> CircuitEval:
-    """Rebuild a packed eval on ``circuit``, the circuit it belongs to.
-
-    Consumes the circuit's provenance record, as ``_finish_eval`` does:
-    the circuit keeps the structure memos it derived from its parent
-    while the record was valid, so its own children derive from them.
-    """
-    (
-        report_payload,
-        matrix,
-        depth,
-        area,
-        error,
-        per_po,
-        fd,
-        fa,
-        fitness,
-        version,
-    ) = packed
-    circuit.provenance = None
-    # Rebuild the (memoized) row index from the circuit — same
-    # sorted-gid numbering the sender laid the matrix out by.  The
-    # matrix arrives writable from the pipe; republish it read-only — a
-    # shipped eval is as published as the local one it mirrors.
-    return CircuitEval(
-        circuit=circuit,
-        report=TimingReport.unpack(circuit, report_payload),
-        values=ValueStore(value_store_index(circuit), publish_array(matrix)),
-        depth=depth,
-        area=area,
-        error=error,
-        per_po_error=per_po,
-        fd=fd,
-        fa=fa,
-        fitness=fitness,
-        circuit_version=version,
-    )
+#: A parent eval on its way to a worker: its circuit and its payload.
+_ShippedEval = Tuple[Circuit, EvalPayload]
 
 
 def _reattach_provenance(
@@ -348,7 +283,7 @@ def _worker_eval(
     cache: "Dict[bytes, CircuitEval]",
     evicts: Sequence[bytes],
     groups: Sequence[Tuple[Optional[bytes], Optional[_ShippedEval], List]],
-) -> List[Tuple[int, _PackedEval]]:
+) -> List[Tuple[int, EvalPayload]]:
     """Evaluate one shard: provenance groups, then full-eval singles.
 
     A group keyed ``None`` holds the shard's full-evaluation singles.
@@ -359,11 +294,11 @@ def _worker_eval(
     """
     for key in evicts:
         cache.pop(key, None)
-    results: List[Tuple[int, _PackedEval]] = []
-    for key, payload, members in groups:
+    results: List[Tuple[int, EvalPayload]] = []
+    for key, shipped, members in groups:
         parent: Optional[CircuitEval] = None
-        if payload is not None:
-            parent = _unpack_eval(*payload)
+        if shipped is not None:
+            parent = rebuild_eval(ctx, *shipped)
             cache[key] = parent
         elif key == ref_key:
             parent = ctx.reference_eval()
@@ -382,7 +317,7 @@ def _worker_eval(
         evals = evaluate_batch(ctx, items)
         for (index, _, _, child_key), ev in zip(members, evals):
             cache[child_key] = ev
-            results.append((index, _pack_eval(ev)))
+            results.append((index, eval_payload(ev)))
     if ctx.lake:
         # Workers exit through ``os._exit`` (no atexit), so lake hit/put
         # counters are flushed per shard — one appended delta line, and
@@ -731,15 +666,15 @@ class ShardDispatcher:
                         self._register(w, child_key, plans[w], pinned)
                 continue
             owner = next((w for w in workers if key in self._known[w]), None)
-            payload: Optional[_ShippedEval] = None
+            shipped: Optional[_ShippedEval] = None
             if owner is None:
                 # First sighting: route by key hash, ship the parent.
                 owner = workers[int.from_bytes(key[:8], "big") % len(workers)]
-                payload = (parent.circuit, _pack_eval(parent))
+                shipped = (parent.circuit, eval_payload(parent))
                 self._register(owner, key, plans[owner], pinned)
             else:
                 pinned.add(key)
-            plans[owner].groups.append((key, payload, packed))
+            plans[owner].groups.append((key, shipped, packed))
             for _, _, _, child_key in packed:
                 self._register(owner, child_key, plans[owner], pinned)
         for i, circuit in singles:
@@ -926,11 +861,12 @@ class ShardDispatcher:
         if not items:
             return []
         with self._lock:
+            ctx = self._ctx()
             out: List[Optional[CircuitEval]] = [None] * len(items)
 
-            def handle(reply: List[Tuple[int, _PackedEval]]) -> None:
-                for index, packed in reply:
-                    out[index] = _unpack_eval(items[index][0], packed)
+            def handle(reply: List[Tuple[int, EvalPayload]]) -> None:
+                for index, payload in reply:
+                    out[index] = rebuild_eval(ctx, items[index][0], payload)
 
             plans = self._plan(items, range(len(items)))
             tasks = [
@@ -954,7 +890,7 @@ class ShardDispatcher:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                serial = evaluate_batch(self._ctx(), [items[i] for i in left])
+                serial = evaluate_batch(ctx, [items[i] for i in left])
                 for index, ev in zip(left, serial):
                     out[index] = ev
         return out  # type: ignore[return-value]

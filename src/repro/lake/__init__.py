@@ -4,11 +4,13 @@ Every structurally identical candidate costs one evaluation *ever*,
 not one per run: :func:`repro.core.batch.evaluate_batch` consults the
 lake before computing and writes through after, keyed by
 ``(full_structure_key, library_digest, vector_digest)`` — the exact
-inputs a packed evaluation is a pure function of.  Hit-path results
-are bit-identical to computed ones because only the pure parts (the
-five SoA timing arrays and the dense value matrix) are stored; the
-metric tail (:func:`repro.core.fitness._finish_eval`) is re-run
-against the live context on every hit.
+inputs an evaluation payload is a pure function of.  Hit-path results
+are bit-identical to computed ones because only the pure parts are
+stored (:func:`repro.core.fitness.eval_payload`: the five SoA timing
+arrays and the dense value matrix), and
+:func:`repro.core.fitness.rebuild_eval` re-runs the metric tail
+against the live context on every hit.  The shard pool ships the same
+payload and rebuilds replies the same way.
 
 Public surface:
 

@@ -24,8 +24,9 @@ Most circuits an optimizer sees are copies of an evaluated parent with a
 few gates rewritten, and their :class:`Provenance` record names those
 gates.  The fan-out map, live set, record digests and both structure
 keys of such a child are derived from its parent's memos in time
-proportional to the edit (:meth:`Circuit._memo`); every other circuit
-builds them from scratch.
+proportional to the edit, and its row index
+(:func:`repro.sta.timing_index`) is its parent's
+(:meth:`Circuit._memo`); every other circuit builds them from scratch.
 """
 
 from __future__ import annotations
@@ -321,10 +322,11 @@ class Circuit:
         """The memo ``key``, derived from the parent's when possible.
 
         :meth:`fanouts`, :meth:`live_gates`, :meth:`structure_key`,
-        :meth:`full_structure_key` and their helpers all run through
-        here.  A copy-then-mutate child with a valid provenance record,
-        whose parent has the same gate-ID set and port lists, differs
-        from that parent only at the ``changed`` gates, so
+        :meth:`full_structure_key`, their helpers and
+        :func:`repro.sta.timing_index` all run through here.  A
+        copy-then-mutate child with a valid provenance record, whose
+        parent has the same gate-ID set and port lists, differs from
+        that parent only at the ``changed`` gates, so
         ``derive(parent, changed)`` updates the parent's memo around
         them.  Every other circuit (the reference, unpickled evals,
         in-place edits, changed gate sets) runs ``build()``, the

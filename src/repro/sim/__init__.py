@@ -6,7 +6,7 @@ from .bitsim import (
     resimulate_cone,
     simulate,
 )
-from .store import ValueStore, value_rows, value_store_index
+from .store import ValueStore, value_rows
 from .error import (
     ErrorMode,
     ErrorReport,
@@ -29,7 +29,6 @@ from .vectors import VectorSet, count_ones, exhaustive_vectors, random_vectors
 __all__ = [
     "ValueStore",
     "value_rows",
-    "value_store_index",
     "evaluate_single",
     "po_words",
     "resimulate_cone",

@@ -23,7 +23,8 @@ import numpy as np
 from ..analysis.sanitize import publish_array
 from ..cells import FUNCTIONS, split_cell_name
 from ..netlist import CONST0, CONST1, PI_CELL, PO_CELL, Circuit
-from .store import ValueStore, value_rows, value_store_index
+from ..sta.store import timing_index
+from .store import ValueStore, value_rows
 from .vectors import VectorSet
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -63,7 +64,7 @@ def simulate(circuit: Circuit, vectors: VectorSet) -> ValueStore:
             f"vector set has {vectors.num_inputs} inputs, circuit has "
             f"{len(circuit.pi_ids)} PIs"
         )
-    index = value_store_index(circuit)
+    index = timing_index(circuit)
     matrix = np.empty((index.n + 2, vectors.num_words), dtype=np.uint64)
     matrix[index.n] = 0
     matrix[index.n + 1] = _ALL_ONES

@@ -1,18 +1,15 @@
 """Structure-of-arrays value store shared by all simulation paths.
 
-Simulated gate values used to live in a ``{gid: uint64 row}`` dict per
-evaluation — copied per candidate, pickled row by row across shard
-pipes, and read through a Python dict lookup per gate visit.  This
-module is the dense replacement, the exact analogue of the PR-4 timing
-store (:mod:`repro.sta.store`):
+Simulated gate values live in one dense matrix per evaluation, the
+analogue of the timing store (:mod:`repro.sta.store`):
 
 * :class:`ValueStore` — one ``(rows, num_words)`` uint64 matrix holding
   every gate's packed output words, laid out by the **same** dense
   sorted-gid row numbering as the timing arrays
-  (:func:`repro.sta.store.timing_index`, memoized per circuit structure
-  version), so a LAC child shares its parent's index and pays no
-  per-child row-map build.  Two extra sentinel rows hold the constants:
-  row ``n`` is CONST0 (all zeros), row ``n + 1`` is CONST1 (all ones).
+  (:func:`repro.sta.timing_index`, a structure memo a LAC child takes
+  from its parent), so a child pays no per-child row-map build.  Two
+  extra sentinel rows hold the constants: row ``n`` is CONST0 (all
+  zeros), row ``n + 1`` is CONST1 (all ones).
 * ``values[gid]`` — the one per-gate accessor (a row view, constants
   included) for similarity ranking, switching power and simplification
   scoring; bulk readers gather rows through ``index.row``.
@@ -24,7 +21,10 @@ Layout contract: matrices have ``index.n + 2`` rows; row
 ``index.row[gid]`` holds gate ``gid``, row ``n`` holds CONST0 and row
 ``n + 1`` holds CONST1.  A store is **read-only once published** (it is
 shared parent → child by the incremental and batched evaluation paths);
-writers copy the matrix first (:meth:`ValueStore.fork_matrix`).
+writers copy the matrix first (:meth:`ValueStore.fork_matrix`).  The
+lake and the shard pool move the matrix alone, next to the timing
+arrays (:func:`repro.core.fitness.eval_payload`), and lay it on the
+receiving circuit's index (:func:`repro.core.fitness.rebuild_eval`).
 """
 
 from __future__ import annotations
@@ -35,19 +35,9 @@ import numpy as np
 
 from ..analysis.sanitize import publish_array
 from ..netlist import CONST0, CONST1
-from ..sta.store import TimingIndex, timing_index
+from ..sta.store import TimingIndex
 
-__all__ = ["ValueStore", "value_rows", "value_store_index"]
-
-
-def value_store_index(circuit) -> TimingIndex:
-    """The dense row index value matrices are laid out by.
-
-    This *is* the circuit's :func:`~repro.sta.store.timing_index`
-    (memoized per structure version): values and timing agree on row
-    numbering, so consumers correlating the two never translate IDs.
-    """
-    return timing_index(circuit)
+__all__ = ["ValueStore", "value_rows"]
 
 
 def value_rows(index: TimingIndex) -> Dict[int, int]:

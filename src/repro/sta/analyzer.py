@@ -19,7 +19,7 @@ scalar walk exactly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -137,32 +137,21 @@ class TimingReport:
         return path
 
     # ------------------------------------------------------------------
-    # transport
+    # pickling
     # ------------------------------------------------------------------
-    def pack(self) -> Tuple:
-        """The raw array payload shard workers ship across pipes.
-
-        The index is *not* shipped: it is a pure function of the circuit
-        (which travels alongside) and is rebuilt memoized on the other
-        end — pickling the gid → row dict was exactly the per-gate
-        transport cost this store exists to remove.
-        """
-        return (
-            self.arrival_a,
-            self.slew_a,
-            self.load_a,
-            self.unit_depth_a,
-            self.critical_fanin_a,
-            self.circuit_version,
-        )
-
-    @classmethod
-    def unpack(cls, circuit: Circuit, payload: Tuple) -> "TimingReport":
-        """Rebuild a report from :meth:`pack` output plus its circuit."""
-        return cls(circuit, timing_index(circuit), *payload)
-
     def __getstate__(self):
-        return (self.circuit, self.pack())
+        # The index is not pickled: it is rebuilt from the circuit.
+        return (
+            self.circuit,
+            (
+                self.arrival_a,
+                self.slew_a,
+                self.load_a,
+                self.unit_depth_a,
+                self.critical_fanin_a,
+                self.circuit_version,
+            ),
+        )
 
     def __setstate__(self, state):
         circuit, payload = state

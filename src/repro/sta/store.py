@@ -1,14 +1,14 @@
 """Structure-of-arrays timing store shared by all STA paths.
 
-Timing results used to live in five per-gate Python dicts; copying them
-per evaluation and pickling them across shard-worker pipes was the last
-un-packed transport cost in the evaluation hot path.  This module is the
-dense array replacement:
+Timing results live in dense arrays, not per-gate dicts:
 
 * :class:`TimingIndex` — a dense gate-id → row mapping (rows are the
   *sorted* gate IDs, so any two circuits over the same ID set agree on
-  row numbering regardless of dict insertion order).  Memoized per
-  circuit structure version alongside ``topological_order()``.
+  row numbering regardless of dict insertion order).  It is one of the
+  circuit's structure memos (:meth:`Circuit._memo`): a child with a
+  valid provenance record, the same gate-ID set and the same port
+  lists takes its parent's index object.  Value matrices are laid out
+  by the same index (:mod:`repro.sim.store`).
 * :func:`gate_timing` — the one per-gate timing evaluation, shared by
   the full pass (:meth:`STAEngine.analyze`, every gate in topological
   order) and the incremental walk.
@@ -24,7 +24,10 @@ Array layout contract: every timing array has ``index.n + 1`` rows; row
 ``index.row[gid]`` holds gate ``gid`` and the final row is the constant
 source sentinel (arrival 0.0, slew = engine input slew, depth 0).  The
 arrays are treated as read-only once a report is published — consumers
-that need to mutate must copy (``update_timing`` does).
+that need to mutate must copy (``update_timing`` does).  The index never
+travels: the lake and the shard pool move the arrays alone
+(:func:`repro.core.fitness.eval_payload`) and lay them on the receiving
+circuit's index (:func:`repro.core.fitness.rebuild_eval`).
 """
 
 from __future__ import annotations
@@ -62,12 +65,29 @@ class TimingIndex:
         self.n = int(len(gids))
         self.vrow: Optional[Dict[int, int]] = None
 
+    def __eq__(self, other: object) -> bool:
+        # ``row`` and ``vrow`` follow from ``gids``.
+        if not isinstance(other, TimingIndex):
+            return NotImplemented
+        return np.array_equal(self.gids, other.gids) and np.array_equal(
+            self.po_rows, other.po_rows
+        )
+
 
 def timing_index(circuit: Circuit) -> TimingIndex:
-    """The circuit's :class:`TimingIndex`, memoized per structure version."""
-    cached = circuit._cached("timing_index")
-    if cached is not None:
-        return cached
+    """The circuit's :class:`TimingIndex`, memoized per structure version.
+
+    The index depends only on the sorted gate-ID set and the PO list, so
+    a derived child (see :meth:`Circuit._memo`) takes its parent's.
+    """
+    return circuit._memo(
+        "timing_index",
+        lambda: _build_index(circuit),
+        lambda parent, changed: timing_index(parent),
+    )
+
+
+def _build_index(circuit: Circuit) -> TimingIndex:
     fanins = circuit.fanins
     gids = np.fromiter(fanins.keys(), dtype=np.int64, count=len(fanins))
     gids.sort()
@@ -77,7 +97,7 @@ def timing_index(circuit: Circuit) -> TimingIndex:
         dtype=np.int64,
         count=len(circuit.po_ids),
     )
-    return circuit._store("timing_index", TimingIndex(gids, row, po_rows))
+    return TimingIndex(gids, row, po_rows)
 
 
 def eval_gate_scalar(cell, fan_timing, load: float, input_slew: float):

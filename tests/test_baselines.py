@@ -93,7 +93,7 @@ class TestVecbeeSasimi:
 
 class TestHedals:
     def test_reduces_depth(self, ctx, library):
-        cfg = HedalsConfig(max_changes=15, beam=6, seed=0)
+        cfg = HedalsConfig(max_changes=15, beam=6)
         result = HedalsLike(ctx, 0.02, cfg).optimize()
         assert result.method == "HEDALS"
         assert result.best.error <= 0.02
@@ -101,13 +101,13 @@ class TestHedals:
         validate(result.best.circuit, library)
 
     def test_history_fd_monotone(self, ctx):
-        cfg = HedalsConfig(max_changes=15, beam=6, seed=0)
+        cfg = HedalsConfig(max_changes=15, beam=6)
         result = HedalsLike(ctx, 0.02, cfg).optimize()
         fds = [h.best_fd for h in result.history]
         assert fds == sorted(fds)
 
     def test_stops_without_budget(self, ctx):
-        cfg = HedalsConfig(max_changes=15, beam=6, seed=0)
+        cfg = HedalsConfig(max_changes=15, beam=6)
         result = HedalsLike(ctx, 0.0, cfg).optimize()
         assert result.best.fd == pytest.approx(1.0)
         assert result.history == []

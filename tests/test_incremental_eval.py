@@ -45,7 +45,7 @@ from repro.core import (
     simplified_copy,
 )
 from repro.core import fitness as fitness_module
-from repro.core.fitness import DepthMode
+from repro.core.fitness import DepthMode, eval_payload
 from repro.core.simplify import propose_simplification
 from repro.netlist import (
     CONST0,
@@ -413,9 +413,9 @@ class TestDeferredTiming:
         clone = pickle.loads(pickle.dumps(ev))
         assert not _pending(ev)
         want = evaluate(ctx, twin)
-        # The five timing arrays (pack()'s last entry is the version).
+        # The five timing arrays (the payload's last entry is the values).
         for got, expected in zip(
-            clone.report.pack()[:5], want.report.pack()[:5]
+            eval_payload(clone)[:5], eval_payload(want)[:5]
         ):
             assert np.array_equal(got, expected)
         for name in ("depth", "area", "fd", "fa", "fitness", "error"):

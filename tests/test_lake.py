@@ -14,7 +14,8 @@ Contracts pinned here:
   records written under the old library are misses;
 * **batch path** — with a lake attached, ``evaluate_batch`` is
   bit-identical cold (write-through) and warm (hits from disk), corrupt
-  records are recomputed, and duplicate keys share one rebuilt eval;
+  records and payloads that do not fit the circuit are recomputed, and
+  duplicate keys share one rebuilt eval;
 * **session wiring** — ``cache_dir=``/``cache=``/``REPRO_CACHE``
   resolution (once, at context build), cold/warm full-run
   bit-identity, checkpoint/resume
@@ -52,6 +53,7 @@ from repro.core import (
     evaluate_batch,
     is_safe,
 )
+from repro.core.fitness import eval_payload, rebuild_eval
 from repro.lake import (
     EvalCache,
     context_digests,
@@ -565,6 +567,25 @@ class TestBatchWithLake:
         for a, b in zip(plain, again):
             _assert_same_eval(a, b)
         assert fresh.counters["hits"] == len(children)
+
+    def test_payload_that_does_not_fit_is_recomputed(
+        self, adder8, library, tmp_path
+    ):
+        """A record whose arrays do not fit the circuit's row index
+        (only a key collision could write one) makes ``rebuild_eval``
+        raise ``ValueError``, and the batch recomputes the item."""
+        children, plain = self._evaluate(adder8, library, False)
+        child, want = children[0], plain[0]
+        ctx = _ctx(adder8, library)
+        ctx.lake = EvalCache(str(tmp_path / "lake"))
+        short = tuple(a[:-1] for a in eval_payload(want))
+        with pytest.raises(ValueError, match="does not fit"):
+            rebuild_eval(ctx, child.copy(), short)
+        lib, vec = context_digests(ctx)
+        ctx.lake.put_many(lib, vec, [(child.full_structure_key(), short)])
+        (got,) = evaluate_batch(ctx, [(child.copy(), None)])
+        assert ctx.lake.counters["hits"] == 1
+        _assert_same_eval(want, got)
 
     def test_duplicate_keys_share_one_rebuilt_eval(
         self, adder8, library, tmp_path

@@ -28,7 +28,6 @@ pins:
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import os
 import random
 import signal
@@ -58,7 +57,9 @@ from repro.core import (
 )
 from repro.core import parallel as parallel_mod
 from repro.netlist import Circuit
+from repro.netlist import circuit as circuit_mod
 from repro.sim import ErrorMode, best_switch
+from repro.sta import TimingIndex
 
 
 NMED_CFG = FlowConfig(
@@ -304,55 +305,6 @@ class TestParallelRunIdentity:
         serial, parallel = results
         assert _run_signature(serial) == _run_signature(parallel)
 
-    def test_replies_belong_to_the_submitted_circuits(self, library):
-        ctx = _ctx(build_adder(8), library)
-        parent = ctx.reference_eval()
-        kids = _lac_children(ctx, 6, seed=5)
-        with ShardDispatcher(ctx, 2) as dispatcher:
-            evals = dispatcher.evaluate_items([(c, parent) for c in kids])
-        for kid, ev in zip(kids, evals):
-            assert ev.circuit is kid
-            assert ev.report.circuit is kid
-            assert kid.provenance is None  # consumed, as a serial eval does
-
-    def test_parallel_dcgwo_rebuilds_no_population_memo(
-        self, library, monkeypatch
-    ):
-        """The parent of a jobs=2 DCGWO run builds no digest map, live
-        set or fan-out map from scratch on a circuit a dispatch returned
-        an eval for: each derived them from its parent before the
-        dispatch, as in a serial run."""
-        from repro.core import close_dispatcher
-
-        returned: "weakref.WeakSet[Circuit]" = weakref.WeakSet()
-        dispatched = []
-        dispatch = ShardDispatcher.evaluate_items
-
-        def evaluate_items(self, items):
-            evals = dispatch(self, items)
-            returned.update(ev.circuit for ev in evals)
-            dispatched.append(len(evals))
-            return evals
-
-        monkeypatch.setattr(ShardDispatcher, "evaluate_items", evaluate_items)
-        rebuilt = []
-        for name in ("_build_fanouts", "_build_live", "_build_digests"):
-
-            def counted(self, _build=getattr(Circuit, name), _name=name):
-                if self in returned:
-                    rebuilt.append(_name)
-                return _build(self)
-
-            monkeypatch.setattr(Circuit, name, counted)
-        ctx = _ctx(build_adder(8), library)
-        cfg = DCGWOConfig(population_size=6, imax=4, seed=11, jobs=2)
-        try:
-            DCGWO(ctx, 0.0244, cfg).optimize()
-        finally:
-            close_dispatcher(ctx)
-        assert sum(dispatched) > 6
-        assert rebuilt == []
-
     def test_vaacs_generation_sharding_identity(self, library):
         from repro.baselines import VaACS
         from repro.baselines.vaacs import VaacsConfig
@@ -386,7 +338,9 @@ class TestParallelRunIdentity:
         """The parent of a jobs=2 DCGWO run builds no digest map, live
         set or fan-out map from scratch on a circuit a dispatch returned
         an eval for: each derived them from its parent before the
-        dispatch, as in a serial run."""
+        dispatch, as in a serial run.  It builds as many row indexes as
+        its serial twin: a reply is rebuilt on the index its circuit
+        takes from its parent."""
         from repro.core import close_dispatcher
 
         returned: "weakref.WeakSet[Circuit]" = weakref.WeakSet()
@@ -409,14 +363,36 @@ class TestParallelRunIdentity:
                 return _build(self)
 
             monkeypatch.setattr(Circuit, name, counted)
-        ctx = _ctx(build_adder(8), library)
-        cfg = DCGWOConfig(population_size=6, imax=4, seed=11, jobs=2)
-        try:
-            DCGWO(ctx, 0.0244, cfg).optimize()
-        finally:
-            close_dispatcher(ctx)
+        # Row indexes built in this process (a forked worker appends to
+        # its own copy of the list), less the from-scratch index the
+        # sanitizer builds to check each derived one.
+        indexes, checks = [], []
+        init, verify = TimingIndex.__init__, circuit_mod.verify_derived
+
+        def counted_index(self, *args):
+            indexes.append(args)
+            init(self, *args)
+
+        def counted_check(circuit, name, derived, scratch):
+            checks.append(name)
+            verify(circuit, name, derived, scratch)
+
+        monkeypatch.setattr(TimingIndex, "__init__", counted_index)
+        monkeypatch.setattr(circuit_mod, "verify_derived", counted_check)
+        built = {}
+        for jobs in (1, 2):
+            ctx = _ctx(build_adder(8), library)
+            indexes.clear()
+            checks.clear()
+            cfg = DCGWOConfig(population_size=6, imax=4, seed=11, jobs=jobs)
+            try:
+                DCGWO(ctx, 0.0244, cfg).optimize()
+            finally:
+                close_dispatcher(ctx)
+            built[jobs] = len(indexes) - checks.count("timing_index")
         assert sum(dispatched) > 6
         assert rebuilt == []
+        assert built[2] == built[1], built
 
     def test_compare_parallel_matches_serial(self, library):
         circuit = build_adder(8)
@@ -494,19 +470,15 @@ def _gone_or_zombie(pid: int) -> bool:
 
 class TestCrashSafety:
     def _assert_pool_gone(self, session):
+        """The session's closed pool left none of its own workers alive
+        (other tests' pools may still be running)."""
         dispatcher = getattr(session.ctx, "_dispatcher", None)
         assert dispatcher is not None and dispatcher.closed
         deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            alive = [
-                p
-                for p in multiprocessing.active_children()
-                if p.name.startswith("repro-shard-")
-            ]
-            if not alive:
-                return
-            time.sleep(0.05)
-        raise AssertionError(f"worker processes left behind: {alive}")
+        for proc, _ in dispatcher._workers:
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        alive = [proc for proc, _ in dispatcher._workers if proc.is_alive()]
+        assert not alive, f"worker processes left behind: {alive}"
 
     def test_poisoned_library_surfaces_original_exception(self, library):
         session = Session(
@@ -542,10 +514,10 @@ class TestCrashSafety:
         try:
             parallel_mod.get_dispatcher(ctx, 2).warmup()
 
-            def cut_short(circuit, packed):
+            def cut_short(ctx, circuit, payload):
                 raise RuntimeError("dispatch cut short")
 
-            monkeypatch.setattr(parallel_mod, "_unpack_eval", cut_short)
+            monkeypatch.setattr(parallel_mod, "rebuild_eval", cut_short)
             with pytest.raises(RuntimeError, match="cut short"):
                 session.evaluate_batch(first, jobs=2)
             monkeypatch.undo()

@@ -55,7 +55,7 @@ from repro.core import (
     is_safe,
 )
 from repro.core.fitness import DepthMode
-from repro.core.parallel import _pack_eval, _unpack_eval
+from repro.core.fitness import eval_payload, rebuild_eval
 from repro.netlist import CircuitBuilder, is_const
 from repro.sim import ErrorMode, value_rows
 from repro.sta import (
@@ -368,9 +368,9 @@ class TestTransport:
         return ctx, evaluate_incremental(ctx, child, parent)
 
     def test_pack_unpack_round_trip(self, library):
-        _, ev = self._child_eval(library)
-        clone = _unpack_eval(
-            *pickle.loads(pickle.dumps((ev.circuit, _pack_eval(ev))))
+        ctx, ev = self._child_eval(library)
+        clone = rebuild_eval(
+            ctx, *pickle.loads(pickle.dumps((ev.circuit, eval_payload(ev))))
         )
         assert clone.report.circuit is clone.circuit
         assert clone.fitness == ev.fitness
@@ -387,11 +387,10 @@ class TestTransport:
 
     def test_pack_ships_raw_arrays(self, library):
         _, ev = self._child_eval(library)
-        payload = ev.report.pack()
+        payload = eval_payload(ev)
         assert all(
             isinstance(a, np.ndarray) for a in payload[:5]
         )  # no per-gate dicts cross the pipe
-        assert payload[5] == ev.circuit.version
 
 
 class TestReferenceReportStaleness:

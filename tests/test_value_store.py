@@ -48,12 +48,8 @@ from repro.core import (
     evaluate_incremental,
     is_safe,
 )
-from repro.core.parallel import (
-    _pack_eval,
-    _unpack_eval,
-    close_dispatcher,
-    get_dispatcher,
-)
+from repro.core.fitness import eval_payload, rebuild_eval
+from repro.core.parallel import close_dispatcher, get_dispatcher
 from repro.core.reproduction import po_bits
 from repro.netlist import (
     CONST0,
@@ -548,10 +544,12 @@ class TestStackedBatch:
         child = _lac_children(ctx, 1, seed=17)[0]
         ev = evaluate_incremental(ctx, child, parent)
         assert isinstance(ev.values, ValueStore)
-        packed = _pack_eval(ev)
-        assert packed[1] is ev.values.matrix  # no per-gate key array
-        # A parent eval crosses the pipe as (circuit, packed).
-        clone = _unpack_eval(*pickle.loads(pickle.dumps((ev.circuit, packed))))
+        payload = eval_payload(ev)
+        assert payload[5] is ev.values.matrix  # no per-gate key array
+        # A parent eval crosses the pipe as (circuit, payload).
+        clone = rebuild_eval(
+            ctx, *pickle.loads(pickle.dumps((ev.circuit, payload)))
+        )
         _assert_same_eval(ev, clone)
 
     def test_singles_dedup_shares_one_evaluation(self, library):
