@@ -38,7 +38,8 @@ evals, and pickling forces pending timing.
 An evaluation is stored (the lake) and shipped (the shard pool) as one
 payload, :func:`eval_payload`: the report's five timing arrays and the
 value matrix.  :func:`rebuild_eval` turns it back into an eval of the
-receiving circuit and re-runs the metric tail, so a rebuilt eval is
+receiving circuit and re-runs the metric tail, unless the sender's
+:func:`eval_metrics` come along (the shard pool), so a rebuilt eval is
 bit-identical to a computed one.
 """
 
@@ -62,7 +63,7 @@ from typing import (
 
 import numpy as np
 
-from ..analysis.sanitize import publish_array
+from ..analysis.sanitize import SanitizerError, publish_array, sanitize_enabled
 from ..cells import Library
 from ..lake import EvalCache, resolve_lake
 from ..netlist import Circuit, relabel_compact
@@ -309,37 +310,48 @@ class CircuitEval:
         del state["_pending"]
 
 
+#: The metric tail's costly outputs, ``error``, ``per_po_error`` and
+#: ``area``: a shard pool eval carries them next to its payload.
+EvalMetrics = Tuple[float, List[float], float]
+
+
 def _finish_eval(
     ctx: EvalContext,
     circuit: Circuit,
     report: Union[TimingReport, Callable[[], TimingReport]],
     values: ValueStore,
+    metrics: Optional[EvalMetrics] = None,
 ) -> CircuitEval:
     """Shared metric tail: error + area + Eq. 8 from report and values.
 
     Every evaluation path funnels through here so their outputs are
     computed by the exact same float operations.  ``values``, ``error``
-    and ``per_po_error`` are computed at once.  ``report`` is either
-    the circuit's :class:`TimingReport` or a function that computes it;
-    given a function, the eval's timed fields stay pending until first
-    read (see :class:`CircuitEval`).  The context fields Eq. 8 reads
-    are captured now, so the result does not depend on when that is.
+    and ``per_po_error`` are computed (or, with the area, taken from
+    ``metrics``) at once.  ``report`` is either the circuit's
+    :class:`TimingReport` or a function that computes it; given a
+    function, the eval's timed fields stay pending until first read
+    (see :class:`CircuitEval`).  The context fields Eq. 8 reads are
+    captured now, so the result does not depend on when that is.
 
     Consumes the circuit's provenance record (sets it to ``None``) —
     once evaluated, the eval itself is the parent future children
     derive from, and dropping the record releases the reference chain
     to older ancestors.
     """
-    app_po = po_words(circuit, values)
-    nv = ctx.vectors.num_vectors
-    error = measure_error(
-        ctx.error_mode,
-        ctx.reference_po,
-        app_po,
-        nv,
-        ref_cache=ctx._ref_unpack_cache,
-    )
-    po_errors = per_po_error(ctx.error_mode, ctx.reference_po, app_po, nv)
+    if metrics is None:
+        app_po = po_words(circuit, values)
+        nv = ctx.vectors.num_vectors
+        error = measure_error(
+            ctx.error_mode,
+            ctx.reference_po,
+            app_po,
+            nv,
+            ref_cache=ctx._ref_unpack_cache,
+        )
+        po_errors = per_po_error(ctx.error_mode, ctx.reference_po, app_po, nv)
+        known_area: Optional[float] = None
+    else:
+        error, po_errors, known_area = metrics
     library = ctx.library
     delay = ctx.depth_mode is DepthMode.DELAY
     depth_ori, area_ori, wd = ctx.depth_ori, ctx.area_ori, ctx.wd
@@ -347,7 +359,7 @@ def _finish_eval(
 
     def timed(report: TimingReport) -> Dict[str, Any]:
         depth = report.cpd if delay else float(report.max_unit_depth)
-        area = circuit.area(library)
+        area = circuit.area(library) if known_area is None else known_area
         fd = depth_ori / max(depth, _EPS)
         fa = area_ori / max(area, _EPS)
         return dict(
@@ -399,19 +411,29 @@ def eval_payload(ev: CircuitEval) -> EvalPayload:
     )
 
 
+def eval_metrics(ev: CircuitEval) -> EvalMetrics:
+    """The metrics a shard pool ships next to ``ev``'s payload."""
+    return (ev.error, ev.per_po_error, ev.area)
+
+
 def rebuild_eval(
-    ctx: EvalContext, circuit: Circuit, payload: EvalPayload
+    ctx: EvalContext,
+    circuit: Circuit,
+    payload: EvalPayload,
+    metrics: Optional[EvalMetrics] = None,
 ) -> CircuitEval:
     """An eval of ``circuit`` rebuilt from :func:`eval_payload`'s arrays.
 
     The arrays are laid on the circuit's own row index
     (:func:`repro.sta.timing_index`; a child with a valid provenance
-    record takes its parent's), republished read-only (they arrive
-    writable from a pipe or a lake file) and the metric tail re-runs
-    through :func:`_finish_eval`, so the result is bit-identical to
-    evaluating ``circuit``.  The report's version is the circuit's.
-    Consumes the circuit's provenance record, as every evaluation does.
-    Raises ``ValueError`` when the payload does not fit the circuit.
+    record takes its parent's) and republished read-only (they arrive
+    writable from a pipe or a lake file).  The metric tail re-runs
+    unless ``metrics`` brings the sender's :func:`eval_metrics` (the
+    shard pool; ``REPRO_SANITIZE=1`` re-runs it anyway and raises on a
+    difference), so the result is bit-identical to evaluating
+    ``circuit``.  The report's version is the circuit's.  Consumes the
+    circuit's provenance record, as every evaluation does.  Raises
+    ``ValueError`` when the payload does not fit the circuit.
     """
     try:
         arrival, slew, load, depth, critical, matrix = payload
@@ -427,7 +449,12 @@ def rebuild_eval(
         circuit, index, arrival, slew, load, depth, critical, circuit.version
     )
     values = ValueStore(index, publish_array(matrix))
-    return _finish_eval(ctx, circuit, report, values)
+    ev = _finish_eval(ctx, circuit, report, values, metrics)
+    if metrics is not None and sanitize_enabled():
+        tail = eval_metrics(_finish_eval(ctx, circuit, report, values))
+        if tail != eval_metrics(ev):
+            raise SanitizerError(f"shipped metrics of {circuit!r} differ")
+    return ev
 
 
 def evaluate(ctx: EvalContext, circuit: Circuit) -> CircuitEval:

@@ -29,12 +29,13 @@ How determinism is preserved:
   and run the ordinary batch path
   (:func:`repro.core.batch.evaluate_batch`) — the same code, the same
   floats.  Full-evaluation singles ride as one parentless group.
-* **Replies are rebuilt like lake hits.**  Evals cross a pipe in both
+* **Evals travel as payload and metrics.**  Evals cross a pipe in both
   directions as :func:`~repro.core.fitness.eval_payload`'s arrays and
-  are rebuilt by :func:`~repro.core.fitness.rebuild_eval` on the
-  receiving side, which re-runs the metric tail.  A reply carries no
-  circuit: it is rebuilt on the circuit the parent submitted, on the
-  row index that circuit derived from its parent's.
+  the sender's :func:`~repro.core.fitness.eval_metrics`, and
+  :func:`~repro.core.fitness.rebuild_eval` rebuilds them without
+  re-running the metric tail.  A reply carries no circuit: it is
+  rebuilt on the circuit the parent submitted, on the row index that
+  circuit derived from its parent's.
 * **Results merge by item index**, so completion order is irrelevant.
 
 Evaluating each gate's value and timing is a pure function of circuit
@@ -113,7 +114,9 @@ from .fitness import (
     CircuitEval,
     DepthMode,
     EvalContext,
+    EvalMetrics,
     EvalPayload,
+    eval_metrics,
     eval_payload,
     rebuild_eval,
 )
@@ -256,8 +259,11 @@ class _ContextSpec:
         )
 
 
-#: A parent eval on its way to a worker: its circuit and its payload.
-_ShippedEval = Tuple[Circuit, EvalPayload]
+#: An eval on its way through a pipe: its payload and its metrics.
+_Shipped = Tuple[EvalPayload, EvalMetrics]
+
+#: A parent eval on its way to a worker: its circuit, then as shipped.
+_ShippedEval = Tuple[Circuit, EvalPayload, EvalMetrics]
 
 
 def _reattach_provenance(
@@ -283,7 +289,7 @@ def _worker_eval(
     cache: "Dict[bytes, CircuitEval]",
     evicts: Sequence[bytes],
     groups: Sequence[Tuple[Optional[bytes], Optional[_ShippedEval], List]],
-) -> List[Tuple[int, EvalPayload]]:
+) -> List[Tuple[int, _Shipped]]:
     """Evaluate one shard: provenance groups, then full-eval singles.
 
     A group keyed ``None`` holds the shard's full-evaluation singles.
@@ -294,7 +300,7 @@ def _worker_eval(
     """
     for key in evicts:
         cache.pop(key, None)
-    results: List[Tuple[int, EvalPayload]] = []
+    results: List[Tuple[int, _Shipped]] = []
     for key, shipped, members in groups:
         parent: Optional[CircuitEval] = None
         if shipped is not None:
@@ -317,7 +323,7 @@ def _worker_eval(
         evals = evaluate_batch(ctx, items)
         for (index, _, _, child_key), ev in zip(members, evals):
             cache[child_key] = ev
-            results.append((index, eval_payload(ev)))
+            results.append((index, (eval_payload(ev), eval_metrics(ev))))
     if ctx.lake:
         # Workers exit through ``os._exit`` (no atexit), so lake hit/put
         # counters are flushed per shard — one appended delta line, and
@@ -670,7 +676,9 @@ class ShardDispatcher:
             if owner is None:
                 # First sighting: route by key hash, ship the parent.
                 owner = workers[int.from_bytes(key[:8], "big") % len(workers)]
-                shipped = (parent.circuit, eval_payload(parent))
+                shipped = (
+                    parent.circuit, eval_payload(parent), eval_metrics(parent)
+                )
                 self._register(owner, key, plans[owner], pinned)
             else:
                 pinned.add(key)
@@ -864,9 +872,9 @@ class ShardDispatcher:
             ctx = self._ctx()
             out: List[Optional[CircuitEval]] = [None] * len(items)
 
-            def handle(reply: List[Tuple[int, EvalPayload]]) -> None:
-                for index, payload in reply:
-                    out[index] = rebuild_eval(ctx, items[index][0], payload)
+            def handle(reply: List[Tuple[int, _Shipped]]) -> None:
+                for index, shipped in reply:
+                    out[index] = rebuild_eval(ctx, items[index][0], *shipped)
 
             plans = self._plan(items, range(len(items)))
             tasks = [

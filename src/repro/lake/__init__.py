@@ -10,7 +10,7 @@ stored (:func:`repro.core.fitness.eval_payload`: the five SoA timing
 arrays and the dense value matrix), and
 :func:`repro.core.fitness.rebuild_eval` re-runs the metric tail
 against the live context on every hit.  The shard pool ships the same
-payload and rebuilds replies the same way.
+payload, with the sender's metrics next to it.
 
 Public surface:
 

@@ -17,7 +17,8 @@ pins:
   evaluation counts, history);
 * reply ownership — each eval a dispatch returns belongs to the circuit
   object that was submitted, so the parent never rebuilds a population
-  member's structure memos from scratch;
+  member's structure memos from scratch, and carries the worker's
+  metrics, so the parent never re-runs its metric tail;
 * crash safety — a worker that raises (poisoned cell library) surfaces
   the *original* exception from ``Session.run`` and leaves no worker
   process behind;
@@ -332,6 +333,38 @@ class TestParallelRunIdentity:
             assert ev.report.circuit is kid
             assert kid.provenance is None  # consumed, as a serial eval does
 
+    def test_replies_carry_their_metrics(self, library, monkeypatch):
+        """The parent runs no metric tail (error, per-PO errors, area)
+        on a reply: the worker's travel with it, and the rebuilt evals
+        equal serial ones.  The sanitizer would re-run the tail to check
+        them, so it is off here."""
+        from repro.core import fitness as fitness_mod
+
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        ctx = _ctx(build_adder(8), library)
+        parent = ctx.reference_eval()
+        want = evaluate_batch(
+            ctx, [(c, parent) for c in _lac_children(ctx, 6, seed=5)]
+        )
+        tails = []
+        for owner, name in (
+            (fitness_mod, "measure_error"),
+            (fitness_mod, "per_po_error"),
+            (Circuit, "area"),
+        ):
+
+            def counted(*args, _run=getattr(owner, name), _name=name, **kw):
+                tails.append(_name)
+                return _run(*args, **kw)
+
+            monkeypatch.setattr(owner, name, counted)
+        kids = _lac_children(ctx, 6, seed=5)
+        with ShardDispatcher(ctx, 2) as dispatcher:
+            got = dispatcher.evaluate_items([(c, parent) for c in kids])
+        assert tails == []
+        for ours, ref in zip(got, want):
+            _assert_same_eval(ours, ref)
+
     def test_parallel_dcgwo_rebuilds_no_population_memo(
         self, library, monkeypatch
     ):
@@ -514,7 +547,7 @@ class TestCrashSafety:
         try:
             parallel_mod.get_dispatcher(ctx, 2).warmup()
 
-            def cut_short(ctx, circuit, payload):
+            def cut_short(ctx, circuit, payload, metrics):
                 raise RuntimeError("dispatch cut short")
 
             monkeypatch.setattr(parallel_mod, "rebuild_eval", cut_short)

@@ -35,6 +35,7 @@ from reference_circuits import (
     build_wide_circuit,
 )
 
+from repro.analysis.sanitize import SanitizerError
 from repro.cells import FUNCTIONS, Cell, Library, cell_name, default_library
 from repro.cells.timing_model import (
     LinearTimingSpec,
@@ -55,7 +56,7 @@ from repro.core import (
     is_safe,
 )
 from repro.core.fitness import DepthMode
-from repro.core.fitness import eval_payload, rebuild_eval
+from repro.core.fitness import eval_metrics, eval_payload, rebuild_eval
 from repro.netlist import CircuitBuilder, is_const
 from repro.sim import ErrorMode, value_rows
 from repro.sta import (
@@ -384,6 +385,21 @@ class TestTransport:
         assert clone.index.n == ev.report.index.n
         assert list(clone.index.gids) == list(ev.report.index.gids)
         _assert_same_timing(ev.circuit, clone, ev.report)
+
+    def test_shipped_metrics_are_checked_under_the_sanitizer(
+        self, library, monkeypatch
+    ):
+        ctx, ev = self._child_eval(library)
+        shipped = (ev.circuit, eval_payload(ev), eval_metrics(ev))
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        clone = rebuild_eval(ctx, *pickle.loads(pickle.dumps(shipped)))
+        assert eval_metrics(clone) == eval_metrics(ev)
+        assert clone.fitness == ev.fitness
+        circuit, payload, (error, per_po, area) = pickle.loads(
+            pickle.dumps(shipped)
+        )
+        with pytest.raises(SanitizerError, match="shipped metrics"):
+            rebuild_eval(ctx, circuit, payload, (error, per_po, area + 1.0))
 
     def test_pack_ships_raw_arrays(self, library):
         _, ev = self._child_eval(library)

@@ -48,7 +48,7 @@ from repro.core import (
     evaluate_incremental,
     is_safe,
 )
-from repro.core.fitness import eval_payload, rebuild_eval
+from repro.core.fitness import eval_metrics, eval_payload, rebuild_eval
 from repro.core.parallel import close_dispatcher, get_dispatcher
 from repro.core.reproduction import po_bits
 from repro.netlist import (
@@ -546,10 +546,9 @@ class TestStackedBatch:
         assert isinstance(ev.values, ValueStore)
         payload = eval_payload(ev)
         assert payload[5] is ev.values.matrix  # no per-gate key array
-        # A parent eval crosses the pipe as (circuit, payload).
-        clone = rebuild_eval(
-            ctx, *pickle.loads(pickle.dumps((ev.circuit, payload)))
-        )
+        # A parent eval crosses the pipe as (circuit, payload, metrics).
+        shipped = (ev.circuit, payload, eval_metrics(ev))
+        clone = rebuild_eval(ctx, *pickle.loads(pickle.dumps(shipped)))
         _assert_same_eval(ev, clone)
 
     def test_singles_dedup_shares_one_evaluation(self, library):
