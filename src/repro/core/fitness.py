@@ -32,15 +32,15 @@ on first read: the timing walk and the Eq. 8 fields that follow from it
 together the first time any of them is read (:class:`CircuitEval`).
 The optimizers read ``error`` first and drop a child over the bound,
 so such a child is never timed.  Every other path — :func:`evaluate`,
-the reference eval, lake hits and shard replies — builds complete
-evals, and pickling forces pending timing.
+the reference eval, lake hits, shard replies and unpickled evals —
+builds complete evals.
 
-An evaluation is stored (the lake) and shipped (the shard pool) as one
-payload, :func:`eval_payload`: the report's five timing arrays and the
-value matrix.  :func:`rebuild_eval` turns it back into an eval of the
-receiving circuit and re-runs the metric tail, unless the sender's
-:func:`eval_metrics` come along (the shard pool), so a rebuilt eval is
-bit-identical to a computed one.
+An evaluation leaves a process in one codec, decided here: its
+:func:`eval_payload` (the report's five timing arrays and the value
+matrix), plus the sender's :func:`eval_fields` everywhere but in the
+lake.  :func:`rebuild_eval` re-runs the metric tail on a lake hit, and
+:func:`restore_eval` takes the fields as they are (pickling, shard
+replies), so a rebuilt eval is bit-identical to a computed one.
 """
 
 from __future__ import annotations
@@ -260,8 +260,9 @@ class CircuitEval:
     together on the first read of any of them, bit for bit what
     :func:`evaluate` gives.  The pending computation holds the parent's
     report, and so the parent circuit, until it runs; it is dropped
-    after.  It refuses a circuit mutated since evaluation, and pickling
-    runs it first.
+    after.  It refuses a circuit mutated since evaluation, and so does
+    pickling, which runs it first: an eval pickles as its circuit,
+    payload and fields (:func:`restore_eval`).
     """
 
     circuit: Circuit
@@ -293,26 +294,26 @@ class CircuitEval:
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
 
-    def __getstate__(self) -> Dict[str, Any]:
-        if "_pending" in self.__dict__:
-            self._run_timing()
-        return self.__dict__
+    def __reduce__(self) -> Tuple[Any, ...]:
+        self._check_current()
+        return (
+            restore_eval,
+            (self.circuit, eval_payload(self), eval_fields(self)),
+        )
+
+    def _check_current(self) -> None:
+        if self.circuit.version != self.circuit_version:
+            raise RuntimeError(
+                "circuit changed since it was evaluated; its timing "
+                "would describe a different circuit"
+            )
 
     def _run_timing(self) -> None:
         """Compute the pending timed fields and drop the computation."""
-        if self.circuit.version != self.circuit_version:
-            raise RuntimeError(
-                "circuit changed since it was evaluated; its pending "
-                "timing would describe a different circuit"
-            )
+        self._check_current()
         state = self.__dict__
         state.update(state["_pending"]())
         del state["_pending"]
-
-
-#: The metric tail's costly outputs, ``error``, ``per_po_error`` and
-#: ``area``: a shard pool eval carries them next to its payload.
-EvalMetrics = Tuple[float, List[float], float]
 
 
 def _finish_eval(
@@ -320,38 +321,32 @@ def _finish_eval(
     circuit: Circuit,
     report: Union[TimingReport, Callable[[], TimingReport]],
     values: ValueStore,
-    metrics: Optional[EvalMetrics] = None,
 ) -> CircuitEval:
     """Shared metric tail: error + area + Eq. 8 from report and values.
 
     Every evaluation path funnels through here so their outputs are
     computed by the exact same float operations.  ``values``, ``error``
-    and ``per_po_error`` are computed (or, with the area, taken from
-    ``metrics``) at once.  ``report`` is either the circuit's
-    :class:`TimingReport` or a function that computes it; given a
-    function, the eval's timed fields stay pending until first read
-    (see :class:`CircuitEval`).  The context fields Eq. 8 reads are
-    captured now, so the result does not depend on when that is.
+    and ``per_po_error`` are computed at once.  ``report`` is either the
+    circuit's :class:`TimingReport` or a function that computes it;
+    given a function, the eval's timed fields stay pending until first
+    read (see :class:`CircuitEval`).  The context fields Eq. 8 reads
+    are captured now, so the result does not depend on when that is.
 
     Consumes the circuit's provenance record (sets it to ``None``) —
     once evaluated, the eval itself is the parent future children
     derive from, and dropping the record releases the reference chain
     to older ancestors.
     """
-    if metrics is None:
-        app_po = po_words(circuit, values)
-        nv = ctx.vectors.num_vectors
-        error = measure_error(
-            ctx.error_mode,
-            ctx.reference_po,
-            app_po,
-            nv,
-            ref_cache=ctx._ref_unpack_cache,
-        )
-        po_errors = per_po_error(ctx.error_mode, ctx.reference_po, app_po, nv)
-        known_area: Optional[float] = None
-    else:
-        error, po_errors, known_area = metrics
+    app_po = po_words(circuit, values)
+    nv = ctx.vectors.num_vectors
+    error = measure_error(
+        ctx.error_mode,
+        ctx.reference_po,
+        app_po,
+        nv,
+        ref_cache=ctx._ref_unpack_cache,
+    )
+    po_errors = per_po_error(ctx.error_mode, ctx.reference_po, app_po, nv)
     library = ctx.library
     delay = ctx.depth_mode is DepthMode.DELAY
     depth_ori, area_ori, wd = ctx.depth_ori, ctx.area_ori, ctx.wd
@@ -359,7 +354,7 @@ def _finish_eval(
 
     def timed(report: TimingReport) -> Dict[str, Any]:
         depth = report.cpd if delay else float(report.max_unit_depth)
-        area = circuit.area(library) if known_area is None else known_area
+        area = circuit.area(library)
         fd = depth_ori / max(depth, _EPS)
         fa = area_ori / max(area, _EPS)
         return dict(
@@ -391,14 +386,18 @@ def _finish_eval(
 #: arrays, then the value matrix.
 EvalPayload = Tuple[np.ndarray, ...]
 
+#: :func:`eval_fields`: ``depth``, ``area``, ``error``, ``per_po_error``,
+#: ``fd``, ``fa`` and ``fitness``, in :class:`CircuitEval`'s field order.
+EvalFields = Tuple[float, float, float, List[float], float, float, float]
+
 
 def eval_payload(ev: CircuitEval) -> EvalPayload:
-    """The arrays :func:`rebuild_eval` rebuilds ``ev`` from.
+    """The arrays :func:`rebuild_eval` and :func:`restore_eval` lay out.
 
     They are a pure function of the circuit's full structure, the
-    library and the vectors; the metric tail is not stored, and neither
-    is the row index, which the receiving circuit has.  Reading the
-    report runs a pending eval's timing.
+    library and the vectors; the row index is not stored, which the
+    receiving circuit has.  Reading the report runs a pending eval's
+    timing.
     """
     report = ev.report
     return (
@@ -411,28 +410,20 @@ def eval_payload(ev: CircuitEval) -> EvalPayload:
     )
 
 
-def eval_metrics(ev: CircuitEval) -> EvalMetrics:
-    """The metrics a shard pool ships next to ``ev``'s payload."""
-    return (ev.error, ev.per_po_error, ev.area)
+def eval_fields(ev: CircuitEval) -> EvalFields:
+    """The results :func:`restore_eval` takes next to ``ev``'s payload."""
+    return (
+        ev.depth, ev.area, ev.error, ev.per_po_error, ev.fd, ev.fa, ev.fitness
+    )
 
 
-def rebuild_eval(
-    ctx: EvalContext,
-    circuit: Circuit,
-    payload: EvalPayload,
-    metrics: Optional[EvalMetrics] = None,
-) -> CircuitEval:
-    """An eval of ``circuit`` rebuilt from :func:`eval_payload`'s arrays.
+def _lay_payload(
+    circuit: Circuit, payload: EvalPayload
+) -> Tuple[TimingReport, ValueStore]:
+    """The payload's report and value store on ``circuit``'s row index.
 
-    The arrays are laid on the circuit's own row index
-    (:func:`repro.sta.timing_index`; a child with a valid provenance
-    record takes its parent's) and republished read-only (they arrive
-    writable from a pipe or a lake file).  The metric tail re-runs
-    unless ``metrics`` brings the sender's :func:`eval_metrics` (the
-    shard pool; ``REPRO_SANITIZE=1`` re-runs it anyway and raises on a
-    difference), so the result is bit-identical to evaluating
-    ``circuit``.  The report's version is the circuit's.  Consumes the
-    circuit's provenance record, as every evaluation does.  Raises
+    Both share :func:`repro.sta.timing_index` of the circuit, and the
+    arrays are republished read-only (they arrive writable).  Raises
     ``ValueError`` when the payload does not fit the circuit.
     """
     try:
@@ -448,12 +439,43 @@ def rebuild_eval(
     report = TimingReport(
         circuit, index, arrival, slew, load, depth, critical, circuit.version
     )
-    values = ValueStore(index, publish_array(matrix))
-    ev = _finish_eval(ctx, circuit, report, values, metrics)
-    if metrics is not None and sanitize_enabled():
-        tail = eval_metrics(_finish_eval(ctx, circuit, report, values))
-        if tail != eval_metrics(ev):
-            raise SanitizerError(f"shipped metrics of {circuit!r} differ")
+    return report, ValueStore(index, publish_array(matrix))
+
+
+def restore_eval(
+    circuit: Circuit, payload: EvalPayload, fields: EvalFields
+) -> CircuitEval:
+    """An eval of ``circuit`` from its payload and the sender's fields.
+
+    Needs no context and runs no metric tail; an eval unpickles through
+    it.  Consumes the circuit's provenance record.
+    """
+    report, values = _lay_payload(circuit, payload)
+    circuit.provenance = None
+    return CircuitEval(circuit, report, values, *fields, circuit.version)
+
+
+def rebuild_eval(
+    ctx: EvalContext,
+    circuit: Circuit,
+    payload: EvalPayload,
+    fields: Optional[EvalFields] = None,
+) -> CircuitEval:
+    """An eval of ``circuit`` rebuilt from :func:`eval_payload`'s arrays.
+
+    Without ``fields`` (a lake hit) the metric tail re-runs; with the
+    sender's :func:`eval_fields` (a shard reply) the eval is restored,
+    and ``REPRO_SANITIZE=1`` re-runs the tail to check them.  Consumes
+    the circuit's provenance record.  Raises ``ValueError`` when the
+    payload does not fit the circuit.
+    """
+    if fields is None:
+        return _finish_eval(ctx, circuit, *_lay_payload(circuit, payload))
+    ev = restore_eval(circuit, payload, fields)
+    if sanitize_enabled():
+        tail = _finish_eval(ctx, circuit, ev.report, ev.values)
+        if eval_fields(tail) != eval_fields(ev):
+            raise SanitizerError(f"shipped fields of {circuit!r} differ")
     return ev
 
 

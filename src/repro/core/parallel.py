@@ -21,21 +21,20 @@ How determinism is preserved:
   path decisions of their own.
 * **Parents travel once, children every generation.**  A provenance
   group is shipped as (parent key, children-with-changed-sets).  The
-  first time a parent reaches a worker its circuit and payload ride
-  along and the rebuilt eval is cached worker-side (the parent process
-  mirrors the cache bookkeeping, so it knows which worker owns which
-  parent); subsequent generations ship only the children.  Workers
+  first time a parent reaches a worker its eval rides along and is
+  cached worker-side as it unpickles (the parent process mirrors the
+  cache bookkeeping, so it knows which worker owns which parent);
+  subsequent generations ship only the children.  Workers
   re-stamp each child's provenance against their cached parent copy
   and run the ordinary batch path
   (:func:`repro.core.batch.evaluate_batch`) — the same code, the same
   floats.  Full-evaluation singles ride as one parentless group.
-* **Evals travel as payload and metrics.**  Evals cross a pipe in both
-  directions as :func:`~repro.core.fitness.eval_payload`'s arrays and
-  the sender's :func:`~repro.core.fitness.eval_metrics`, and
-  :func:`~repro.core.fitness.rebuild_eval` rebuilds them without
-  re-running the metric tail.  A reply carries no circuit: it is
-  rebuilt on the circuit the parent submitted, on the row index that
-  circuit derived from its parent's.
+* **Evals travel as payload and fields.**  A parent eval is pickled
+  (its circuit, :func:`~repro.core.fitness.eval_payload` and
+  :func:`~repro.core.fitness.eval_fields`); a reply ships payload and
+  fields alone, and :func:`~repro.core.fitness.rebuild_eval` restores
+  it without re-running the metric tail, on the circuit the parent
+  submitted and the row index that circuit derived from its parent's.
 * **Results merge by item index**, so completion order is irrelevant.
 
 Evaluating each gate's value and timing is a pure function of circuit
@@ -114,9 +113,9 @@ from .fitness import (
     CircuitEval,
     DepthMode,
     EvalContext,
-    EvalMetrics,
+    EvalFields,
     EvalPayload,
-    eval_metrics,
+    eval_fields,
     eval_payload,
     rebuild_eval,
 )
@@ -259,11 +258,8 @@ class _ContextSpec:
         )
 
 
-#: An eval on its way through a pipe: its payload and its metrics.
-_Shipped = Tuple[EvalPayload, EvalMetrics]
-
-#: A parent eval on its way to a worker: its circuit, then as shipped.
-_ShippedEval = Tuple[Circuit, EvalPayload, EvalMetrics]
+#: A reply's eval on its way back through a pipe.
+_Shipped = Tuple[EvalPayload, EvalFields]
 
 
 def _reattach_provenance(
@@ -288,7 +284,7 @@ def _worker_eval(
     ref_key: bytes,
     cache: "Dict[bytes, CircuitEval]",
     evicts: Sequence[bytes],
-    groups: Sequence[Tuple[Optional[bytes], Optional[_ShippedEval], List]],
+    groups: Sequence[Tuple[Optional[bytes], Optional[CircuitEval], List]],
 ) -> List[Tuple[int, _Shipped]]:
     """Evaluate one shard: provenance groups, then full-eval singles.
 
@@ -301,10 +297,8 @@ def _worker_eval(
     for key in evicts:
         cache.pop(key, None)
     results: List[Tuple[int, _Shipped]] = []
-    for key, shipped, members in groups:
-        parent: Optional[CircuitEval] = None
-        if shipped is not None:
-            parent = rebuild_eval(ctx, *shipped)
+    for key, parent, members in groups:
+        if parent is not None:
             cache[key] = parent
         elif key == ref_key:
             parent = ctx.reference_eval()
@@ -323,7 +317,7 @@ def _worker_eval(
         evals = evaluate_batch(ctx, items)
         for (index, _, _, child_key), ev in zip(members, evals):
             cache[child_key] = ev
-            results.append((index, (eval_payload(ev), eval_metrics(ev))))
+            results.append((index, (eval_payload(ev), eval_fields(ev))))
     if ctx.lake:
         # Workers exit through ``os._exit`` (no atexit), so lake hit/put
         # counters are flushed per shard — one appended delta line, and
@@ -444,9 +438,9 @@ class _WorkerPlan:
     """One worker's share of a dispatch, built deterministically."""
 
     evicts: List[bytes] = field(default_factory=list)
-    #: ``(parent key, shipped parent or None, members)``; the key is
-    #: ``None`` for the group of full-evaluation singles.
-    groups: List[Tuple[Optional[bytes], Optional[_ShippedEval], List]] = (
+    #: ``(parent key, shipped parent eval or None, members)``; the key
+    #: is ``None`` for the group of full-evaluation singles.
+    groups: List[Tuple[Optional[bytes], Optional[CircuitEval], List]] = (
         field(default_factory=list)
     )
 
@@ -672,13 +666,11 @@ class ShardDispatcher:
                         self._register(w, child_key, plans[w], pinned)
                 continue
             owner = next((w for w in workers if key in self._known[w]), None)
-            shipped: Optional[_ShippedEval] = None
+            shipped: Optional[CircuitEval] = None
             if owner is None:
                 # First sighting: route by key hash, ship the parent.
                 owner = workers[int.from_bytes(key[:8], "big") % len(workers)]
-                shipped = (
-                    parent.circuit, eval_payload(parent), eval_metrics(parent)
-                )
+                shipped = parent
                 self._register(owner, key, plans[owner], pinned)
             else:
                 pinned.add(key)

@@ -9,8 +9,9 @@ are bit-identical to computed ones because only the pure parts are
 stored (:func:`repro.core.fitness.eval_payload`: the five SoA timing
 arrays and the dense value matrix), and
 :func:`repro.core.fitness.rebuild_eval` re-runs the metric tail
-against the live context on every hit.  The shard pool ships the same
-payload, with the sender's metrics next to it.
+against the live context on every hit.  The shard pool and pickling
+move the same payload, with the sender's
+:func:`repro.core.fitness.eval_fields` next to it.
 
 Public surface:
 

@@ -40,6 +40,7 @@ register themselves are first-class citizens of every session API.
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
 import time
 import warnings
@@ -64,8 +65,10 @@ from .postopt import PostOptResult, post_optimize
 from .registry import get_method, method_names
 from .sim import ErrorMode
 
-#: On-disk checkpoint format version (bump on layout changes).
-CHECKPOINT_FORMAT = 1
+#: On-disk checkpoint format version (bump on layout changes); it is
+#: a checkpoint file's first line, checked before anything is unpickled.
+CHECKPOINT_FORMAT = 2
+_CHECKPOINT_HEADER = b"repro-checkpoint %d\n" % CHECKPOINT_FORMAT
 
 
 class RunInterrupted(RuntimeError):
@@ -562,34 +565,46 @@ class Session:
         population, archive, history and the exact RNG state — and the
         cache configuration, so a resumed session reattaches the same
         evaluation lake (resume + warm cache is still bit-identical to
-        the uninterrupted run, because cached results are).
+        the uninterrupted run, because cached results are).  The file
+        is written beside ``path`` and renamed onto it, so a failed
+        write leaves the previous checkpoint as it was.
         """
         pending = {
             key: (optimizer.config, state)
             for key, (optimizer, state) in self._pending.items()
         }
         payload = {
-            "format": CHECKPOINT_FORMAT,
             "circuit": self.ctx.reference,
             "config": self.config,
             "library": self.library,
             "pending": pending,
             "cache": self._cache_spec,
         }
-        with open(path, "wb") as f:
-            pickle.dump(payload, f)
+        tmp = f"{path}.tmp-{os.getpid()}-{os.urandom(4).hex()}"
+        try:
+            with open(tmp, "wb") as f:
+                f.write(_CHECKPOINT_HEADER)
+                pickle.dump(payload, f)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     @classmethod
     def resume(cls, path: str) -> "Session":
-        """Rebuild a session (and its paused runs) from a checkpoint."""
+        """Rebuild a session (and its paused runs) from a checkpoint;
+        ``ValueError`` for another format, before unpickling anything."""
         with open(path, "rb") as f:
+            header = f.readline(len(_CHECKPOINT_HEADER))
+            if header != _CHECKPOINT_HEADER:
+                raise ValueError(
+                    f"unsupported checkpoint format: first line "
+                    f"{header!r}, expected {_CHECKPOINT_HEADER!r}"
+                )
             payload = pickle.load(f)
-        fmt = payload.get("format")
-        if fmt != CHECKPOINT_FORMAT:
-            raise ValueError(
-                f"unsupported checkpoint format {fmt!r} "
-                f"(expected {CHECKPOINT_FORMAT})"
-            )
         config: FlowConfig = payload["config"]
         circuit: Circuit = payload["circuit"]
         library: Library = payload["library"]

@@ -21,10 +21,10 @@ Layout contract: matrices have ``index.n + 2`` rows; row
 ``index.row[gid]`` holds gate ``gid``, row ``n`` holds CONST0 and row
 ``n + 1`` holds CONST1.  A store is **read-only once published** (it is
 shared parent → child by the incremental and batched evaluation paths);
-writers copy the matrix first (:meth:`ValueStore.fork_matrix`).  The
-lake and the shard pool move the matrix alone, next to the timing
-arrays (:func:`repro.core.fitness.eval_payload`), and lay it on the
-receiving circuit's index (:func:`repro.core.fitness.rebuild_eval`).
+writers copy the matrix first (:meth:`ValueStore.fork_matrix`).  A
+store never travels on its own: the lake, the shard pool and pickling
+move the matrix inside an eval and lay it on the index its report
+shares (:func:`repro.core.fitness.eval_payload`, ``restore_eval``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Dict
 
 import numpy as np
 
-from ..analysis.sanitize import publish_array
 from ..netlist import CONST0, CONST1
 from ..sta.store import TimingIndex
 
@@ -54,19 +53,6 @@ def value_rows(index: TimingIndex) -> Dict[int, int]:
         rows[CONST1] = index.n + 1
         index.vrow = rows
     return rows
-
-
-def _rebuild_store(gids, po_rows, matrix):
-    """Unpickling hook: rebuild the row dict from the sorted gid array.
-
-    The matrix arrives writable from pickle; it is republished
-    read-only (under ``REPRO_SANITIZE=1``) because an unpickled store
-    is as published as the one it was packed from.
-    """
-    row = {int(g): i for i, g in enumerate(gids)}
-    return ValueStore(
-        TimingIndex(gids, row, po_rows), publish_array(matrix)
-    )
 
 
 class ValueStore:
@@ -109,14 +95,6 @@ class ValueStore:
         if gid == CONST1:
             return self.matrix[self.index.n + 1]
         raise KeyError(gid)
-
-    def __reduce__(self):
-        # The row dict is a pure function of the sorted gid array;
-        # shipping the arrays alone keeps checkpoints/pipes lean.
-        return (
-            _rebuild_store,
-            (self.index.gids, self.index.po_rows, self.matrix),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -136,45 +136,6 @@ class TimingReport:
         path.reverse()
         return path
 
-    # ------------------------------------------------------------------
-    # pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        # The index is not pickled: it is rebuilt from the circuit.
-        return (
-            self.circuit,
-            (
-                self.arrival_a,
-                self.slew_a,
-                self.load_a,
-                self.unit_depth_a,
-                self.critical_fanin_a,
-                self.circuit_version,
-            ),
-        )
-
-    def __setstate__(self, state):
-        circuit, payload = state
-        self.circuit = circuit
-        self.index = timing_index(circuit)
-        (
-            self.arrival_a,
-            self.slew_a,
-            self.load_a,
-            self.unit_depth_a,
-            self.critical_fanin_a,
-            self.circuit_version,
-        ) = payload
-        # Arrays rebuilt from pickle arrive writable; republish them
-        # read-only so unpickled reports keep the publication contract.
-        publish_arrays(
-            self.arrival_a,
-            self.slew_a,
-            self.load_a,
-            self.unit_depth_a,
-            self.critical_fanin_a,
-        )
-
 
 class STAEngine:
     """Topological arrival/slew propagation against a cell library.

@@ -434,6 +434,18 @@ class TestDeferredTiming:
         with pytest.raises(RuntimeError, match="changed since"):
             pickle.dumps(ev)
 
+    def test_pickling_a_timed_eval_after_a_mutation_raises(self, library):
+        # Unpickling lays the arrays on the circuit as it is, so a
+        # timed eval of a since-mutated circuit must not pickle either.
+        ctx = self._context(library)
+        _, (child,) = self._children(ctx, 1)
+        ev = evaluate(ctx, child)
+        gid = child.logic_ids()[0]
+        child.set_cell(gid, library.upsize(child.cells[gid]).name)
+        assert ev.fitness > 0.0
+        with pytest.raises(RuntimeError, match="changed since"):
+            pickle.dumps(ev)
+
     def test_run_times_only_children_it_reads(self, library, monkeypatch):
         # ER 5% on an 8-bit adder: most single-LAC children exceed the
         # bound, so their timing is never read.  The run still equals

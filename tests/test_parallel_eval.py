@@ -547,7 +547,7 @@ class TestCrashSafety:
         try:
             parallel_mod.get_dispatcher(ctx, 2).warmup()
 
-            def cut_short(ctx, circuit, payload, metrics):
+            def cut_short(ctx, circuit, payload, fields):
                 raise RuntimeError("dispatch cut short")
 
             monkeypatch.setattr(parallel_mod, "rebuild_eval", cut_short)

@@ -411,6 +411,48 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="unsupported checkpoint"):
             Session.resume(str(path))
 
+    def test_old_format_rejected_before_unpickling(self, tmp_path):
+        """A checkpoint of another format is refused on its first line,
+        before its body can name what this version no longer has."""
+        import pickle
+
+        # A pickle naming an attribute repro does not have, as format
+        # 1 names the ValueStore unpickling hook that format 2 dropped.
+        body = b"crepro.sim.store\n_no_such_attribute\n."
+        with pytest.raises(AttributeError):
+            pickle.loads(body)
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(body)
+        with pytest.raises(ValueError, match="unsupported checkpoint"):
+            Session.resume(str(path))
+
+    def test_failed_write_keeps_previous_checkpoint(
+        self, adder8, tmp_path, monkeypatch
+    ):
+        import errno
+        import os
+        import pickle
+
+        s = Session(adder8, NMED_CFG)
+        s.optimize("Ours", stop_after=1)
+        path = tmp_path / "run.ckpt"
+        s.checkpoint(str(path))
+        before = path.read_bytes()
+        s.optimize("Ours", stop_after=2)
+
+        def disk_full(obj, f, *args, **kwargs):
+            f.write(b"partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pickle, "dump", disk_full)
+        with pytest.raises(OSError):
+            s.checkpoint(str(path))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["run.ckpt"]  # no temporary left
+        resumed = Session.resume(str(path))
+        assert resumed.pending_methods() == ("Ours",)
+
 
 # ----------------------------------------------------------------------
 # batched generation evaluation

@@ -14,8 +14,9 @@ Four contracts are pinned here:
   tolerance-drift bugs both lived in that predicate (a constant-delay
   tie library reproduces them deterministically and property-style) —
   and stops at a gate whose outputs did not change;
-* the store's transport contract: reports pickle/pack as raw arrays
-  and rebuild their dense index from the circuit on the other side.
+* the transport contract: an eval travels as its raw arrays (and, when
+  pickled or shipped by the pool, its fields) and is laid on one row
+  index of the receiving circuit, which its report and values share.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from repro.core import (
     is_safe,
 )
 from repro.core.fitness import DepthMode
-from repro.core.fitness import eval_metrics, eval_payload, rebuild_eval
+from repro.core.fitness import eval_fields, eval_payload, rebuild_eval
 from repro.netlist import CircuitBuilder, is_const
 from repro.sim import ErrorMode, value_rows
 from repro.sta import (
@@ -379,27 +380,44 @@ class TestTransport:
         assert clone.report.critical_path() == ev.report.critical_path()
         _assert_same_timing(ev.circuit, clone.report, ev.report)
 
-    def test_report_pickle_rebuilds_index(self, library):
+    def test_eval_pickle_builds_one_index(self, library, monkeypatch):
         _, ev = self._child_eval(library)
-        clone = pickle.loads(pickle.dumps(ev.report))
-        assert clone.index.n == ev.report.index.n
-        assert list(clone.index.gids) == list(ev.report.index.gids)
-        _assert_same_timing(ev.circuit, clone, ev.report)
+        raw = pickle.dumps(ev)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        built = []
+        init = store.TimingIndex.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(store.TimingIndex, "__init__", counted)
+        clone = pickle.loads(raw)
+        assert len(built) == 1
+        assert (
+            clone.values.index
+            is clone.report.index
+            is timing_index(clone.circuit)
+        )
+        assert eval_fields(clone) == eval_fields(ev)
+        assert clone.circuit_version == ev.circuit_version
+        _assert_same_timing(ev.circuit, clone.report, ev.report)
+        assert np.array_equal(clone.values.matrix, ev.values.matrix)
+        assert not any(a.flags.writeable for a in eval_payload(clone))
 
     def test_shipped_metrics_are_checked_under_the_sanitizer(
         self, library, monkeypatch
     ):
         ctx, ev = self._child_eval(library)
-        shipped = (ev.circuit, eval_payload(ev), eval_metrics(ev))
+        shipped = (ev.circuit, eval_payload(ev), eval_fields(ev))
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         clone = rebuild_eval(ctx, *pickle.loads(pickle.dumps(shipped)))
-        assert eval_metrics(clone) == eval_metrics(ev)
-        assert clone.fitness == ev.fitness
-        circuit, payload, (error, per_po, area) = pickle.loads(
+        assert eval_fields(clone) == eval_fields(ev)
+        circuit, payload, (depth, area, *rest) = pickle.loads(
             pickle.dumps(shipped)
         )
-        with pytest.raises(SanitizerError, match="shipped metrics"):
-            rebuild_eval(ctx, circuit, payload, (error, per_po, area + 1.0))
+        with pytest.raises(SanitizerError, match="shipped fields"):
+            rebuild_eval(ctx, circuit, payload, (depth, area + 1.0, *rest))
 
     def test_pack_ships_raw_arrays(self, library):
         _, ev = self._child_eval(library)
