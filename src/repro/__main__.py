@@ -36,7 +36,8 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from . import __version__
 from .bench import SUITE, build_benchmark
@@ -101,8 +102,21 @@ class ProgressView(RunCallback):
         )
 
 
-def _read_circuit(path: str):
-    with open(path) as f:
+@contextmanager
+def _reading(command: str, path: str) -> Iterator[None]:
+    """Exit 2 with one line on an ``OSError`` on ``path`` itself."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename != path:
+            raise
+        reason = exc.strerror or exc
+        print(f"{command}: cannot read {path}: {reason}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _read_circuit(args: argparse.Namespace):
+    with _reading(args.command, args.netlist), open(args.netlist) as f:
         return parse_verilog(f.read())
 
 
@@ -223,7 +237,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 f"the checkpoint; ignoring {', '.join(ignored)}",
                 file=sys.stderr,
             )
-        session = Session.resume(args.resume)
+        with _reading(args.command, args.resume):
+            session = Session.resume(args.resume)
         pending = session.pending_methods()
         method = args.method or (pending[0] if pending else "Ours")
     else:
@@ -233,7 +248,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        session = Session(_read_circuit(args.netlist), _flow_config(args))
+        session = Session(_read_circuit(args), _flow_config(args))
         method = args.method or "Ours"
 
     # Everything below runs under try/finally: an exception or signal
@@ -307,7 +322,7 @@ def _pause_checkpoint(session: Session, checkpoint: Optional[str]) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .core.parallel import resolve_jobs
 
-    session = Session(_read_circuit(args.netlist), _flow_config(args))
+    session = Session(_read_circuit(args), _flow_config(args))
     methods = args.methods or list(method_names())
     mode_label = session.config.error_mode.value
     try:
@@ -368,7 +383,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    circuit = _read_circuit(args.netlist)
+    circuit = _read_circuit(args)
     library = default_library()
     report = STAEngine(library).analyze(circuit)
     print(format_summary(report, library))

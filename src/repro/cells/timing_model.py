@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 #: Default input-slew axis (ps) used when characterising tables.
 DEFAULT_SLEW_AXIS: Tuple[float, ...] = (5.0, 10.0, 20.0, 40.0, 80.0, 160.0)
@@ -139,13 +139,30 @@ class TimingArc:
         """True when both tables are indexed by the same axes.
 
         Then one located ``(index, fraction)`` pair serves a delay and
-        an output-slew lookup alike (the STA gate kernel relies on it).
+        an output-slew lookup alike (the STA timing loop relies on it).
         Characterised arcs always share; a Liberty-parsed cell may not.
         Decided once per arc.
         """
         return (
             self.delay.slew_axis == self.output_slew.slew_axis
             and self.delay.load_axis == self.output_slew.load_axis
+        )
+
+    @cached_property
+    def loop_tables(self) -> Tuple[Any, ...]:
+        """Both tables as the STA timing loop reads them, built once.
+
+        The delay table's slew and load axes, each followed by the
+        bounds :func:`_interp_index` branches on (first, last, last
+        segment), then both value grids, then ``None`` when
+        :attr:`shared_axes`, else the output-slew table's own axes.
+        """
+        d, o = self.delay, self.output_slew
+        sa, la = d.slew_axis, d.load_axis
+        own = None if self.shared_axes else (o.slew_axis, o.load_axis)
+        return (
+            sa, sa[0], sa[-1], len(sa) - 2, la, la[0], la[-1], len(la) - 2,
+            d.values, o.values, own,
         )
 
     @staticmethod

@@ -26,9 +26,9 @@ Two evaluation paths produce bit-identical results:
   fall back to the full path whenever the provenance is missing, stale,
   or no matching parent eval is supplied.
 
-A matched child's values and error are computed at once, its timing
-on first read: the timing walk and the Eq. 8 fields that follow from it
-(``report``, ``depth``, ``area``, ``fd``, ``fa``, ``fitness``) run
+A matched child's values, error and area are computed at once, its
+timing on first read: the timing walk and the Eq. 8 fields that follow
+from it (``report``, ``depth``, ``fd``, ``fa``, ``fitness``) run
 together the first time any of them is read (:class:`CircuitEval`).
 The optimizers read ``error`` first and drop a child over the bound,
 so such a child is never timed.  Every other path — :func:`evaluate`,
@@ -242,7 +242,7 @@ class EvalContext:
 
 #: The fields a timing report decides; a pending eval computes them
 #: together on the first read of any one (see :class:`CircuitEval`).
-_TIMED = frozenset(("report", "depth", "area", "fd", "fa", "fitness"))
+_TIMED = frozenset(("report", "depth", "fd", "fa", "fitness"))
 
 
 @dataclass
@@ -254,8 +254,8 @@ class CircuitEval:
     their Eq. 8 weighted sum.  Larger is better for all three.
 
     A child evaluated against its parent (:func:`_evaluate_cones`) is
-    built with its timing pending: ``values``, ``error`` and
-    ``per_po_error`` are set, and ``report``, ``depth``, ``area``,
+    built with its timing pending: ``values``, ``error``,
+    ``per_po_error`` and ``area`` are set, and ``report``, ``depth``,
     ``fd``, ``fa`` and ``fitness`` (and so ``cpd``) are computed
     together on the first read of any of them, bit for bit what
     :func:`evaluate` gives.  The pending computation holds the parent's
@@ -325,12 +325,14 @@ def _finish_eval(
     """Shared metric tail: error + area + Eq. 8 from report and values.
 
     Every evaluation path funnels through here so their outputs are
-    computed by the exact same float operations.  ``values``, ``error``
-    and ``per_po_error`` are computed at once.  ``report`` is either the
-    circuit's :class:`TimingReport` or a function that computes it;
-    given a function, the eval's timed fields stay pending until first
-    read (see :class:`CircuitEval`).  The context fields Eq. 8 reads
-    are captured now, so the result does not depend on when that is.
+    computed by the exact same float operations.  ``values``, ``error``,
+    ``per_po_error`` and ``area`` are computed at once (``area`` while
+    the provenance record still lets the live set be derived from the
+    parent's).  ``report`` is either the circuit's :class:`TimingReport`
+    or a function that computes it; given a function, the eval's timed
+    fields stay pending until first read (see :class:`CircuitEval`).
+    The context fields Eq. 8 reads are captured now, so the result does
+    not depend on when that is.
 
     Consumes the circuit's provenance record (sets it to ``None``) —
     once evaluated, the eval itself is the parent future children
@@ -347,20 +349,18 @@ def _finish_eval(
         ref_cache=ctx._ref_unpack_cache,
     )
     po_errors = per_po_error(ctx.error_mode, ctx.reference_po, app_po, nv)
-    library = ctx.library
+    area = circuit.area(ctx.library)
     delay = ctx.depth_mode is DepthMode.DELAY
     depth_ori, area_ori, wd = ctx.depth_ori, ctx.area_ori, ctx.wd
     wa = 1.0 - wd  # ctx.wa
 
     def timed(report: TimingReport) -> Dict[str, Any]:
         depth = report.cpd if delay else float(report.max_unit_depth)
-        area = circuit.area(library)
         fd = depth_ori / max(depth, _EPS)
         fa = area_ori / max(area, _EPS)
         return dict(
             report=report,
             depth=depth,
-            area=area,
             fd=fd,
             fa=fa,
             fitness=wd * fd + wa * fa,
@@ -370,6 +370,7 @@ def _finish_eval(
     known = dict(
         circuit=circuit,
         values=values,
+        area=area,
         error=error,
         per_po_error=po_errors,
         circuit_version=circuit.version,

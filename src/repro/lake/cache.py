@@ -181,7 +181,10 @@ class EvalCache:
         A key whose record file exists is skipped (payloads for one
         composite key are bit-identical by construction, so there is
         nothing to update).  Each new record is published atomically on
-        its own.  Returns the number of records published.
+        its own.  A write that fails (a full disk, say) is dropped like
+        a damaged record and ends the batch: the results are recomputed
+        when next needed, and the run goes on.  Returns the number of
+        records published.
         """
         self._check_pid()
         published: List[str] = []
@@ -194,14 +197,17 @@ class EvalCache:
                 self.records_dir,
                 f".tmp-{os.getpid()}-{os.urandom(4).hex()}.rec",
             )
-            with open(tmp, "wb") as f:
-                f.write(
-                    _HEADER.pack(
-                        REC_MAGIC, zlib.crc32(raw), len(raw), skey, lib, vec
-                    )
-                )
-                f.write(raw)
-            os.replace(tmp, final)
+            header = _HEADER.pack(
+                REC_MAGIC, zlib.crc32(raw), len(raw), skey, lib, vec
+            )
+            try:
+                with open(tmp, "wb") as f:
+                    f.write(header)
+                    f.write(raw)
+                os.replace(tmp, final)
+            except OSError as exc:
+                self._drop(tmp, f"cannot write ({exc.strerror or exc})")
+                break
             published.append(final)
             self.counters["puts"] += 1
             self.counters["put_bytes"] += len(raw)

@@ -3,13 +3,15 @@
 Plays Design Compiler's post-optimization role: without touching the
 structure, repeatedly upsize the critical-path gate with the best
 estimated delay gain while the total area stays within ``area_con``.
-Each pass runs one full STA and estimates a move's net gain locally:
+Candidates are ranked by a local estimate of a move's net gain:
 
     gain = (old cell delay - new cell delay at the same slew/load)
          - (penalty on each fan-in driver from the increased pin load)
 
-which avoids a full STA per trial move and keeps the resizer usable
-inside benchmark sweeps.
+and only the best one is tried: a copy of the working circuit with that
+one cell swap declared in its provenance, retimed by
+:func:`~repro.sta.update_timing` against the working circuit's report,
+so a trial costs the gates the swap reaches, not a full STA.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from ..cells import Library
 from ..netlist import Circuit, is_const
-from ..sta import STAEngine, path_logic_gates
+from ..sta import STAEngine, path_logic_gates, update_timing
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,12 @@ def resize_for_timing(
     The circuit is modified in place.  A move is accepted only when it
     keeps total live area within ``area_con``, targets a gate on the
     current critical path, and its estimated gain exceeds ``min_gain``.
-    A verification STA after each move rejects swaps that made the true
-    CPD worse (the local estimate is optimistic around reconvergence).
+    Each move is tried on a copy of the working circuit and retimed
+    incrementally; a trial that does not lower the true CPD (the local
+    estimate is optimistic around reconvergence) is dropped and ends
+    the search, since every remaining candidate had a smaller estimate.
+    An accepted trial becomes the working circuit, and the accepted
+    moves are applied to ``circuit`` at the end.
     """
     engine = sta or STAEngine(library)
     result = SizingResult()
@@ -116,18 +122,19 @@ def resize_for_timing(
     result.cpd_before = report.cpd
     result.area_before = area
 
+    working = circuit
     current_cpd = report.cpd
     for _ in range(max_moves):
-        path_gates = path_logic_gates(circuit, report.critical_path())
+        path_gates = path_logic_gates(working, report.critical_path())
         best: Optional[Tuple[float, int, object]] = None
         for gid in path_gates:
-            new_cell = library.upsize(circuit.cells[gid])
+            new_cell = library.upsize(working.cells[gid])
             if new_cell is None:
                 continue
-            old_area = library.cell(circuit.cells[gid]).area
+            old_area = library.cell(working.cells[gid]).area
             if area + (new_cell.area - old_area) > area_con:
                 continue
-            gain = _estimate_gain(circuit, library, report, gid, new_cell)
+            gain = _estimate_gain(working, library, report, gid, new_cell)
             if gain <= min_gain:
                 continue
             if best is None or gain > best[0]:
@@ -135,26 +142,27 @@ def resize_for_timing(
         if best is None:
             break
         gain, gid, new_cell = best
-        old_name = circuit.cells[gid]
-        circuit.set_cell(gid, new_cell.name)
-        new_report = engine.analyze(circuit)
-        if new_report.cpd >= current_cpd:
-            circuit.set_cell(gid, old_name)  # revert: estimate was wrong
-            # A re-analysis with the reverted cell equals `report`; stop
-            # here — every remaining candidate had a smaller estimate.
+        trial = working.copy()
+        base_version = trial.version
+        trial.set_cell(gid, new_cell.name)
+        trial.extend_provenance((gid,), base_version, 1)
+        trial_report = update_timing(engine, trial, report, (gid,))
+        if trial_report.cpd >= current_cpd:
             break
-        report = new_report
-        current_cpd = new_report.cpd
-        area = circuit.area(library)
         result.moves.append(
             SizingMove(
                 gate=gid,
-                from_cell=old_name,
+                from_cell=working.cells[gid],
                 to_cell=new_cell.name,
                 estimated_gain=gain,
             )
         )
+        working, report = trial, trial_report
+        current_cpd = trial_report.cpd
+        area = working.area(library)
 
+    for move in result.moves:
+        circuit.set_cell(move.gate, move.to_cell)
     result.cpd_after = current_cpd
     result.area_after = area
     return result

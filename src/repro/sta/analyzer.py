@@ -11,10 +11,10 @@ Results live in a **structure-of-arrays timing store**
 (:mod:`repro.sta.store`): numpy ``float64`` arrays for arrival/slew/load
 and ``int32`` arrays for unit depth / critical fan-in, indexed by the
 dense per-structure :class:`~repro.sta.store.TimingIndex`.  The full
-pass evaluates every gate in topological order with
-:func:`~repro.sta.store.gate_timing`, the per-gate evaluation the
-incremental walk shares; the floats equal the historical per-gate
-scalar walk exactly.
+pass runs :func:`~repro.sta.store.walk_frontier`, the one per-gate
+timing loop the incremental walk also runs, over every gate in
+topological order; the floats equal the historical per-gate scalar
+walk exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from ..analysis.sanitize import publish_arrays
 from ..cells import Library
 from ..netlist import Circuit
-from .store import TimingIndex, gate_timing, timing_index
+from .store import TimingIndex, timing_index, walk_frontier
 
 
 class TimingReport:
@@ -162,29 +162,35 @@ class STAEngine:
 
     # ------------------------------------------------------------------
     def _loads_array(self, circuit: Circuit, index: TimingIndex) -> np.ndarray:
-        """Capacitive load per row (fF), padded with the sentinel row.
-
-        Accumulation order per driver matches the historical dict
-        implementation (consumers in fan-in dict insertion order), so
-        the floats are bit-identical to it.
-        """
+        """Capacitive load per row (fF), padded with the sentinel row."""
         loads = np.zeros(index.n + 1, dtype=np.float64)
-        row = index.row
-        wire = self.wire_cap_per_fanout
-        lib_cell = self.library.cell
-        cells = circuit.cells
-        for gid, fis in circuit.fanins.items():
-            if circuit.is_po(gid):
-                pin_cap = self.po_load
-            elif circuit.is_pi(gid):
-                continue
-            else:
-                pin_cap = lib_cell(cells[gid]).input_cap
-            for fi in fis:
-                if fi < 0:
-                    continue
-                loads[row[fi]] += pin_cap + wire
+        self._write_loads(circuit, circuit.fanins, loads, index.row)
         return loads
+
+    def _write_loads(self, circuit: Circuit, drivers, loads, row) -> None:
+        """Write the load of each of ``drivers`` to ``loads[row[d]]``.
+
+        A load adds ``pin cap + wire cap`` from 0.0 over the driver's
+        consumers (the PO load for a PO) in :meth:`Circuit.fanouts`
+        order — fan-in dict order, once per pin — as the historical dict
+        implementation did, so the floats are bit-identical to it
+        whichever drivers are rederived.  Constants are skipped.
+        """
+        fanouts = circuit.fanouts()
+        cells = circuit.cells
+        lib_cell = self.library.cell
+        wire, po_load = self.wire_cap_per_fanout, self.po_load
+        is_po = circuit.is_po
+        for d in drivers:
+            if d < 0:
+                continue
+            total = 0.0
+            for consumer in fanouts.get(d, ()):
+                if is_po(consumer):
+                    total += po_load + wire
+                else:
+                    total += lib_cell(cells[consumer]).input_cap + wire
+            loads[row[d]] = total
 
     def compute_loads(self, circuit: Circuit) -> Dict[int, float]:
         """Capacitive load on every gate output (fF), as a dict."""
@@ -197,26 +203,21 @@ class STAEngine:
     def analyze(self, circuit: Circuit) -> TimingReport:
         """Run full STA and return a :class:`TimingReport`.
 
-        Evaluates every gate in :meth:`Circuit.topological_order` with
-        :func:`~repro.sta.store.gate_timing`, as
-        :func:`repro.sim.simulate` does with its gate evaluation, so any
-        DAG is accepted.
+        Runs :func:`~repro.sta.store.walk_frontier` without seeds: every
+        gate, in :meth:`Circuit.topological_order`, so any DAG is
+        accepted.
         """
         index = timing_index(circuit)
         n = index.n
         loads = self._loads_array(circuit, index)
-        # Every gate's row is written below; the initial values are the
-        # sentinel row's: arrival 0, slew = input slew, depth 0, no
+        # Every gate's row is written by the walk; the initial values are
+        # the sentinel row's: arrival 0, slew = input slew, depth 0, no
         # critical fan-in.
         arr = np.zeros(n + 1, dtype=np.float64)
         slew = np.full(n + 1, self.input_slew, dtype=np.float64)
         depth = np.zeros(n + 1, dtype=np.int32)
         cf = np.full(n + 1, -1, dtype=np.int32)
-        timing = gate_timing(self, circuit, index, loads, arr, slew, depth)
-        row = index.row
-        for gid in circuit.topological_order():
-            r = row[gid]
-            arr[r], slew[r], depth[r], cf[r] = timing(gid, r)
+        walk_frontier(self, circuit, index, loads, arr, slew, depth, cf)
         return TimingReport(
             circuit, index, arr, slew, loads, depth, cf, circuit.version
         )

@@ -9,16 +9,14 @@ Timing results live in dense arrays, not per-gate dicts:
   valid provenance record, the same gate-ID set and the same port
   lists takes its parent's index object.  Value matrices are laid out
   by the same index (:mod:`repro.sim.store`).
-* :func:`gate_timing` — the one per-gate timing evaluation, shared by
-  the full pass (:meth:`STAEngine.analyze`, every gate in topological
-  order) and the incremental walk.
-* :func:`walk_frontier` — the incremental walk: seeded with the rows an
-  edit touched, it pops gates in ascending gate ID and stops at every
-  gate whose timing did not change.
-* :func:`eval_gate_scalar` — the one logic-gate kernel: NLDM bilinear
-  interpolation that is **bit-identical** to :meth:`NLDMTable.lookup`
-  (same index selection, same IEEE-754 operation order) while locating
-  each table axis once per gate or fan-in instead of once per lookup.
+* :func:`walk_frontier` — the one per-gate timing loop: over every gate
+  in topological order (the full pass, :meth:`STAEngine.analyze`), or
+  seeded with the rows an edit touched, popping gates in ascending gate
+  ID and stopping at every gate whose timing did not change (the
+  incremental walk, :func:`update_timing`).  Its NLDM interpolation is
+  **bit-identical** to :meth:`NLDMTable.lookup` (same index selection,
+  same IEEE-754 operation order) while locating each table axis once
+  per gate or fan-in instead of once per lookup.
 
 Array layout contract: every timing array has ``index.n + 1`` rows; row
 ``index.row[gid]`` holds gate ``gid`` and the final row is the constant
@@ -32,7 +30,9 @@ index (:func:`repro.core.fitness.eval_payload`, ``restore_eval``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Dict, Optional
 
 import numpy as np
@@ -100,160 +100,156 @@ def _build_index(circuit: Circuit) -> TimingIndex:
     return TimingIndex(gids, row, po_rows)
 
 
-def eval_gate_scalar(cell, fan_timing, load: float, input_slew: float):
-    """First-wins max over one gate's fan-ins, one axis locate each.
-
-    ``fan_timing`` is the gate's fan-ins in pin order as
-    ``(arrival, slew, depth, src_gid)`` tuples (constants pre-mapped to
-    ``(0.0, input_slew, 0, -1)``).  Returns
-    ``(arrival, slew, depth, critical_fanin)`` for the gate.
-
-    Equal, float for float, to scanning the fan-ins with
-    ``a + cell.delay(s, load)`` and taking ``cell.output_slew(s, load)``
-    at every improvement (first fan-in wins ties): the gate's load is
-    located on the load axis once, each fan-in's slew on the slew axis
-    once, and the output slew is looked up for the winning arc only,
-    reusing its located slew.  The bilinear interpolation is
-    :meth:`NLDMTable.lookup`'s, operation for operation.  A cell whose
-    two tables have different axes (``TimingArc.shared_axes`` false)
-    locates the winner again on the output-slew table's own axes.
-    """
-    arc = cell.arc
-    table = arc.delay
-    vals = table.values
-    slew_axis = table.slew_axis
-    j, fl = _interp_index(table.load_axis, load)
-    gl = 1.0 - fl
-    best = 0.0
-    best_depth = 0
-    best_src = -1
-    win = None
-    for a, s, d, src in fan_timing:
-        i, fs = _interp_index(slew_axis, s)
-        lo = vals[i]
-        hi = vals[i + 1]
-        top = lo[j] * gl + lo[j + 1] * fl
-        bot = hi[j] * gl + hi[j + 1] * fl
-        at = a + (top * (1.0 - fs) + bot * fs)
-        if win is None or at > best:
-            best = at
-            win = (s, i, fs)
-            best_depth = d
-            best_src = src
-    if win is None:
-        return best, input_slew, best_depth + 1, best_src
-    s, i, fs = win
-    table = arc.output_slew
-    if not arc.shared_axes:
-        i, fs = _interp_index(table.slew_axis, s)
-        j, fl = _interp_index(table.load_axis, load)
-        gl = 1.0 - fl
-    lo = table.values[i]
-    hi = table.values[i + 1]
-    top = lo[j] * gl + lo[j + 1] * fl
-    bot = hi[j] * gl + hi[j + 1] * fl
-    return best, top * (1.0 - fs) + bot * fs, best_depth + 1, best_src
+#: Per-pass table entries of the two pseudo-cells (see walk_frontier).
+_LAUNCH = "launch"
+_MIRROR = "mirror"
 
 
-def gate_timing(
-    engine,
-    circuit: Circuit,
-    index: TimingIndex,
-    loads: np.ndarray,
-    arr: np.ndarray,
-    slew: np.ndarray,
-    depth: np.ndarray,
-):
-    """The one per-gate timing evaluation behind both STA passes.
-
-    Returns ``timing(gid, r)``: the ``(arrival, slew, depth,
-    critical_fanin)`` of gate ``gid`` at row ``r``, read from its
-    fan-ins' rows of ``arr``, ``slew`` and ``depth`` and from its load
-    ``loads[r]``.  A PI launches at 0 with the engine's input slew, a
-    PO mirrors its single fan-in, and a logic gate takes
-    :func:`eval_gate_scalar`; constant fan-ins read as
-    ``(0.0, input_slew, 0, -1)``.  :meth:`STAEngine.analyze` calls it
-    in topological order and :func:`walk_frontier` in ascending gate
-    ID, so every fan-in row is final when it is read.
-    """
-    row_of = index.row
-    fanins_map = circuit.fanins
-    cells_map = circuit.cells
-    lib_cell = engine.library.cell
-    input_slew = engine.input_slew
-    source = (0.0, input_slew, 0, -1)
-
-    def timing(gid: int, r: int):
-        cell_name = cells_map[gid]
-        fis = fanins_map[gid]
-        if cell_name == PI_CELL:
-            return source
-        if cell_name == PO_CELL:
-            src = fis[0]
-            if src < 0:
-                return source
-            sr = row_of[src]
-            return float(arr[sr]), float(slew[sr]), int(depth[sr]), src
-        fan_timing = []
-        for fi in fis:
-            if fi < 0:
-                fan_timing.append(source)
-            else:
-                fr = row_of[fi]
-                fan_timing.append(
-                    (float(arr[fr]), float(slew[fr]), int(depth[fr]), fi)
-                )
-        return eval_gate_scalar(
-            lib_cell(cell_name), fan_timing, float(loads[r]), input_slew
-        )
-
-    return timing
+def _drain(heap):
+    """Pop ``heap`` empty in ascending order, items pushed meanwhile too."""
+    while heap:
+        yield heappop(heap)
 
 
 def walk_frontier(
     engine,
     circuit: Circuit,
     index: TimingIndex,
-    fanouts,
-    seeds: np.ndarray,
     loads: np.ndarray,
     arr: np.ndarray,
     slew: np.ndarray,
     depth: np.ndarray,
     cf: np.ndarray,
+    seeds: Optional[np.ndarray] = None,
+    fanouts=None,
 ) -> None:
-    """Re-evaluate the ``seeds`` rows and every row they perturb, in place.
+    """Evaluate gates into ``arr``, ``slew``, ``depth`` and ``cf``.
 
-    :func:`update_timing`'s arrival propagation.  ``seeds`` holds unique
-    rows in ascending order, so their gate IDs already form a heap; the
-    walk pops gates in ascending gate ID, which is a topological order
-    because ``circuit`` must be gid-topological (every population
-    member is), so a gate is evaluated once, after all of its fan-ins,
-    by :func:`gate_timing`.  A re-evaluated gate queues its consumers
-    from ``fanouts`` (anything with a ``get(gid, default)``) when
-    **any** of its four outputs (arrival, slew, unit depth, critical
-    fan-in) changed, compared exactly: a tolerance would let floats
-    drift from a fresh analysis, and stopping on arrival/slew alone
-    would leave downstream depth and backtrace rows stale when a tie
-    between fan-ins resolves differently.
+    Without ``seeds``: every gate, in :meth:`Circuit.topological_order`
+    (any DAG).  With ``seeds`` (unique ascending rows, so their gate IDs
+    form a heap): gates pop in ascending gate ID, a topological order on
+    the gid-topological circuits :func:`update_timing` serves, and a gate
+    queues its consumers from ``fanouts`` (anything with a ``get(gid,
+    default)``) when **any** of its four outputs (arrival, slew, unit
+    depth, critical fan-in) changed, compared exactly: a tolerance would
+    let floats drift from a fresh analysis, and arrival/slew alone would
+    leave depth and backtrace rows stale when a tie resolves differently.
+    Either way a gate is evaluated once, after all of its fan-ins.
+
+    A PI launches at 0 with the input slew, a PO mirrors its fan-in, and
+    a logic gate takes the first-wins max of ``arrival + delay(slew,
+    load)`` over its fan-ins and the winning arc's output slew.  A
+    constant fan-in reads as ``(0.0, input_slew, 0)`` and is recorded as
+    critical fan-in -1.  The load is located once per gate, each slew
+    once per fan-in, the winner's slew is reused for the output slew
+    (located again on the slew table's own axes when the arc's tables
+    do not share them), and the locate and bilinear arithmetic are
+    :func:`_interp_index`'s and :meth:`NLDMTable.lookup`'s, operation for
+    operation.  Tables come from ``TimingArc.loop_tables`` through a
+    per-pass dict; a cell missing from the library raises
+    ``Library.cell``'s ``KeyError``.  The loop runs on Python lists (one
+    ``tolist()`` per array) and writes the rows it evaluated back.
     """
     row_of = index.row
-    timing = gate_timing(engine, circuit, index, loads, arr, slew, depth)
-    heap = index.gids[seeds].tolist()
-    queued = set(heap)
-    while heap:
-        gid = heappop(heap)
+    fanins_map = circuit.fanins
+    cells_map = circuit.cells
+    lib_cell = engine.library.cell
+    input_slew = engine.input_slew
+    tables = {PI_CELL: _LAUNCH, PO_CELL: _MIRROR}
+    arr_l, slew_l = arr.tolist(), slew.tolist()
+    depth_l, cf_l, load_l = depth.tolist(), cf.tolist(), loads.tolist()
+    if seeds is None:
+        gates = circuit.topological_order()
+    else:
+        heap = index.gids[seeds].tolist()
+        queued = set(heap)
+        gates = _drain(heap)
+    touched = []
+    for gid in gates:
         r = row_of[gid]
-        na, ns, nd, ncf = timing(gid, r)
-        out_changed = (
-            na != arr[r] or ns != slew[r] or nd != depth[r] or ncf != cf[r]
-        )
-        arr[r] = na
-        slew[r] = ns
-        depth[r] = nd
-        cf[r] = ncf
-        if out_changed:
+        name = cells_map[gid]
+        k = tables.get(name)
+        if k is None:
+            k = tables[name] = lib_cell(name).arc.loop_tables
+        if k is _LAUNCH:
+            na, ns, nd, ncf = 0.0, input_slew, 0, -1
+        elif k is _MIRROR:
+            src = fanins_map[gid][0]
+            if src < 0:
+                na, ns, nd, ncf = 0.0, input_slew, 0, -1
+            else:
+                sr = row_of[src]
+                na, ns, nd, ncf = arr_l[sr], slew_l[sr], depth_l[sr], src
+        else:
+            sax, s_lo, s_hi, s_top, lax, l_lo, l_hi, l_top, dv, ov, own = k
+            load = load_l[r]
+            if load <= l_lo:
+                j, fl = 0, 0.0
+            elif load >= l_hi:
+                j, fl = l_top, 1.0
+            else:
+                j = bisect_left(lax, load) - 1
+                fl = (load - lax[j]) / (lax[j + 1] - lax[j])
+            gl = 1.0 - fl
+            na = 0.0
+            win = None
+            for fi in fanins_map[gid]:
+                if fi < 0:
+                    a, s = 0.0, input_slew
+                else:
+                    fr = row_of[fi]
+                    a, s = arr_l[fr], slew_l[fr]
+                if s <= s_lo:
+                    i, fs = 0, 0.0
+                elif s >= s_hi:
+                    i, fs = s_top, 1.0
+                else:
+                    i = bisect_left(sax, s) - 1
+                    fs = (s - sax[i]) / (sax[i + 1] - sax[i])
+                lo, hi = dv[i], dv[i + 1]
+                at = a + (
+                    (lo[j] * gl + lo[j + 1] * fl) * (1.0 - fs)
+                    + (hi[j] * gl + hi[j + 1] * fl) * fs
+                )
+                if win is None or at > na:
+                    # Separate stores: a tuple assignment costs more here.
+                    na = at
+                    win = fi
+                    ws = s
+                    wi = i
+                    wfs = fs
+            if win is None:
+                ns, nd, ncf = input_slew, 1, -1
+            else:
+                if win < 0:
+                    nd, ncf = 1, -1
+                else:
+                    nd, ncf = depth_l[row_of[win]] + 1, win
+                if own is not None:
+                    wi, wfs = _interp_index(own[0], ws)
+                    j, fl = _interp_index(own[1], load)
+                    gl = 1.0 - fl
+                lo, hi = ov[wi], ov[wi + 1]
+                ns = (lo[j] * gl + lo[j + 1] * fl) * (1.0 - wfs) + (
+                    hi[j] * gl + hi[j + 1] * fl
+                ) * wfs
+        if seeds is not None and (
+            na != arr_l[r]
+            or ns != slew_l[r]
+            or nd != depth_l[r]
+            or ncf != cf_l[r]
+        ):
             for fo in fanouts.get(gid, ()):
                 if fo not in queued:
                     queued.add(fo)
                     heappush(heap, fo)
+        arr_l[r] = na
+        slew_l[r] = ns
+        depth_l[r] = nd
+        cf_l[r] = ncf
+        touched.append(r)
+    if touched:
+        rows = np.array(touched)
+        pick = itemgetter(*touched)
+        arr[rows], slew[rows] = pick(arr_l), pick(slew_l)
+        depth[rows], cf[rows] = pick(depth_l), pick(cf_l)

@@ -74,3 +74,37 @@ class TestOptimizeCommand:
         ])
         assert code == 0
         assert "HEDALS" in capsys.readouterr().out
+
+
+class TestUnreadableInput:
+    """An unreadable input file is a usage error: one line on stderr
+    and exit code 2, as argparse gives for a bad argument."""
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("optimize", []),
+            ("compare", []),
+            ("report", []),
+            ("optimize", ["--resume"]),
+        ],
+        ids=["optimize", "compare", "report", "optimize-resume"],
+    )
+    def test_missing_file(self, tmp_path, capsys, command, args):
+        path = str(tmp_path / "missing.v")
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, path])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{command}: cannot read {path}: No such file or directory\n"
+        )
+
+    def test_directory(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            f"report: cannot read {tmp_path}: "
+        )

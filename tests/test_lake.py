@@ -28,6 +28,7 @@ Contracts pinned here:
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import os
 import pickle
@@ -567,6 +568,28 @@ class TestBatchWithLake:
         for a, b in zip(plain, again):
             _assert_same_eval(a, b)
         assert fresh.counters["hits"] == len(children)
+
+    def test_failed_write_does_not_fail_the_batch(
+        self, adder8, library, tmp_path, monkeypatch
+    ):
+        """A record write that raises (here ``ENOSPC`` on the rename)
+        leaves the results unchanged and no ``.tmp-`` file behind."""
+        children, plain = self._evaluate(adder8, library, False)
+        lake = EvalCache(str(tmp_path / "lake"))
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src)
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        reruns = [c.copy() for c in children]
+        with pytest.warns(RuntimeWarning, match="cannot write") as caught:
+            _, evals = self._evaluate(adder8, library, lake, reruns)
+        assert len(caught) == 1  # the batch stops at the first failure
+        for a, b in zip(plain, evals):
+            _assert_same_eval(a, b)
+        assert os.listdir(lake.records_dir) == []
+        assert lake.counters["puts"] == 0
+        assert lake.counters["drops"] == 1
 
     def test_payload_that_does_not_fit_is_recomputed(
         self, adder8, library, tmp_path

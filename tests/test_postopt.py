@@ -2,14 +2,19 @@
 
 import pytest
 
+from reference_circuits import build_adder
+
+from repro.bench import build_benchmark
 from repro.core import LAC, applied_copy
 from repro.netlist import CONST0, validate
 from repro.postopt import (
+    SizingMove,
     delete_dangling_gates,
     post_optimize,
     resize_for_timing,
 )
-from repro.sta import STAEngine
+from repro.postopt.sizing import _estimate_gain
+from repro.sta import STAEngine, path_logic_gates
 
 
 class TestDanglingDeletion:
@@ -107,3 +112,94 @@ class TestPostOptimize:
         assert result.cpd_after <= cpd_before
         if result.sizing.num_moves:
             assert result.cpd_after < cpd_before
+
+
+def _resize_with_full_sta(circuit, library, area_con, min_gain=1e-3):
+    """The resizer with one full STA per trial, applied in place.
+
+    Sets the best-estimated upsize on ``circuit``, analyzes it from
+    scratch, and reverts it and stops when the CPD did not improve.
+    Returns ``(moves, cpd_after, area_after, ended_on_rejection)``.
+    """
+    engine = STAEngine(library)
+    report = engine.analyze(circuit)
+    area = circuit.area(library)
+    cpd = report.cpd
+    moves = []
+    for _ in range(200):
+        best = None
+        for gid in path_logic_gates(circuit, report.critical_path()):
+            new_cell = library.upsize(circuit.cells[gid])
+            if new_cell is None:
+                continue
+            old_area = library.cell(circuit.cells[gid]).area
+            if area + (new_cell.area - old_area) > area_con:
+                continue
+            gain = _estimate_gain(circuit, library, report, gid, new_cell)
+            if gain > min_gain and (best is None or gain > best[0]):
+                best = (gain, gid, new_cell)
+        if best is None:
+            return moves, cpd, area, False
+        gain, gid, new_cell = best
+        old_name = circuit.cells[gid]
+        circuit.set_cell(gid, new_cell.name)
+        trial = engine.analyze(circuit)
+        if trial.cpd >= cpd:
+            circuit.set_cell(gid, old_name)
+            return moves, cpd, area, True
+        report, cpd = trial, trial.cpd
+        area = circuit.area(library)
+        moves.append(SizingMove(gid, old_name, new_cell.name, gain))
+    return moves, cpd, area, False
+
+
+def _with_headroom(build, factor):
+    """``(circuit, area_con)``: ``factor`` times the circuit's area."""
+
+    def case(library):
+        circuit = build()
+        return circuit, factor * circuit.area(library)
+
+    return case
+
+
+def _lac_child_at_original_area(library):
+    """An adder LAC child after dangling deletion, as post-optimization
+    sizes it: the constraint is the accurate circuit's area."""
+    adder = build_adder(8)
+    target = adder.logic_ids()[len(adder.logic_ids()) // 2]
+    child = applied_copy(adder, LAC(target, CONST0))
+    delete_dangling_gates(child)
+    return child, adder.area(library)
+
+
+class TestIncrementalRetiming:
+    """Each trial is retimed incrementally on a copy; the moves, CPD,
+    area and cells equal the analyze-per-trial resizer's."""
+
+    @pytest.mark.parametrize(
+        "case, rejects",
+        [
+            (_with_headroom(lambda: build_adder(8), 1.3), False),
+            (_lac_child_at_original_area, False),
+            (_with_headroom(lambda: build_benchmark("c880"), 1.2), True),
+            (_with_headroom(lambda: build_benchmark("Max16"), 1.2), True),
+            (_with_headroom(lambda: build_benchmark("c1908"), 1.2), True),
+        ],
+        ids=["adder8", "adder8-lac-child", "c880", "Max16", "c1908"],
+    )
+    def test_matches_full_sta_per_trial(self, library, case, rejects):
+        circuit, area_con = case(library)
+        oracle = circuit.copy()
+        moves, cpd, area, rejected = _resize_with_full_sta(
+            oracle, library, area_con
+        )
+        assert moves and rejected == rejects  # a dropped trial is covered
+        result = resize_for_timing(circuit, library, area_con)
+        assert result.moves == moves
+        assert result.cpd_after == cpd
+        assert result.area_after == area
+        assert dict(circuit.cells) == dict(oracle.cells)
+        # In place: the caller's circuit carries the accepted moves.
+        assert STAEngine(library).analyze(circuit).cpd == cpd
+        assert circuit.area(library) == area

@@ -7,8 +7,9 @@ Four contracts are pinned here:
   scalar walk (a verbatim port of which lives in this file as the
   reference), on thin and wide circuits, and on a library whose delay
   and output-slew tables have different axes;
-* the one-locate gate kernel equals the two-lookup first-wins scan bit
-  for bit on on-grid, out-of-range, random interior and tied points;
+* the timing loop's one-locate gate evaluation equals the two-lookup
+  first-wins scan bit for bit on on-grid, out-of-range, random interior
+  and tied points, and records a constant fan-in as critical fan-in -1;
 * ``update_timing`` propagates whenever **any** of a gate's four
   outputs changed, compared exactly — the tie-resolution and
   tolerance-drift bugs both lived in that predicate (a constant-delay
@@ -24,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+from heapq import heappop
 
 import numpy as np
 import pytest
@@ -58,7 +60,7 @@ from repro.core import (
 )
 from repro.core.fitness import DepthMode
 from repro.core.fitness import eval_fields, eval_payload, rebuild_eval
-from repro.netlist import CircuitBuilder, is_const
+from repro.netlist import CONST1, Circuit, CircuitBuilder, is_const
 from repro.sim import ErrorMode, value_rows
 from repro.sta import (
     STAEngine,
@@ -67,7 +69,7 @@ from repro.sta import (
     update_timing_batch,
 )
 from repro.sta import store
-from repro.sta.store import eval_gate_scalar
+from repro.sta.store import walk_frontier
 
 
 # ----------------------------------------------------------------------
@@ -197,18 +199,41 @@ class TestAnalyzeBitIdentity:
             for load in loads:
                 for _ in range(4):
                     fan_timing = _random_fan_timing(rng, cell, slews)
-                    assert eval_gate_scalar(
+                    assert _loop_gate(
                         cell, fan_timing, load, 10.0
                     ) == _two_lookup_scan(cell, fan_timing, load, 10.0)
-            assert eval_gate_scalar(cell, [], 1.0, 10.0) == (
-                0.0, 10.0, 1, -1
-            )
+            assert _loop_gate(cell, [], 1.0, 10.0) == (0.0, 10.0, 1, -1)
 
     def test_kernel_first_fanin_wins_exact_ties(self, tie_library):
         cell = tie_library.cell("AND2D1")
         tied = [(4.0, 10.0, 2, 7), (4.0, 10.0, 5, 9)]
-        assert eval_gate_scalar(cell, tied, 1.5, 10.0) == (5.0, 10.0, 3, 7)
+        assert _loop_gate(cell, tied, 1.5, 10.0) == (5.0, 10.0, 3, 7)
         assert _two_lookup_scan(cell, tied, 1.5, 10.0) == (5.0, 10.0, 3, 7)
+
+    def test_constant_fanin_winning_a_tie_is_recorded_as_none(
+        self, tie_library
+    ):
+        # CONST1 is ID -2; the loop records any constant as -1 ("none"),
+        # in the full pass and in the incremental walk alike.
+        engine = _tie_engine(tie_library)
+        b = CircuitBuilder("const-tie")
+        p, q = b.pis(2)
+        g = b.and2(CONST1, p)  # both arcs arrive at 1.0: an exact tie
+        h = b.and2(q, p)
+        b.pos([g, h])
+        circuit = b.done()
+        report = engine.analyze(circuit)
+        rg, rh = report.index.row[g], report.index.row[h]
+        assert report.critical_fanin_a[rg] == -1
+        assert report.critical_path(circuit.po_ids[0]) == [
+            g, circuit.po_ids[0]
+        ]
+        assert report.critical_fanin_a[rh] == q
+        child = circuit.copy()
+        child.set_fanins(h, (CONST1, p))
+        inc = update_timing(engine, child, report, [h])
+        assert inc.critical_fanin_a[rh] == -1
+        _assert_same_timing(child, inc, engine.analyze(child))
 
 
 class TestMixedAxesLibrary:
@@ -268,8 +293,44 @@ def _two_lookup_scan(cell, fan_timing, load, input_slew):
     return best_arr, best_slew, best_depth + 1, best_src
 
 
+def _loop_gate(cell, fan_timing, load, input_slew):
+    """The timing loop's result for one gate of ``cell`` at ``load``.
+
+    The gate's fan-ins are PIs whose rows carry ``fan_timing``'s
+    ``(arrival, slew, depth)`` (a ``src`` of -1 is a constant fan-in);
+    the walk is seeded with the gate alone.  Returns ``(arrival, slew,
+    depth, critical_fanin)`` with the critical PI mapped back to its
+    ``src``, as :func:`_two_lookup_scan` reports it.
+    """
+    engine = STAEngine(Library("one-cell", [cell]), input_slew=input_slew)
+    circuit = Circuit("one-gate")
+    fanins = [-1 if src < 0 else circuit.add_pi() for *_, src in fan_timing]
+    gid = circuit.add_gate(cell.name, fanins)
+    circuit.add_po(gid)
+    index = timing_index(circuit)
+    n = index.n
+    arr = np.zeros(n + 1)
+    slew = np.full(n + 1, input_slew)
+    depth = np.zeros(n + 1, dtype=np.int32)
+    cf = np.full(n + 1, -1, dtype=np.int32)
+    srcs = {-1: -1}
+    for fi, (a, s, d, src) in zip(fanins, fan_timing):
+        if fi >= 0:
+            r = index.row[fi]
+            arr[r], slew[r], depth[r] = a, s, d
+            srcs[fi] = src
+    loads = np.zeros(n + 1)
+    r = index.row[gid]
+    loads[r] = load
+    walk_frontier(
+        engine, circuit, index, loads, arr, slew, depth, cf,
+        np.array([r]), {},
+    )
+    return float(arr[r]), float(slew[r]), int(depth[r]), srcs[int(cf[r])]
+
+
 def _random_fan_timing(rng, cell, slews):
-    """One kernel input: ``cell.arity`` fan-ins with slews drawn from
+    """One gate's fan-ins: ``cell.arity`` of them with slews drawn from
     ``slews``, some constants, and arrivals from a small grid so equal
     arrivals (and, in a constant-delay library, exact ties) occur."""
     fan_timing = []
@@ -694,16 +755,17 @@ class TestFrontierStopRule:
         child = circuit.copy()
         fis = child.fanins[gid]
         child.fanins[gid] = fis[1:] + fis[:1]  # rotate the pins
-        calls = []
+        popped = []
 
-        def counting(*args):
-            calls.append(args)
-            return eval_gate_scalar(*args)
+        def counting(heap):
+            popped.append(heap[0])
+            return heappop(heap)
 
-        monkeypatch.setattr(store, "eval_gate_scalar", counting)
+        # Every gate the walk evaluates is popped from its heap once.
+        monkeypatch.setattr(store, "heappop", counting)
         inc = update_timing(engine, child, previous, [gid])
         # The seed only: a walk that never stops evaluates its cone too.
-        assert len(calls) == 1
+        assert popped == [gid]
         _assert_same_timing(child, inc, engine.analyze(child))
 
 
