@@ -2,7 +2,7 @@
 
 The paper's §IV summary claims the framework "maintains low time
 consumption" thanks to the fast LAC implementation on adjacency lists
-and the parallelism-friendly GWO structure.  This bench measures two
+and the parallelism-friendly GWO structure.  This bench measures three
 things:
 
 * **size scaling** — wall-clock of one full DCGWO run (fixed small
@@ -21,17 +21,10 @@ things:
   many cores — the available core count is printed alongside.
 * **transport size** — pickled bytes of one child's evaluation
   payload (:func:`repro.core.fitness.eval_payload`, the unit that
-  crosses a worker pipe every generation and that the lake stores),
-  next to what the same payload would cost with the pre-SoA per-gate
+  crosses a worker pipe every generation), next to what the same payload would cost with the pre-SoA per-gate
   timing dicts, and the value matrix alone (dense vs the keyed row
   packing it replaced).  Tracked alongside evals/s so packing
   regressions are as visible as throughput regressions.
-* **warm cache** — the same generation evaluated cold (write-through
-  into a fresh evaluation lake) and then warm from a fresh process-like
-  handle on that lake (the lake holds nothing in memory, so every hit
-  is read off disk).  The warm pass is asserted bit-identical to the
-  uncached one and must clear a >50% batch hit rate before its
-  throughput is reported.
 
 Every timed row is the median of several passes (each table title says
 how many), so one pass the host slowed down cannot move a row: a single
@@ -41,9 +34,7 @@ of one tree.
 
 import os
 import pickle
-import random
 import statistics
-import tempfile
 import time
 
 import numpy as np
@@ -59,27 +50,20 @@ from repro.core import (
     LAC,
     applied_copy,
     close_dispatcher,
-    evaluate_batch,
     evaluate_incremental,
     get_dispatcher,
-    is_safe,
 )
 from repro.core.fitness import eval_payload
-from repro.lake import EvalCache
 from repro.netlist import CONST0, CONST1
 from repro.reporting import format_series
-from repro.sim import ErrorMode, best_switch
+from repro.sim import ErrorMode
 
 WIDTHS = (8, 16, 32, 64, 128)
 PARALLEL_WIDTHS = (64, 128)
 PARALLEL_JOBS = (2, 4)
-#: Children per generation for the warm-cache rows (the paper's N=30
-#: population, cones overlapping on one parent).
-GENERATION_SIZE = 30
 #: Timed passes per row; each row reports their median.
 SIZE_PASSES = 3
 SHARD_PASSES = 5
-LAKE_PASSES = 3
 
 
 def _available_cores() -> int:
@@ -144,100 +128,6 @@ def run_scaling():
     return rows
 
 
-def _generation(ctx, count, rng_seed=11):
-    """``count`` similarity-guided LAC children of the reference."""
-    rng = random.Random(rng_seed)
-    parent = ctx.reference_eval()
-    circuit = ctx.reference
-    logic = circuit.logic_ids()
-    children = []
-    while len(children) < count:
-        target = logic[rng.randrange(len(logic))]
-        found = best_switch(
-            circuit, parent.values, target, ctx.vectors.num_vectors
-        )
-        if found is None:
-            continue
-        lac = LAC(target=target, switch=found[0])
-        if is_safe(circuit, lac):
-            children.append(applied_copy(circuit, lac))
-    return children
-
-
-def _same_eval(a, b):
-    if (
-        a.fitness != b.fitness
-        or a.error != b.error
-        or a.report.cpd != b.report.cpd
-        or a.per_po_error != b.per_po_error
-    ):
-        return False
-    return all(
-        np.array_equal(a.values[g], b.values[g])
-        for g in a.circuit.gate_ids()
-    )
-
-
-def run_warm_cache():
-    """Cold write-through vs warm hits for one generation via the lake.
-
-    Each cold pass evaluates a generation with an empty lake attached,
-    a fresh directory per pass (paying STA + simulation + one record
-    file per child); the warm passes reuse the last cold pass's
-    directory through a *fresh* :class:`EvalCache`, which reads every
-    record off disk on every pass (the cross-run scenario).  Each row
-    is the median of :data:`LAKE_PASSES` passes.  Bit-identity with the
-    uncached evaluation and the >50% batch hit rate are asserted before
-    either throughput is reported.
-    """
-    library = default_library()
-    rows = {
-        "cold_gen_evals_per_s": [],
-        "warm_gen_evals_per_s": [],
-        "warm_speedup": [],
-        "warm_hit_rate": [],
-    }
-    for width in PARALLEL_WIDTHS:
-        _, ctx = _build_ctx(width, library)
-        parent = ctx.reference_eval()
-        children = _generation(ctx, GENERATION_SIZE)
-        ctx.lake = False  # the uncached baseline pays full price
-        plain = evaluate_batch(
-            ctx, [(c.copy(), (parent,)) for c in children]
-        )
-        cold_times, warm_times = [], []
-        with tempfile.TemporaryDirectory() as tmp:
-            for k in range(LAKE_PASSES):
-                lake_dir = os.path.join(tmp, f"lake{k}")
-                ctx.lake = EvalCache(lake_dir)
-                clones = [(c.copy(), (parent,)) for c in children]
-                start = time.perf_counter()
-                cold = evaluate_batch(ctx, clones)
-                cold_times.append(time.perf_counter() - start)
-                assert all(_same_eval(a, b) for a, b in zip(plain, cold))
-            warm_lake = EvalCache(lake_dir)
-            ctx.lake = warm_lake
-            for _ in range(LAKE_PASSES):
-                clones = [(c.copy(), (parent,)) for c in children]
-                start = time.perf_counter()
-                warm = evaluate_batch(ctx, clones)
-                warm_times.append(time.perf_counter() - start)
-                assert all(_same_eval(a, b) for a, b in zip(plain, warm))
-            counters = warm_lake.counters
-            hit_rate = counters["hits"] / (
-                counters["hits"] + counters["misses"]
-            )
-            assert hit_rate > 0.5
-        ctx.lake = False
-        cold_rate = len(children) / statistics.median(cold_times)
-        warm_rate = len(children) / statistics.median(warm_times)
-        rows["cold_gen_evals_per_s"].append(cold_rate)
-        rows["warm_gen_evals_per_s"].append(warm_rate)
-        rows["warm_speedup"].append(warm_rate / cold_rate)
-        rows["warm_hit_rate"].append(hit_rate)
-    return rows
-
-
 def _legacy_timing_dicts(report):
     """The five per-gate timing dicts the SoA arrays replaced."""
     row = report.index.row
@@ -262,8 +152,8 @@ def _legacy_pack_bytes(ev):
 
 
 def run_transport_sizes():
-    """Per-eval payload bytes (shard pipes, lake records): SoA arrays
-    vs legacy dicts."""
+    """Per-eval payload bytes (shard pipes): SoA arrays vs legacy
+    dicts."""
     library = default_library()
     # Published in kB so values fit format_series's fixed-width columns.
     rows = {
@@ -372,17 +262,6 @@ def test_runtime_scaling(benchmark):
         list(PARALLEL_WIDTHS),
         transport_rows,
     )
-    warm_rows = run_warm_cache()
-    text += "\n\n" + format_series(
-        "Evaluation lake, cold write-through vs warm disk hits "
-        f"({GENERATION_SIZE} LAC children; median of {LAKE_PASSES} "
-        "passes per row, each cold pass into a fresh lake; every pass "
-        "bit-identical to uncached and >50% batch hit rate asserted "
-        "first)",
-        "width",
-        list(PARALLEL_WIDTHS),
-        warm_rows,
-    )
     publish("runtime_scaling", text)
     # The SoA packing must actually be smaller than the dict packing it
     # replaced — a transport regression fails the bench like a
@@ -390,9 +269,6 @@ def test_runtime_scaling(benchmark):
     # the keyed row packing.
     assert all(r < 1.0 for r in transport_rows["ratio"])
     assert all(r < 1.0 for r in transport_rows["val_ratio"])
-    # Warm lake hits skip STA and simulation entirely; if they ever get
-    # slower than the cold write-through pass, the cache lost its point.
-    assert all(r >= 1.0 for r in warm_rows["warm_speedup"])
     # Soft check: per-gate cost must stay within an order of magnitude
     # across a 16x size sweep (i.e. roughly linear overall scaling).
     per_gate = rows["ms_per_gate"]

@@ -22,9 +22,8 @@ Examples::
     # report timing/area of a netlist against the bundled library
     python -m repro report design.v
 
-    # inspect / maintain a persistent evaluation cache
-    python -m repro cache stats ./lake
-    python -m repro cache gc ./lake --max-bytes 100000000
+    # record completed runs in a run catalog (for Session.warm_start)
+    python -m repro optimize design.v --cache-dir ./runs
 
     # run the long-lived optimization service, then load-test it
     python -m repro serve --port 8355 --capacity 4
@@ -252,8 +251,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         method = args.method or "Ours"
 
     # Everything below runs under try/finally: an exception or signal
-    # mid-run must still tear the shard worker pool down and flush the
-    # lake stats ledger (session.close), never leak daemon workers.
+    # mid-run must still tear the shard worker pool down
+    # (session.close), never leak daemon workers.
     try:
         with _InterruptGuard(session) as guard:
             opt_result = None
@@ -392,30 +391,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from .lake import resolve_lake
-
-    cache = resolve_lake(args.dir or None)
-    if not cache:
-        print(
-            "cache: no directory given and REPRO_CACHE is unset",
-            file=sys.stderr,
-        )
-        return 2
-    if args.cache_command == "stats":
-        info = cache.aggregate_stats()
-    else:  # gc
-        info = cache.gc(
-            max_bytes=args.max_bytes, max_age_s=args.max_age_s
-        )
-    for key, value in info.items():
-        if isinstance(value, float):
-            print(f"{key}: {value:.4f}")
-        else:
-            print(f"{key}: {value}")
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .analysis import findings_to_json, format_findings, lint_paths
 
@@ -473,8 +448,9 @@ def _add_flow_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None,
         help=(
-            "persistent evaluation-cache directory (default: REPRO_CACHE "
-            "or disabled); hits are bit-identical to recomputation"
+            "directory whose run catalog records completed runs "
+            "(default: REPRO_CACHE, else none); results do not depend "
+            "on it"
         ),
     )
     parser.add_argument(
@@ -588,7 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--cache-dir", default=None,
-        help="evaluation-lake directory shared by every job",
+        help=(
+            "directory whose run catalog records every job's completed "
+            "runs (default: REPRO_CACHE, else none)"
+        ),
     )
     p_srv.add_argument(
         "--job-deadline", type=float, default=None,
@@ -670,31 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to specific rule IDs (e.g. R1 R3)",
     )
     p_lint.set_defaults(func=_cmd_lint)
-
-    p_cache = sub.add_parser(
-        "cache", help="inspect or maintain a persistent evaluation cache"
-    )
-    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-    for name, help_text in (
-        ("stats", "hit/miss counters and on-disk census"),
-        ("gc", "drop records past the age bound, then oldest-first "
-               "down to the size budget"),
-    ):
-        p = cache_sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "dir", nargs="?", default=None,
-            help="cache directory (default: REPRO_CACHE)",
-        )
-        if name != "stats":
-            p.add_argument(
-                "--max-bytes", type=int, default=None,
-                help="retention size budget in bytes",
-            )
-            p.add_argument(
-                "--max-age-s", type=float, default=None,
-                help="retention age bound in seconds",
-            )
-        p.set_defaults(func=_cmd_cache)
     return parser
 
 

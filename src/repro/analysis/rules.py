@@ -12,9 +12,8 @@ R1  Containers/arrays obtained from memoized accessors
 R2  A ``Circuit`` obtained from ``.copy()`` and mutated in the same
     function must declare its edit (``extend_provenance``) or
     explicitly drop the record (``provenance = ...``) there.
-R3  The process-wide registries (the lake ``_OPEN`` map, the dispatcher
-    singleton ``ctx._dispatcher``) may only be touched inside their
-    lock-protected helpers.
+R3  The process-wide dispatcher registry (``ctx._dispatcher``) may
+    only be touched inside its lock-protected helpers.
 R4  Core evaluation paths (``core/``, ``sta/``, ``sim/``) must be
     deterministic: no wall-clock reads, no global-RNG draws, no
     ``id()``-ordered iteration.
@@ -100,12 +99,6 @@ CIRCUIT_MUTATORS = frozenset(
         "add_po",
     }
 )
-
-#: Registry names -> functions allowed to touch them (R3).  ``_OPEN``
-#: accesses run under ``_OPEN_LOCK`` inside these helpers only.
-REGISTRY_GLOBALS: Dict[str, Set[str]] = {
-    "_OPEN": {"_open_locked", "flush_open_caches"},
-}
 
 #: Guarded attributes -> functions allowed to touch them (R3).
 GUARDED_ATTRS: Dict[str, Set[str]] = {
@@ -397,19 +390,9 @@ class R2UndeclaredCopyEdit(_Scoped):
 
 
 class R3UnguardedRegistry(_Scoped):
-    """Registry globals touched outside their lock-protected helpers."""
+    """Registry attributes touched outside their lock-protected helpers."""
 
     rule = "R3"
-
-    def visit_Name(self, node: ast.Name) -> None:
-        allowed = REGISTRY_GLOBALS.get(node.id)
-        if allowed is not None and self._func_names:
-            if not any(name in allowed for name in self._func_names):
-                self.flag(
-                    node,
-                    f"registry global `{node.id}` touched outside its "
-                    f"lock-protected helpers ({', '.join(sorted(allowed))})",
-                )
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         allowed = GUARDED_ATTRS.get(node.attr)

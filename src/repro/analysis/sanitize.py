@@ -4,8 +4,8 @@ Everything here is gated on ``REPRO_SANITIZE=1`` and costs one env
 lookup when disabled.  Three layers, one per contract family:
 
 * :func:`publish_array` — called at every site that publishes a
-  timing/value array (STA reports, value stores, shard receive, lake
-  rebuild).  Under the sanitizer it clears ``ndarray.flags.writeable``,
+  timing/value array (STA reports, value stores, shard receive,
+  unpickling).  Under the sanitizer it clears ``ndarray.flags.writeable``,
   so any consumer that writes into a published array instead of
   forking/copying raises ``ValueError: assignment destination is
   read-only`` at the offending store instruction.
@@ -19,7 +19,7 @@ lookup when disabled.  Three layers, one per contract family:
   from a parent's (fan-out map, live set, record digests, structure
   keys) against the one it builds from scratch, as it is derived.
 * :class:`TrackedLock` — a named wrapper around ``threading`` locks
-  used by the dispatcher/lake registries.  It records the global
+  used by the dispatcher registry.  It records the global
   lock-acquisition order and raises on the first order inversion
   (the static shape of an ABBA deadlock), before the acquire blocks.
 
@@ -124,7 +124,7 @@ def verify_derived(circuit, name: str, derived, scratch) -> None:
     Called by ``Circuit._memo`` under the sanitizer with the derived
     value and the from-scratch one.  A difference means the derivation
     missed an effect of the declared edits, and every consumer of that
-    memo (population dedup, lake keys, the value and timing walks) would
+    memo (population dedup, batch dedup, the value and timing walks) would
     silently work on the wrong structure, so it raises.
     """
     if derived != scratch:

@@ -176,8 +176,8 @@ class DCGWO(Optimizer):
                 self._evaluate(reference.copy(), self.ctx.reference_eval())
             ]
         parents = (self.ctx.reference_eval(),)
-        # Warm-start seeds came from disk, so they carry no provenance
-        # and evaluate fully (or straight from the lake when attached).
+        # Warm-start seeds came from the run catalog, so they carry no
+        # provenance and evaluate fully.
         return self._evaluate_generation(
             [(c, None) for c in seeded]
             + [(c, parents) for c in circuits]

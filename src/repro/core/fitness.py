@@ -32,15 +32,16 @@ from it (``report``, ``depth``, ``fd``, ``fa``, ``fitness``) run
 together the first time any of them is read (:class:`CircuitEval`).
 The optimizers read ``error`` first and drop a child over the bound,
 so such a child is never timed.  Every other path — :func:`evaluate`,
-the reference eval, lake hits, shard replies and unpickled evals —
-builds complete evals.
+the reference eval, shard replies and unpickled evals — builds complete
+evals.
 
 An evaluation leaves a process in one codec, decided here: its
 :func:`eval_payload` (the report's five timing arrays and the value
-matrix), plus the sender's :func:`eval_fields` everywhere but in the
-lake.  :func:`rebuild_eval` re-runs the metric tail on a lake hit, and
-:func:`restore_eval` takes the fields as they are (pickling, shard
-replies), so a rebuilt eval is bit-identical to a computed one.
+matrix) plus the sender's :func:`eval_fields`.  :func:`restore_eval`
+takes the fields as they are (pickling), and :func:`rebuild_eval` does
+the same for a shard reply, re-checking the fields under
+``REPRO_SANITIZE=1``, so a restored eval is bit-identical to a computed
+one.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ import numpy as np
 
 from ..analysis.sanitize import SanitizerError, publish_array, sanitize_enabled
 from ..cells import Library
-from ..lake import EvalCache, resolve_lake
 from ..netlist import Circuit, relabel_compact
 from ..sim import (
     ErrorMode,
@@ -117,12 +117,6 @@ class EvalContext:
     #: thrash each other's cache.
     _ref_unpack_cache: List[object] = field(
         default_factory=make_unpack_cache, repr=False, compare=False
-    )
-    #: The evaluation lake batch evaluations read and write through
-    #: (:class:`repro.lake.EvalCache`), or ``False`` for none; decided
-    #: once by :meth:`build` (:func:`repro.lake.resolve_lake`).
-    lake: Union[EvalCache, bool] = field(
-        default=False, repr=False, compare=False
     )
 
     @property
@@ -191,7 +185,6 @@ class EvalContext:
         depth_mode: DepthMode = DepthMode.DELAY,
         vectors: Optional[VectorSet] = None,
         sta: Optional[STAEngine] = None,
-        lake: Union[EvalCache, str, bool, None] = None,
     ) -> "EvalContext":
         """Construct a context around one accurate circuit.
 
@@ -201,11 +194,6 @@ class EvalContext:
         any other is renumbered with
         :func:`~repro.netlist.relabel_compact` (PI and PO order kept),
         and result IDs then refer to the renumbered reference.
-
-        ``lake`` is resolved here, once, by
-        :func:`~repro.lake.resolve_lake`: an ``EvalCache`` or a
-        directory attaches that lake, ``False`` none, and ``None`` the
-        one ``REPRO_CACHE`` names, if any.
         """
         if not 0.0 <= wd <= 1.0:
             raise ValueError("wd must be in [0, 1]")
@@ -236,7 +224,6 @@ class EvalContext:
             reference_report=report,
             wd=wd,
             depth_mode=depth_mode,
-            lake=resolve_lake(lake),
         )
 
 
@@ -382,9 +369,9 @@ def _finish_eval(
     return ev
 
 
-#: What the lake stores and the shard pool ships for one evaluation:
-#: the report's arrival, slew, load, unit-depth and critical-fan-in
-#: arrays, then the value matrix.
+#: What pickling and the shard pool carry for one evaluation: the
+#: report's arrival, slew, load, unit-depth and critical-fan-in arrays,
+#: then the value matrix.
 EvalPayload = Tuple[np.ndarray, ...]
 
 #: :func:`eval_fields`: ``depth``, ``area``, ``error``, ``per_po_error``,
@@ -460,18 +447,16 @@ def rebuild_eval(
     ctx: EvalContext,
     circuit: Circuit,
     payload: EvalPayload,
-    fields: Optional[EvalFields] = None,
+    fields: EvalFields,
 ) -> CircuitEval:
-    """An eval of ``circuit`` rebuilt from :func:`eval_payload`'s arrays.
+    """A shard reply's eval of ``circuit``: its payload and the
+    sender's :func:`eval_fields`, restored with :func:`restore_eval`.
 
-    Without ``fields`` (a lake hit) the metric tail re-runs; with the
-    sender's :func:`eval_fields` (a shard reply) the eval is restored,
-    and ``REPRO_SANITIZE=1`` re-runs the tail to check them.  Consumes
-    the circuit's provenance record.  Raises ``ValueError`` when the
+    Under ``REPRO_SANITIZE=1`` the metric tail re-runs against ``ctx``
+    and a difference from the shipped fields raises.  Consumes the
+    circuit's provenance record.  Raises ``ValueError`` when the
     payload does not fit the circuit.
     """
-    if fields is None:
-        return _finish_eval(ctx, circuit, *_lay_payload(circuit, payload))
     ev = restore_eval(circuit, payload, fields)
     if sanitize_enabled():
         tail = _finish_eval(ctx, circuit, ev.report, ev.values)

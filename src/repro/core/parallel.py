@@ -104,7 +104,6 @@ import numpy as np
 
 from .. import faults
 from ..analysis.sanitize import TrackedLock
-from ..lake import EvalCache
 from ..netlist import Circuit
 from ..netlist.circuit import Provenance
 from ..sim import ErrorMode, VectorSet
@@ -228,10 +227,6 @@ class _ContextSpec:
     num_vectors: int
     wd: float
     depth_mode: DepthMode
-    #: The parent's resolved lake, an ``EvalCache`` (which pickles as
-    #: its directory) or ``False``, so workers never consult
-    #: ``REPRO_CACHE`` themselves.
-    lake: Union[EvalCache, bool]
 
     @classmethod
     def from_ctx(cls, ctx: EvalContext) -> "_ContextSpec":
@@ -243,7 +238,6 @@ class _ContextSpec:
             num_vectors=ctx.vectors.num_vectors,
             wd=ctx.wd,
             depth_mode=ctx.depth_mode,
-            lake=ctx.lake,
         )
 
     def build(self) -> EvalContext:
@@ -254,7 +248,6 @@ class _ContextSpec:
             vectors=VectorSet(self.vector_words, self.num_vectors),
             wd=self.wd,
             depth_mode=self.depth_mode,
-            lake=self.lake,
         )
 
 
@@ -289,10 +282,10 @@ def _worker_eval(
     """Evaluate one shard: provenance groups, then full-eval singles.
 
     A group keyed ``None`` holds the shard's full-evaluation singles.
-    They go through the batch evaluator too, so the shard consults and
-    populates the evaluation lake and shares duplicate-key work exactly
-    like the serial path (pickling dropped any provenance, so every such
-    item stays a full-evaluation single — bit-identical either way).
+    They go through the batch evaluator too, so the shard shares
+    duplicate-key work exactly like the serial path (pickling dropped
+    any provenance, so every such item stays a full-evaluation single —
+    bit-identical either way).
     """
     for key in evicts:
         cache.pop(key, None)
@@ -318,11 +311,6 @@ def _worker_eval(
         for (index, _, _, child_key), ev in zip(members, evals):
             cache[child_key] = ev
             results.append((index, (eval_payload(ev), eval_fields(ev))))
-    if ctx.lake:
-        # Workers exit through ``os._exit`` (no atexit), so lake hit/put
-        # counters are flushed per shard — one appended delta line, and
-        # only when the counters actually moved.
-        ctx.lake.flush_stats()
     return results
 
 
@@ -348,11 +336,14 @@ def _apply_worker_fault(fault: Any) -> None:
 
 
 def _worker_run(ctx: EvalContext, method: str, flow_config: Any) -> Any:
-    """Run one whole method (optimizer + post-opt) against the worker ctx."""
+    """Run one whole method (optimizer + post-opt) against the worker
+    ctx.  The session has no run catalog: the parent's ``compare``
+    records the returned run."""
     from ..session import Session
 
     session = Session(
-        ctx.reference, config=flow_config, library=ctx.library, ctx=ctx
+        ctx.reference, config=flow_config, library=ctx.library, ctx=ctx,
+        cache=False,
     )
     return session.run(method)
 

@@ -1,12 +1,12 @@
 """Deterministic fault injection for the self-healing execution layer.
 
 Every recovery path in this codebase — worker respawn in the shard
-dispatcher, retry-from-checkpoint in the serve daemon, miss-and-
-recompute in the evaluation lake — is validated by *injecting* the
-failure it heals, on a schedule that is a pure function of the spec
-string and its seed.  The same ``REPRO_FAULTS`` value always kills the
-same dispatch, hangs the same worker and corrupts the same record, so
-a chaos run that fails is a chaos run someone can replay.
+dispatcher, retry-from-checkpoint in the serve daemon — is validated
+by *injecting* the failure it heals, on a schedule that is a pure
+function of the spec string and its seed.  The same ``REPRO_FAULTS``
+value always kills the same dispatch, hangs the same worker and
+crashes the same job, so a chaos run that fails is a chaos run
+someone can replay.
 
 Spec grammar (the ``REPRO_FAULTS`` environment variable)::
 
@@ -27,8 +27,6 @@ up in this repo:
                    worker index)
 ``worker.poison``  shard worker answers with an injected error reply
                    (scope: worker index)
-``lake.corrupt``   one byte of the first lake record a write-through
-                   published is flipped (scope: unused)
 ``serve.crash``    a served job raises after streaming an iteration
                    (scope: the job's tag, falling back to its id)
 
@@ -44,7 +42,7 @@ Examples::
     REPRO_FAULTS="worker.kill=2"                 every worker dies on
                                                  its 2nd dispatch
     REPRO_FAULTS="seed=7;worker.kill=p0.2;worker.hang=p0.05"
-    REPRO_FAULTS="serve.crash@victim=4;lake.corrupt=1-3"
+    REPRO_FAULTS="serve.crash@victim=4;worker.poison@1=1-3"
 
 The module-level accessors (:func:`should_inject`, :func:`fire_counts`)
 are what production code calls; when ``REPRO_FAULTS`` is unset and no
@@ -269,16 +267,3 @@ def fire_counts() -> Dict[str, int]:
     schedule = get_schedule()
     return schedule.fired() if schedule is not None else {}
 
-
-def corrupt_file(path: str, offset: int = 0) -> None:
-    """Flip one byte of ``path`` at ``offset`` — simulated bit rot.
-
-    Used by the ``lake.corrupt`` site (and tests) to damage a published
-    lake record the way a bad disk would: silently, mid-payload,
-    without truncating the file.
-    """
-    with open(path, "r+b") as f:
-        f.seek(offset)
-        byte = f.read(1)
-        f.seek(offset)
-        f.write(bytes([(byte[0] if byte else 0) ^ 0xFF]))

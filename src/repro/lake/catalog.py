@@ -1,16 +1,17 @@
 """A small catalog of past optimization runs, for warm starts.
 
-Each completed run with a lake attached leaves one pickle in
-``<lake>/catalog/``: the reference circuit's structure digest, a
+Each completed run of a session with a cache directory leaves one
+pickle in ``<dir>/catalog/``: the reference circuit's structure key, a
 config summary, and the final Pareto front (circuits + metrics).
-``Session.warm_start`` queries it by reference digest to seed a new
+``Session.warm_start`` queries it by reference key to seed a new
 population from prior fronts of the same circuit family.
 
-Files follow the record store's discipline — written to a ``.tmp-``
-file, published with ``os.replace``, unreadable entries skipped with a
-warning — and are uniquely named per writer, so concurrent runs can
-record themselves without coordination and a damaged catalog can
-never break a session.
+An entry is written to a ``.tmp-`` file and published with
+``os.replace``; readers skip ``.tmp-`` names, a failed write removes
+its temporary file, and an unreadable entry is skipped with a warning.
+Entries are uniquely named per writer, so concurrent runs can record
+themselves without coordination and a damaged catalog can never break
+a session.
 """
 
 from __future__ import annotations
@@ -49,35 +50,49 @@ class RunRecord:
 
 
 class Catalog:
-    """Reader/writer for one lake's run catalog directory."""
+    """Reader/writer for one run catalog directory (created on the
+    first :meth:`add`)."""
 
     def __init__(self, path: str):
         self.path = path
-        os.makedirs(self.path, exist_ok=True)
         self._seq = 0
 
     def _entries(self) -> List[str]:
+        """Published entries; a writer's ``.tmp-`` file is not one
+        until its rename lands."""
         try:
             names = os.listdir(self.path)
         except OSError:
             return []
-        return sorted(n for n in names if n.endswith(".pkl"))
+        return sorted(
+            n for n in names
+            if n.endswith(".pkl") and not n.startswith(".tmp-")
+        )
 
     def count(self) -> int:
         return len(self._entries())
 
     def add(self, record: RunRecord) -> str:
-        """Atomically publish one run record; returns its path."""
+        """Atomically publish one run record; returns its path.  A
+        failed write removes its temporary file and re-raises."""
         self._seq += 1
         name = (
             f"run-{os.getpid()}-{self._seq:04d}-"
             f"{os.urandom(3).hex()}.pkl"
         )
+        os.makedirs(self.path, exist_ok=True)
         final = os.path.join(self.path, name)
         tmp = os.path.join(self.path, f".tmp-{name}")
-        with open(tmp, "wb") as f:
-            pickle.dump(record, f, pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, final)
+        try:
+            with open(tmp, "wb") as f:
+                pickle.dump(record, f, pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, final)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
         return final
 
     def runs(
@@ -94,7 +109,7 @@ class Catalog:
                     record = pickle.load(f)
             except Exception as exc:  # noqa: BLE001 - degrade, don't die
                 warnings.warn(
-                    f"evaluation lake: unreadable catalog entry {path} "
+                    f"run catalog: unreadable entry {path} "
                     f"({exc!r}); skipped",
                     RuntimeWarning,
                 )

@@ -11,11 +11,6 @@ from .circuit import (
     Provenance,
     is_const,
 )
-from .scoap import (
-    TestabilityReport,
-    analyze_testability,
-    rank_targets_by_observability,
-)
 from .equiv import (
     EquivalenceResult,
     assert_equivalent,
@@ -33,9 +28,6 @@ from .validate import ValidationError, is_valid, validate
 from .verilog import VerilogParseError, parse_verilog, write_verilog
 
 __all__ = [
-    "TestabilityReport",
-    "analyze_testability",
-    "rank_targets_by_observability",
     "EquivalenceResult",
     "assert_equivalent",
     "check_equivalence",

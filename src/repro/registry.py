@@ -18,8 +18,8 @@ Two pieces build every method:
   config dataclass, and a declarative mapping from budget fields to
   config fields.  ``spec.build(ctx, flow_cfg)`` instantiates the
   optimizer, forwarding ``seed`` and ``jobs`` when the config declares
-  them.  The Eq. 8 weight, the depth measure and the evaluation lake
-  belong to the context the optimizer is built on, not to its config.
+  them.  The Eq. 8 weight and the depth measure belong to the context
+  the optimizer is built on, not to its config.
 
 Lookups are case-insensitive and honour aliases ("DCGWO" -> "Ours").
 """

@@ -11,11 +11,10 @@ With ``--spawn`` the generator owns the daemon's lifecycle too: it
 starts ``repro serve --port 0 --quiet`` as a subprocess, parses the
 chosen port from the listening line, runs the load, sends SIGTERM, and
 *requires* a clean exit 0 — so every CI loadgen run also exercises the
-graceful-drain path (checkpoints flushed, pool torn down, ledger
-flushed).
+graceful-drain path (checkpoints flushed, pool torn down).
 
 Each job varies ``seed`` (``--seed-base + i``) so concurrent runs are
-distinct trajectories, not one cache-hit replayed N times.
+distinct trajectories, not one run replayed N times.
 
 A 503 (full queue, draining) is back-pressure, not failure: submits
 honor the server's ``Retry-After`` and retry with bounded jittered

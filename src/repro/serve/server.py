@@ -25,8 +25,8 @@ resumes exactly where it stopped), terminated by the ``end`` event.
 503 responses (full queue, draining) carry a ``Retry-After`` header so
 well-behaved clients back off instead of hammering.  On SIGINT/SIGTERM
 the daemon stops accepting, drains every in-flight run to a spool
-checkpoint (the same cooperative pause Ctrl-C uses in the CLI), flushes
-the evaluation-lake stats ledger, and exits 0.
+checkpoint (the same cooperative pause Ctrl-C uses in the CLI), and
+exits 0.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ consumer; tests drive the service directly).  The contract:
   changes a result — it only reorders wall-clock time.
 * **Graceful drain.**  :meth:`shutdown` stops intake, interrupts every
   in-flight run to a spool checkpoint, cancels what never started,
-  closes every session (tearing down shard pools), and flushes every
-  open evaluation-lake stats ledger — the same teardown path the CLI's
-  SIGINT handling installs, multiplied across jobs.
+  and closes every session (tearing down shard pools) — the same
+  teardown path the CLI's SIGINT handling installs, multiplied across
+  jobs.
 * **Retry-from-checkpoint.**  A *transient* failure (a crashed shard
   pool, an I/O error — :func:`repro.faults.is_transient`) does not fail
   the job: it re-queues, up to ``spec.max_retries`` times, resuming
@@ -59,7 +59,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .. import faults
 from ..core.protocol import RunCallback
-from ..lake import flush_open_caches
 from ..netlist import write_verilog
 from ..session import FlowResult, RunInterrupted, Session
 from .protocol import JobSpec
@@ -248,8 +247,8 @@ class OptimizationService:
             fresh temp dir under the system temp root).
         jobs: default per-job shard-worker count when a spec leaves
             ``jobs`` at 0 (``None``: fall through to ``REPRO_JOBS``).
-        cache_dir: evaluation-lake directory attached to every job's
-            session (``None``: per-spec / environment resolution).
+        cache_dir: cache directory whose run catalog records every
+            job's completed runs (``None``: ``REPRO_CACHE``).
         logger: optional ``callable(str)`` for one-line request logs.
         job_deadline_s: default wall-clock budget per job, measured
             from the moment it first runs (``None``: no deadline);
@@ -307,8 +306,7 @@ class OptimizationService:
         and checkpointed into the spool (state ``paused`` — a later
         daemon pointed at the same spool could resume it); without it
         running jobs are simply cancelled.  Queued jobs are cancelled
-        either way, every worker slot exits, and all open lake stats
-        ledgers are flushed.
+        either way, and every worker slot exits.
         """
         self._draining = True
         for job in list(self._running.values()):
@@ -338,7 +336,6 @@ class OptimizationService:
             except asyncio.CancelledError:
                 pass
             self._watchdog = None
-        flush_open_caches()
         self._log("service drained")
 
     # ------------------------------------------------------------------
@@ -546,7 +543,7 @@ class OptimizationService:
         """Run (or continue) one job to done/paused/failed; blocking.
 
         Runs on a worker thread.  Every exit path closes the session —
-        shard pools torn down, lake ledger flushed — and a cooperative
+        shard pools torn down — and a cooperative
         interrupt (eviction, cancel, drain) checkpoints the paused
         state into the spool so the continuation is bit-identical.
 

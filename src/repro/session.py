@@ -59,7 +59,7 @@ from .core.fitness import (
 )
 from .core.protocol import Callbacks, Optimizer, OptimizerState
 from .core.result import OptimizationResult
-from .lake import EvalCache, RunRecord
+from .lake import Catalog, RunRecord
 from .netlist import Circuit
 from .postopt import PostOptResult, post_optimize
 from .registry import get_method, method_names
@@ -106,10 +106,10 @@ class FlowConfig:
     #: arguments override this, and results never depend on it —
     #: parallel evaluation is bit-identical to serial.
     jobs: int = 0
-    #: Evaluation-lake directory (persistent cross-run result cache);
-    #: ``None`` falls back to the ``REPRO_CACHE`` environment, and like
-    #: ``jobs`` it is purely a throughput knob — cached results are
-    #: bit-identical to computed ones.
+    #: Cache directory whose run catalog records completed runs for
+    #: :meth:`Session.warm_start`; ``None`` falls back to the
+    #: ``REPRO_CACHE`` environment.  Evaluation never reads it, so
+    #: results never depend on it.
     cache_dir: Optional[str] = None
 
 
@@ -145,17 +145,14 @@ class Session:
         config: flow-level knobs; defaults to :class:`FlowConfig`.
         library: cell library; defaults to the bundled 28nm-class one.
         ctx: pass a pre-built context to reuse reference simulation
-            across sessions (skips ``pre_synth`` handling); it keeps
-            its own evaluation lake, and ``cache``/``cache_dir`` are
-            not consulted.
-        cache: an :class:`~repro.lake.EvalCache` to attach, or ``False``
-            to disable caching outright (the ``REPRO_CACHE`` environment
-            is then ignored too).
-        cache_dir: open (or create) the evaluation lake at this
-            directory; ``config.cache_dir`` is the fallback, then the
-            ``REPRO_CACHE`` environment.  The choice is made once, when
-            the context is built.  Cached results are bit-identical to
-            computed ones.
+            across sessions (skips ``pre_synth`` handling).
+        cache: ``False`` for no run catalog (the ``REPRO_CACHE``
+            environment is then ignored too), or ``None``.
+        cache_dir: record completed runs in the run catalog of this
+            directory (``<dir>/catalog/``); ``config.cache_dir`` is the
+            fallback, then the ``REPRO_CACHE`` environment.  The choice
+            is made once, here, and :attr:`catalog` holds it.
+            Evaluation never touches the directory.
     """
 
     def __init__(
@@ -164,27 +161,41 @@ class Session:
         config: Optional[FlowConfig] = None,
         library: Optional[Library] = None,
         ctx: Optional[EvalContext] = None,
-        cache: Optional[Union[EvalCache, bool]] = None,
+        cache: Optional[bool] = None,
         cache_dir: Optional[str] = None,
     ):
         self.config = config or FlowConfig()
         self.library = library or default_library()
+        if cache is not None and cache is not False:
+            raise TypeError(
+                f"cache must be False or None, not {cache!r}"
+            )
         #: Cache configuration persisted by :meth:`checkpoint` so
-        #: :meth:`resume` makes the same lake decision: the directory
-        #: of an explicit attachment, or ``False`` for ``cache=False``
-        #: (an env-resolved lake travels with the environment, not the
+        #: :meth:`resume` makes the same catalog decision: an explicit
+        #: directory, or ``False`` for ``cache=False`` (a directory
+        #: from ``REPRO_CACHE`` travels with the environment, not the
         #: checkpoint).
         self._cache_spec: Optional[Dict[str, Any]] = None
+        if cache is False:
+            self._cache_spec = {"cache_dir": False}
+            directory = ""
+        elif cache_dir or self.config.cache_dir:
+            directory = os.path.abspath(cache_dir or self.config.cache_dir)
+            self._cache_spec = {"cache_dir": directory}
+        else:
+            directory = os.environ.get("REPRO_CACHE", "").strip()
+        #: The run catalog completed runs are recorded in and
+        #: :meth:`warm_start` reads, or ``None``.
+        self.catalog: Optional[Catalog] = (
+            Catalog(os.path.join(os.path.abspath(directory), "catalog"))
+            if directory else None
+        )
         if ctx is None:
             if self.config.pre_synth:
                 from .synth import optimize_netlist
 
                 circuit = circuit.copy()
                 optimize_netlist(circuit)
-            lake = (
-                cache if cache is not None
-                else cache_dir or self.config.cache_dir or None
-            )
             ctx = EvalContext.build(
                 circuit,
                 self.library,
@@ -193,12 +204,7 @@ class Session:
                 seed=self.config.seed,
                 wd=self.config.wd,
                 depth_mode=self.config.depth_mode,
-                lake=lake,
             )
-            if lake is False:
-                self._cache_spec = {"cache_dir": False}
-            elif lake:
-                self._cache_spec = {"cache_dir": ctx.lake.path}
         self.ctx = ctx
         #: Paused optimizer runs by canonical method name.
         self._pending: Dict[str, Tuple[Optimizer, OptimizerState]] = {}
@@ -214,11 +220,6 @@ class Session:
     def circuit(self) -> Circuit:
         """The accurate reference circuit the context was built on."""
         return self.ctx.reference
-
-    @property
-    def cache(self) -> Optional[EvalCache]:
-        """The context's evaluation lake, if it has one."""
-        return self.ctx.lake or None
 
     @staticmethod
     def methods() -> Tuple[str, ...]:
@@ -428,7 +429,9 @@ class Session:
         worker process (each worker owns a cloned context), and results
         are returned in the requested method order — bit-identical to
         the serial sweep because every method's run is independently
-        seeded.  Callbacks cannot stream across process boundaries, so
+        seeded.  The returned runs are recorded in this session's run
+        catalog, in method order, as the serial sweep records them.
+        Callbacks cannot stream across process boundaries, so
         combining them with a parallel compare is rejected.
         """
         chosen = tuple(methods) if methods is not None else self.methods()
@@ -445,7 +448,10 @@ class Session:
                     "run compare() with jobs=1 to observe iterations"
                 )
             dispatcher = get_dispatcher(self.ctx, min(n, len(chosen)))
-            return dispatcher.run_methods(chosen, self.config)
+            results = dispatcher.run_methods(chosen, self.config)
+            for result in results.values():
+                self._record_run(result.method, result.optimization)
+            return results
         # Paused runs continue in-process (their state lives here), so
         # a compare touching one falls back to the serial method sweep;
         # jobs still reaches each run's generation evaluation.
@@ -460,9 +466,9 @@ class Session:
     def _record_run(
         self, method: str, opt_result: OptimizationResult
     ) -> None:
-        """Add a completed run's Pareto front to the lake's catalog."""
-        cache = self.cache
-        if cache is None or not opt_result.completed:
+        """Add a completed run's Pareto front to the run catalog; a
+        failed write warns and the run goes on."""
+        if self.catalog is None or not opt_result.completed:
             return
         evals = list(opt_result.population)
         best = opt_result.best
@@ -507,10 +513,10 @@ class Session:
             },
         )
         try:
-            cache.catalog.add(record)
-        except OSError as exc:  # pragma: no cover - disk-full class
+            self.catalog.add(record)
+        except OSError as exc:
             warnings.warn(
-                f"evaluation lake: could not record run ({exc})",
+                f"run catalog: could not record run ({exc})",
                 RuntimeWarning,
             )
 
@@ -521,24 +527,23 @@ class Session:
     ) -> List[Circuit]:
         """Seed circuits from past runs of this circuit family.
 
-        Queries the lake's catalog for runs whose reference circuit has
-        this session's structure digest and returns their Pareto-front
+        Queries the run catalog for runs whose reference circuit has
+        this session's structure key and returns their Pareto-front
         circuits, newest run first, deduplicated by full structure.
         Hand the result to ``optimize(seeds=...)`` to fold it into the
-        initial population.  Empty when no lake is attached or no prior
-        run matches.
+        initial population.  Empty when the session has no catalog or
+        no prior run matches.
 
         Args:
             method: restrict to fronts recorded by one method.
             limit: maximum number of circuits to return.
         """
-        cache = self.cache
-        if cache is None:
+        if self.catalog is None:
             return []
         ref_key = self.ctx.reference.full_structure_key()
         out: List[Circuit] = []
         seen: set = set()
-        for record in cache.catalog.runs(
+        for record in self.catalog.runs(
             reference_key=ref_key, method=method
         ):
             for circuit, _metrics in record.front:
@@ -563,11 +568,10 @@ class Session:
         the reference circuit, the flow config, the library, per paused
         run its method config plus the whole :class:`OptimizerState` —
         population, archive, history and the exact RNG state — and the
-        cache configuration, so a resumed session reattaches the same
-        evaluation lake (resume + warm cache is still bit-identical to
-        the uninterrupted run, because cached results are).  The file
-        is written beside ``path`` and renamed onto it, so a failed
-        write leaves the previous checkpoint as it was.
+        cache configuration, so a resumed session records into the same
+        run catalog.  The file is written beside ``path`` and renamed
+        onto it, so a failed write leaves the previous checkpoint as it
+        was.
         """
         pending = {
             key: (optimizer.config, state)
@@ -609,12 +613,9 @@ class Session:
         circuit: Circuit = payload["circuit"]
         library: Library = payload["library"]
         # The stored circuit already went through pre_synth (when
-        # enabled), so the context is rebuilt directly from it.  It
-        # reattaches the evaluation lake the checkpointed session
-        # used, or none when it was built with ``cache=False``; cached
-        # hits are bit-identical, so resume + warm cache replays the
-        # same trajectory as an uninterrupted run.
-        spec = payload.get("cache")
+        # enabled), so the context is rebuilt directly from it.  The
+        # session reattaches the run catalog the checkpointed session
+        # used, or none when it was built with ``cache=False``.
         ctx = EvalContext.build(
             circuit,
             library,
@@ -623,11 +624,13 @@ class Session:
             seed=config.seed,
             wd=config.wd,
             depth_mode=config.depth_mode,
-            lake=spec["cache_dir"] if spec else config.cache_dir,
         )
-        session = cls(circuit, config=config, library=library, ctx=ctx)
-        if spec:
-            session._cache_spec = dict(spec)
+        cache_dir = (payload.get("cache") or {}).get("cache_dir")
+        session = cls(
+            circuit, config=config, library=library, ctx=ctx,
+            cache=False if cache_dir is False else None,
+            cache_dir=cache_dir or None,
+        )
         for key, (method_config, state) in payload["pending"].items():
             optimizer = get_method(key).build(
                 ctx, config, config=method_config
@@ -656,16 +659,13 @@ class Session:
         """Release the session's external resources deterministically.
 
         Shuts down the parallel worker pool (if ``jobs > 1`` ever
-        spawned one) and flushes the attached evaluation lake's stats
-        ledger, so an interrupted or erroring run still tears down
+        spawned one), so an interrupted or erroring run still tears down
         cleanly — every CLI and serve-mode code path runs this in a
-        ``try/finally``.  Serial, cache-less sessions hold no external
-        resources, so this is then a no-op.  The session stays usable —
-        the pool respawns on the next parallel call.
+        ``try/finally``.  Serial sessions hold no external resources,
+        so this is then a no-op.  The session stays usable — the pool
+        respawns on the next parallel call.
         """
         close_dispatcher(self.ctx)
-        if self.ctx.lake:
-            self.ctx.lake.flush_stats()
 
     def __enter__(self) -> "Session":
         return self

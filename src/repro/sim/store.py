@@ -22,8 +22,8 @@ Layout contract: matrices have ``index.n + 2`` rows; row
 ``n + 1`` holds CONST1.  A store is **read-only once published** (it is
 shared parent → child by the incremental and batched evaluation paths);
 writers copy the matrix first (:meth:`ValueStore.fork_matrix`).  A
-store never travels on its own: the lake, the shard pool and pickling
-move the matrix inside an eval and lay it on the index its report
+store never travels on its own: the shard pool and pickling move the
+matrix inside an eval and lay it on the index its report
 shares (:func:`repro.core.fitness.eval_payload`, ``restore_eval``).
 """
 

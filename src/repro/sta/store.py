@@ -23,9 +23,8 @@ Array layout contract: every timing array has ``index.n + 1`` rows; row
 source sentinel (arrival 0.0, slew = engine input slew, depth 0).  The
 arrays are treated as read-only once a report is published — consumers
 that need to mutate must copy (``update_timing`` does).  A report
-never travels on its own, nor its index: the lake, the shard pool and
-pickling move an eval's arrays and lay them on the receiving circuit's
-index (:func:`repro.core.fitness.eval_payload`, ``restore_eval``).
+never travels on its own, nor its index: the shard pool and pickling
+move an eval's arrays and lay them on the receiving circuit's index (:func:`repro.core.fitness.eval_payload`, ``restore_eval``).
 """
 
 from __future__ import annotations

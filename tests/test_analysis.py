@@ -218,10 +218,8 @@ class TestLintRules:
         findings = _lint(
             tmp_path,
             """
-            _OPEN = {}
-
-            def peek(path):
-                return _OPEN.get(path)
+            def peek(ctx):
+                return ctx._dispatcher
             """,
         )
         assert _rules(findings) == ["R3"]
@@ -230,10 +228,9 @@ class TestLintRules:
         findings = _lint(
             tmp_path,
             """
-            _OPEN = {}
-
-            def _open_locked(path):
-                return _OPEN.get(path)
+            def get_dispatcher(ctx, jobs):
+                with _DISPATCHER_LOCK:
+                    return ctx._dispatcher
             """,
         )
         assert findings == []

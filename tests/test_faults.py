@@ -1,11 +1,10 @@
 """The self-healing execution layer, validated by fault injection.
 
 The contract under test: under *any* deterministic fault schedule —
-workers SIGKILLed, SIGSTOPped, hung, answering poisoned replies, lake
-segments rotting on disk — the sharded evaluation path completes with
-results **bit-identical** to the unfaulted serial run, recovery
-counters record what happened, and nothing (processes, locks, wrong
-cached data) leaks.  Plus the :mod:`repro.faults` harness itself:
+workers SIGKILLed, SIGSTOPped, hung or answering poisoned replies —
+the sharded evaluation path completes with results **bit-identical**
+to the unfaulted serial run, recovery counters record what happened,
+and nothing (processes, locks) leaks.  Plus the :mod:`repro.faults` harness itself:
 the ``REPRO_FAULTS`` grammar, per-``(site, scope)`` hit counting and
 seeded probabilistic triggers must be exactly reproducible, because a
 chaos-CI failure nobody can replay is noise.
@@ -17,7 +16,6 @@ import multiprocessing
 import os
 import signal
 import time
-import warnings
 
 import pytest
 
@@ -25,7 +23,6 @@ from reference_circuits import build_adder
 
 from repro import FlowConfig, Session, faults
 from repro.core import (
-    EvalContext,
     ShardDispatcher,
     WorkerCrashError,
     evaluate_batch,
@@ -36,7 +33,6 @@ from repro.faults import (
     InjectedFault,
     TransientError,
 )
-from repro.lake import EvalCache
 from repro.netlist import write_verilog
 from repro.sim import ErrorMode
 
@@ -142,12 +138,6 @@ class TestFaultSchedule:
         assert faults.is_transient(TimeoutError())
         assert not faults.is_transient(RuntimeError("poisoned"))
         assert not faults.is_transient(ValueError("bad spec"))
-
-    def test_corrupt_file_flips_one_byte(self, tmp_path):
-        path = tmp_path / "seg"
-        path.write_bytes(b"\x00\x01\x02")
-        faults.corrupt_file(str(path), offset=1)
-        assert path.read_bytes() == b"\x00\xfe\x02"
 
 
 # ----------------------------------------------------------------------
@@ -341,85 +331,3 @@ class TestChaosAcceptance:
         )
         assert got.optimization.history == want.optimization.history
 
-
-# ----------------------------------------------------------------------
-# the lake under corruption
-# ----------------------------------------------------------------------
-LIB = b"l" * 16
-VEC = b"v" * 16
-
-
-class TestLakeCorruption:
-    def test_injected_corruption_degrades_to_miss(self, tmp_path):
-        cache = EvalCache(str(tmp_path / "lake"))
-        key = b"k" * 16
-        payload = (1.0, 2.0, [3.0])
-        faults.install(FaultSchedule("lake.corrupt=1"))
-        try:
-            assert cache.put_many(LIB, VEC, [(key, payload)]) == 1
-        finally:
-            faults.install(None)
-        # Every read validates the record: the rot is detected and
-        # degrades to a miss, never to damaged bytes.
-        with pytest.warns(RuntimeWarning, match="CRC mismatch"):
-            assert cache.get_many(LIB, VEC, [key]) == {}
-
-    def test_corruption_between_runs_recomputes_identically(
-        self, tmp_path, library
-    ):
-        """The satellite pin: a lake corrupted *between* retries of the
-        same work warm-starts correctly — damaged records become misses
-        and are recomputed (and re-published) bit-identically."""
-        ctx_cold = _ctx(build_adder(6), library, num_vectors=64)
-        want = evaluate_batch(
-            ctx_cold, [(c, None) for c in _lac_children(ctx_cold, 3)]
-        )
-
-        def cached_ctx():
-            ctx = EvalContext.build(
-                build_adder(6),
-                library,
-                ErrorMode.NMED,
-                num_vectors=64,
-                seed=4,
-            )
-            ctx.lake = EvalCache(str(tmp_path / "lake"))
-            return ctx
-
-        ctx_a = _ctx(build_adder(6), library, num_vectors=64)
-        first = cached_ctx()
-        evaluate_batch(
-            first, [(c, None) for c in _lac_children(ctx_a, 3)]
-        )
-        # Rot every published record on disk: flip its first payload
-        # byte, exactly what the ``lake.corrupt`` site does.
-        from repro.lake.cache import HEADER_SIZE
-
-        rec_dir = tmp_path / "lake" / "records"
-        names = sorted(os.listdir(rec_dir))
-        assert len(names) == 3, "the first run published nothing"
-        for name in names:
-            faults.corrupt_file(str(rec_dir / name), offset=HEADER_SIZE)
-        # The "retry": same work against the damaged lake.
-        ctx_b = _ctx(build_adder(6), library, num_vectors=64)
-        second = cached_ctx()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got = evaluate_batch(
-                second, [(c, None) for c in _lac_children(ctx_b, 3)]
-            )
-        for ours, ref in zip(got, want):
-            _assert_same_eval(ours, ref)
-        assert second.lake.counters["drops"] == 3
-        # The retry's write-through republished every damaged record,
-        # so a third pass hits all three without a warning.
-        ctx_c = _ctx(build_adder(6), library, num_vectors=64)
-        third = cached_ctx()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            again = evaluate_batch(
-                third, [(c, None) for c in _lac_children(ctx_c, 3)]
-            )
-        for ours, ref in zip(again, want):
-            _assert_same_eval(ours, ref)
-        assert third.lake.counters["hits"] == 3

@@ -360,10 +360,8 @@ class TestDeferredTiming:
 
     @staticmethod
     def _context(library):
-        # No lake: its write-through would time every child.
         return EvalContext.build(
             build_adder(8), library, ErrorMode.ER, num_vectors=128, seed=2,
-            lake=False,
         )
 
     @staticmethod

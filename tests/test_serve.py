@@ -254,8 +254,8 @@ class TestService:
         )
         # Hold the victim inside its run until the newcomer has been
         # submitted (and the eviction requested) — without this gate a
-        # fast run (e.g. under a warm REPRO_CACHE) can finish before
-        # the preemption lands and the test goes flaky.
+        # fast run can finish before the preemption lands and the test
+        # goes flaky.
         gate = threading.Event()
         orig = service_mod._StreamCallback.on_iteration
 
@@ -773,7 +773,6 @@ class TestClientReconnect:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", env.get("PYTHONPATH")) if p
         )
-        env.pop("REPRO_CACHE", None)  # keep the run slow enough
         with subprocess.Popen(
             [
                 sys.executable, "-c", _HELD_DAEMON, "serve",
@@ -846,10 +845,6 @@ class TestDrain:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", env.get("PYTHONPATH")) if p
         )
-        # A warm lake (e.g. CI's cold+warm cached job) could race the
-        # job to completion before SIGTERM lands mid-run; the drain
-        # path under test is cache-independent, so pin it cold.
-        env.pop("REPRO_CACHE", None)
         with subprocess.Popen(
             [
                 sys.executable, "-c", _HELD_DAEMON, "serve",

@@ -90,7 +90,7 @@ def _assert_derived(child, library, scratch_builds):
 def _ctx(library, width=8, seed=3):
     return EvalContext.build(
         build_adder(width), library, ErrorMode.NMED, num_vectors=128,
-        seed=seed, lake=False,
+        seed=seed,
     )
 
 

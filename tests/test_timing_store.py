@@ -59,7 +59,12 @@ from repro.core import (
     is_safe,
 )
 from repro.core.fitness import DepthMode
-from repro.core.fitness import eval_fields, eval_payload, rebuild_eval
+from repro.core.fitness import (
+    eval_fields,
+    eval_payload,
+    rebuild_eval,
+    restore_eval,
+)
 from repro.netlist import CONST1, Circuit, CircuitBuilder, is_const
 from repro.sim import ErrorMode, value_rows
 from repro.sta import (
@@ -432,9 +437,8 @@ class TestTransport:
 
     def test_pack_unpack_round_trip(self, library):
         ctx, ev = self._child_eval(library)
-        clone = rebuild_eval(
-            ctx, *pickle.loads(pickle.dumps((ev.circuit, eval_payload(ev))))
-        )
+        shipped = (ev.circuit, eval_payload(ev), eval_fields(ev))
+        clone = rebuild_eval(ctx, *pickle.loads(pickle.dumps(shipped)))
         assert clone.report.circuit is clone.circuit
         assert clone.fitness == ev.fitness
         assert clone.report.cpd == ev.report.cpd
@@ -479,6 +483,17 @@ class TestTransport:
         )
         with pytest.raises(SanitizerError, match="shipped fields"):
             rebuild_eval(ctx, circuit, payload, (depth, area + 1.0, *rest))
+
+    def test_payload_that_does_not_fit_is_refused(self, library):
+        """``restore_eval`` raises ``ValueError`` on arrays that do not
+        fit the receiving circuit's row index, and on anything that is
+        not a payload at all."""
+        _, ev = self._child_eval(library)
+        short = tuple(a[:-1] for a in eval_payload(ev))
+        with pytest.raises(ValueError, match="does not fit"):
+            restore_eval(ev.circuit.copy(), short, eval_fields(ev))
+        with pytest.raises(ValueError, match="not an evaluation payload"):
+            restore_eval(ev.circuit.copy(), None, eval_fields(ev))
 
     def test_pack_ships_raw_arrays(self, library):
         _, ev = self._child_eval(library)
