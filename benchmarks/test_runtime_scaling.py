@@ -21,10 +21,11 @@ things:
   many cores — the available core count is printed alongside.
 * **transport size** — pickled bytes of one child's evaluation
   payload (:func:`repro.core.fitness.eval_payload`, the unit that
-  crosses a worker pipe every generation), next to what the same payload would cost with the pre-SoA per-gate
-  timing dicts, and the value matrix alone (dense vs the keyed row
-  packing it replaced).  Tracked alongside evals/s so packing
-  regressions are as visible as throughput regressions.
+  crosses a worker pipe every generation), next to what the same
+  payload would cost with the pre-SoA per-gate timing dicts, and the
+  value rows alone (the store's tuple of int rows vs a gid-keyed dict
+  of the same rows).  Tracked alongside evals/s so packing regressions
+  are as visible as throughput regressions.
 
 Every timed row is the median of several passes (each table title says
 how many), so one pass the host slowed down cannot move a row: a single
@@ -36,8 +37,6 @@ import os
 import pickle
 import statistics
 import time
-
-import numpy as np
 
 from _common import num_vectors, publish, seed
 
@@ -144,10 +143,10 @@ def _legacy_timing_dicts(report):
 def _legacy_pack_bytes(ev):
     """Pickled size of the payload with five per-gate timing dicts.
 
-    The dense value matrix is kept; only the timing store differs, so
-    the delta isolates what the SoA arrays save on the wire.
+    The value rows are kept; only the timing store differs, so the
+    delta isolates what the SoA arrays save on the wire.
     """
-    legacy = (*_legacy_timing_dicts(ev.report), ev.values.matrix)
+    legacy = (*_legacy_timing_dicts(ev.report), ev.values.rows)
     return len(pickle.dumps(legacy))
 
 
@@ -162,7 +161,7 @@ def run_transport_sizes():
         "ratio": [],
         "rpt_soa_kb": [],
         "rpt_dict_kb": [],
-        "val_dense_kb": [],
+        "val_rows_kb": [],
         "val_keyed_kb": [],
         "val_ratio": [],
     }
@@ -178,20 +177,13 @@ def run_transport_sizes():
         rows["soa_kb"].append(soa / 1024.0)
         rows["dict_kb"].append(legacy / 1024.0)
         rows["ratio"].append(soa / legacy)
-        # The value matrix alone: dense (no keys on the wire) vs the
-        # keyed row packing it replaced.
+        # The value rows alone: the store's tuple (no keys on the
+        # wire) vs a gid-keyed packing of the same rows.
         values = ev.values
-        dense = len(pickle.dumps(values.matrix))
+        dense = len(pickle.dumps(values.rows))
         keys = [CONST0, CONST1, *values.index.row]
-        keyed = len(
-            pickle.dumps(
-                (
-                    np.array(keys, dtype=np.int64),
-                    np.stack([values[gid] for gid in keys]),
-                )
-            )
-        )
-        rows["val_dense_kb"].append(dense / 1024.0)
+        keyed = len(pickle.dumps({gid: values[gid] for gid in keys}))
+        rows["val_rows_kb"].append(dense / 1024.0)
         rows["val_keyed_kb"].append(keyed / 1024.0)
         rows["val_ratio"].append(dense / keyed)
         # The timing arrays alone (what the SoA store changed).
@@ -265,8 +257,8 @@ def test_runtime_scaling(benchmark):
     publish("runtime_scaling", text)
     # The SoA packing must actually be smaller than the dict packing it
     # replaced — a transport regression fails the bench like a
-    # throughput regression would.  Same for the dense value matrix vs
-    # the keyed row packing.
+    # throughput regression would.  Same for the tuple of value rows vs
+    # a keyed packing of the same rows.
     assert all(r < 1.0 for r in transport_rows["ratio"])
     assert all(r < 1.0 for r in transport_rows["val_ratio"])
     # Soft check: per-gate cost must stay within an order of magnitude

@@ -177,22 +177,37 @@ _FLOW_FLAG_DEFAULTS = (
 )
 
 
+def _check_jobs(args: argparse.Namespace) -> None:
+    """Exit 2 with one line when ``--jobs`` is below 0."""
+    if (args.jobs or 0) < 0:
+        message = f"jobs must be >= 0, not {args.jobs}"
+        print(f"{args.command}: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _flow_config(args: argparse.Namespace) -> FlowConfig:
+    """The run's :class:`FlowConfig`; an invalid setting, ``--jobs``
+    included, prints one line and exits 2."""
+    _check_jobs(args)
     values = {
         name: getattr(args, name) if getattr(args, name) is not None
         else default
         for name, default in _FLOW_FLAG_DEFAULTS
     }
     mode = ErrorMode.ER if values["mode"] == "er" else ErrorMode.NMED
-    return FlowConfig(
-        error_mode=mode,
-        error_bound=values["bound"],
-        num_vectors=values["vectors"],
-        effort=values["effort"],
-        seed=values["seed"],
-        area_con=getattr(args, "area_con", None),
-        cache_dir=getattr(args, "cache_dir", None),
-    )
+    try:
+        return FlowConfig(
+            error_mode=mode,
+            error_bound=values["bound"],
+            num_vectors=values["vectors"],
+            effort=values["effort"],
+            seed=values["seed"],
+            area_con=getattr(args, "area_con", None),
+            cache_dir=getattr(args, "cache_dir", None),
+        )
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _ignored_resume_flags(args: argparse.Namespace) -> List[str]:
@@ -236,6 +251,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 f"the checkpoint; ignoring {', '.join(ignored)}",
                 file=sys.stderr,
             )
+        _check_jobs(args)
         with _reading(args.command, args.resume):
             session = Session.resume(args.resume)
         pending = session.pending_methods()
@@ -247,7 +263,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        session = Session(_read_circuit(args), _flow_config(args))
+        config = _flow_config(args)
+        session = Session(_read_circuit(args), config)
         method = args.method or "Ours"
 
     # Everything below runs under try/finally: an exception or signal
@@ -321,7 +338,8 @@ def _pause_checkpoint(session: Session, checkpoint: Optional[str]) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .core.parallel import resolve_jobs
 
-    session = Session(_read_circuit(args), _flow_config(args))
+    config = _flow_config(args)
+    session = Session(_read_circuit(args), config)
     methods = args.methods or list(method_names())
     mode_label = session.config.error_mode.value
     try:

@@ -30,7 +30,6 @@ from .rules import ALL_RULES
 from .sanitize import (
     SanitizerError,
     TrackedLock,
-    publish_array,
     publish_arrays,
     reset_lock_tracking,
     sanitize_enabled,
@@ -48,7 +47,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "parse_allows",
-    "publish_array",
     "publish_arrays",
     "reset_lock_tracking",
     "sanitize_enabled",

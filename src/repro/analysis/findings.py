@@ -5,7 +5,7 @@ can be suppressed by an inline directive on the offending line, the
 line directly above it, or the ``def`` line of the enclosing function
 (function-scope allow for whitelisted fork/copy/publish sites)::
 
-    matrix[rows[pi]] = words  # lint: allow[R1] pre-publication fill
+    arrival[rows[pi]] = 0.0  # lint: allow[R1] pre-publication fill
 
 The justification text after the rule ID is mandatory: a bare
 ``# lint: allow[R1]`` suppresses nothing and is itself reported as an

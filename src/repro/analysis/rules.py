@@ -5,10 +5,10 @@ Each rule turns one prose contract from ROADMAP.md into an AST check
 
 R1  Containers/arrays obtained from memoized accessors
     (``topological_order``, ``fanouts``, ``timing_index``,
-    ``_cached``/``_store``, ...) and published store arrays
-    (``ValueStore.matrix``, ``TimingReport.*_a``) are returned by
-    reference and must not be mutated outside whitelisted
-    fork/copy/publish sites.
+    ``_cached``/``_store``, ...) and published timing arrays
+    (``TimingReport.*_a``) are returned by reference and must not be
+    mutated outside whitelisted fork/copy/publish sites.  Value rows
+    need no rule: ``ValueStore.rows`` is a tuple, so a write raises.
 R2  A ``Circuit`` obtained from ``.copy()`` and mutated in the same
     function must declare its edit (``extend_provenance``) or
     explicitly drop the record (``provenance = ...``) there.
@@ -55,7 +55,6 @@ MEMO_ACCESSORS = frozenset(
 #: Attributes holding published store arrays (read-only by contract).
 PUBLISHED_ARRAYS = frozenset(
     {
-        "matrix",
         "arrival_a",
         "slew_a",
         "load_a",

@@ -3,12 +3,13 @@
 Everything here is gated on ``REPRO_SANITIZE=1`` and costs one env
 lookup when disabled.  Three layers, one per contract family:
 
-* :func:`publish_array` — called at every site that publishes a
-  timing/value array (STA reports, value stores, shard receive,
-  unpickling).  Under the sanitizer it clears ``ndarray.flags.writeable``,
-  so any consumer that writes into a published array instead of
-  forking/copying raises ``ValueError: assignment destination is
-  read-only`` at the offending store instruction.
+* :func:`publish_arrays` — called where a timing report is built
+  (STA, shard receive, unpickling).  Under the sanitizer it clears
+  ``ndarray.flags.writeable``, so any consumer that writes into a
+  published array instead of copying raises ``ValueError: assignment
+  destination is read-only`` at the offending store instruction.  Value rows need no such step: a
+  :class:`~repro.sim.ValueStore` holds them in a tuple, which refuses
+  writes with or without the sanitizer.
 * the provenance tripwire — :class:`repro.netlist.circuit.Circuit`
   calls :func:`verify_provenance` at ``copy()`` /
   ``extend_provenance`` boundaries; it diffs the circuit against its
@@ -36,7 +37,6 @@ from typing import Dict, List, Optional, Tuple
 __all__ = [
     "SanitizerError",
     "TrackedLock",
-    "publish_array",
     "publish_arrays",
     "sanitize_enabled",
     "verify_derived",
@@ -56,19 +56,9 @@ def sanitize_enabled() -> bool:
 # ----------------------------------------------------------------------
 # published-array layer
 # ----------------------------------------------------------------------
-def publish_array(array):
-    """Mark one published array read-only under the sanitizer.
-
-    Returns the array either way so publish sites can wrap expressions
-    in place.  ``None`` passes through untouched.
-    """
-    if array is not None and sanitize_enabled():
-        array.flags.writeable = False
-    return array
-
-
 def publish_arrays(*arrays) -> None:
-    """Publish several arrays at once (one env lookup)."""
+    """Mark published arrays read-only under the sanitizer (one env
+    lookup); ``None`` entries are skipped."""
     if sanitize_enabled():
         for array in arrays:
             if array is not None:

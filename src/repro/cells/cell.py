@@ -12,18 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
-import numpy as np
-
 from .timing_model import TimingArc
 
-WordFn = Callable[[Sequence[np.ndarray]], np.ndarray]
+#: ``word_eval(inputs, ones)``: one value row per input pin and the
+#: all-ones row of the same width, which NOT is an XOR with.
+WordFn = Callable[[Sequence[int], int], int]
 BitFn = Callable[[Sequence[int]], int]
-
-_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _inv(x: Sequence[np.ndarray]) -> np.ndarray:
-    return x[0] ^ _ONES
 
 
 @dataclass(frozen=True)
@@ -33,7 +27,8 @@ class CellFunction:
     Attributes:
         name: canonical function name, e.g. ``"NAND2"``.
         arity: number of input pins.
-        word_eval: evaluator over packed uint64 words (64 vectors/word).
+        word_eval: evaluator over value rows, Python ints whose bit
+            ``k`` is vector ``k``; ``ones`` is the all-ones row.
         bit_eval: scalar evaluator over 0/1 ints, used as the test oracle.
         complexity: relative transistor-level size, seeds area and delay of
             the synthetic characterisation.
@@ -45,12 +40,12 @@ class CellFunction:
     bit_eval: BitFn
     complexity: float
 
-    def __call__(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
+    def __call__(self, inputs: Sequence[int], ones: int) -> int:
         if len(inputs) != self.arity:
             raise ValueError(
                 f"{self.name} expects {self.arity} inputs, got {len(inputs)}"
             )
-        return self.word_eval(inputs)
+        return self.word_eval(inputs, ones)
 
     def __reduce__(self):
         # The evaluators are lambdas (unpicklable); the registered name
@@ -80,58 +75,60 @@ def _register(fn: CellFunction) -> CellFunction:
     return fn
 
 
-INV = _register(_fn("INV", 1, _inv, lambda b: 1 - b[0], 0.5))
-BUF = _register(_fn("BUF", 1, lambda x: x[0].copy(), lambda b: b[0], 0.7))
+INV = _register(
+    _fn("INV", 1, lambda x, ones: x[0] ^ ones, lambda b: 1 - b[0], 0.5)
+)
+BUF = _register(_fn("BUF", 1, lambda x, ones: x[0], lambda b: b[0], 0.7))
 
 AND2 = _register(
-    _fn("AND2", 2, lambda x: x[0] & x[1], lambda b: b[0] & b[1], 1.0)
+    _fn("AND2", 2, lambda x, ones: x[0] & x[1], lambda b: b[0] & b[1], 1.0)
 )
 OR2 = _register(
-    _fn("OR2", 2, lambda x: x[0] | x[1], lambda b: b[0] | b[1], 1.0)
+    _fn("OR2", 2, lambda x, ones: x[0] | x[1], lambda b: b[0] | b[1], 1.0)
 )
 NAND2 = _register(
-    _fn("NAND2", 2, lambda x: (x[0] & x[1]) ^ _ONES,
+    _fn("NAND2", 2, lambda x, ones: (x[0] & x[1]) ^ ones,
         lambda b: 1 - (b[0] & b[1]), 0.8)
 )
 NOR2 = _register(
-    _fn("NOR2", 2, lambda x: (x[0] | x[1]) ^ _ONES,
+    _fn("NOR2", 2, lambda x, ones: (x[0] | x[1]) ^ ones,
         lambda b: 1 - (b[0] | b[1]), 0.8)
 )
 XOR2 = _register(
-    _fn("XOR2", 2, lambda x: x[0] ^ x[1], lambda b: b[0] ^ b[1], 1.6)
+    _fn("XOR2", 2, lambda x, ones: x[0] ^ x[1], lambda b: b[0] ^ b[1], 1.6)
 )
 XNOR2 = _register(
-    _fn("XNOR2", 2, lambda x: (x[0] ^ x[1]) ^ _ONES,
+    _fn("XNOR2", 2, lambda x, ones: (x[0] ^ x[1]) ^ ones,
         lambda b: 1 - (b[0] ^ b[1]), 1.6)
 )
 
 AND3 = _register(
-    _fn("AND3", 3, lambda x: x[0] & x[1] & x[2],
+    _fn("AND3", 3, lambda x, ones: x[0] & x[1] & x[2],
         lambda b: b[0] & b[1] & b[2], 1.4)
 )
 OR3 = _register(
-    _fn("OR3", 3, lambda x: x[0] | x[1] | x[2],
+    _fn("OR3", 3, lambda x, ones: x[0] | x[1] | x[2],
         lambda b: b[0] | b[1] | b[2], 1.4)
 )
 NAND3 = _register(
-    _fn("NAND3", 3, lambda x: (x[0] & x[1] & x[2]) ^ _ONES,
+    _fn("NAND3", 3, lambda x, ones: (x[0] & x[1] & x[2]) ^ ones,
         lambda b: 1 - (b[0] & b[1] & b[2]), 1.2)
 )
 NOR3 = _register(
-    _fn("NOR3", 3, lambda x: (x[0] | x[1] | x[2]) ^ _ONES,
+    _fn("NOR3", 3, lambda x, ones: (x[0] | x[1] | x[2]) ^ ones,
         lambda b: 1 - (b[0] | b[1] | b[2]), 1.2)
 )
 XOR3 = _register(
-    _fn("XOR3", 3, lambda x: x[0] ^ x[1] ^ x[2],
+    _fn("XOR3", 3, lambda x, ones: x[0] ^ x[1] ^ x[2],
         lambda b: b[0] ^ b[1] ^ b[2], 2.4)
 )
 
 AND4 = _register(
-    _fn("AND4", 4, lambda x: x[0] & x[1] & x[2] & x[3],
+    _fn("AND4", 4, lambda x, ones: x[0] & x[1] & x[2] & x[3],
         lambda b: b[0] & b[1] & b[2] & b[3], 1.8)
 )
 OR4 = _register(
-    _fn("OR4", 4, lambda x: x[0] | x[1] | x[2] | x[3],
+    _fn("OR4", 4, lambda x, ones: x[0] | x[1] | x[2] | x[3],
         lambda b: b[0] | b[1] | b[2] | b[3], 1.8)
 )
 
@@ -140,7 +137,7 @@ MUX2 = _register(
     _fn(
         "MUX2",
         3,
-        lambda x: (x[0] & (x[2] ^ _ONES)) | (x[1] & x[2]),
+        lambda x, ones: (x[0] & (x[2] ^ ones)) | (x[1] & x[2]),
         lambda b: b[1] if b[2] else b[0],
         1.8,
     )
@@ -151,7 +148,7 @@ AOI21 = _register(
     _fn(
         "AOI21",
         3,
-        lambda x: ((x[0] & x[1]) | x[2]) ^ _ONES,
+        lambda x, ones: ((x[0] & x[1]) | x[2]) ^ ones,
         lambda b: 1 - ((b[0] & b[1]) | b[2]),
         1.1,
     )
@@ -162,7 +159,7 @@ OAI21 = _register(
     _fn(
         "OAI21",
         3,
-        lambda x: ((x[0] | x[1]) & x[2]) ^ _ONES,
+        lambda x, ones: ((x[0] | x[1]) & x[2]) ^ ones,
         lambda b: 1 - ((b[0] | b[1]) & b[2]),
         1.1,
     )
@@ -173,7 +170,7 @@ MAJ3 = _register(
     _fn(
         "MAJ3",
         3,
-        lambda x: (x[0] & x[1]) | (x[0] & x[2]) | (x[1] & x[2]),
+        lambda x, ones: (x[0] & x[1]) | (x[0] & x[2]) | (x[1] & x[2]),
         lambda b: 1 if (b[0] + b[1] + b[2]) >= 2 else 0,
         1.7,
     )

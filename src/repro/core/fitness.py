@@ -16,7 +16,7 @@ Two evaluation paths produce bit-identical results:
   carries a valid provenance record pointing at an already-evaluated
   parent, the changed gates seed an event-driven value walk
   (:func:`repro.sim.resimulate_cone`), which stops at every row whose
-  words equal the parent's, and a timing frontier walk
+  int equals the parent's, and a timing frontier walk
   (:func:`repro.sta.update_timing`), which stops at every gate whose
   timing is unchanged — the VECBEE-style trick that makes
   per-candidate evaluation cost what the change actually changes
@@ -36,8 +36,8 @@ the reference eval, shard replies and unpickled evals — builds complete
 evals.
 
 An evaluation leaves a process in one codec, decided here: its
-:func:`eval_payload` (the report's five timing arrays and the value
-matrix) plus the sender's :func:`eval_fields`.  :func:`restore_eval`
+:func:`eval_payload` (the report's five timing arrays and the tuple of
+value rows) plus the sender's :func:`eval_fields`.  :func:`restore_eval`
 takes the fields as they are (pickling), and :func:`rebuild_eval` does
 the same for a shard reply, re-checking the fields under
 ``REPRO_SANITIZE=1``, so a restored eval is bit-identical to a computed
@@ -64,7 +64,7 @@ from typing import (
 
 import numpy as np
 
-from ..analysis.sanitize import SanitizerError, publish_array, sanitize_enabled
+from ..analysis.sanitize import SanitizerError, sanitize_enabled
 from ..cells import Library
 from ..netlist import Circuit, relabel_compact
 from ..sim import (
@@ -371,30 +371,39 @@ def _finish_eval(
 
 #: What pickling and the shard pool carry for one evaluation: the
 #: report's arrival, slew, load, unit-depth and critical-fan-in arrays,
-#: then the value matrix.
-EvalPayload = Tuple[np.ndarray, ...]
+#: then the value store's tuple of rows.
+EvalPayload = Tuple[Any, ...]
 
 #: :func:`eval_fields`: ``depth``, ``area``, ``error``, ``per_po_error``,
 #: ``fd``, ``fa`` and ``fitness``, in :class:`CircuitEval`'s field order.
 EvalFields = Tuple[float, float, float, List[float], float, float, float]
 
 
-def eval_payload(ev: CircuitEval) -> EvalPayload:
+def eval_payload(
+    ev: CircuitEval, base: Optional[CircuitEval] = None
+) -> EvalPayload:
     """The arrays :func:`rebuild_eval` and :func:`restore_eval` lay out.
 
     They are a pure function of the circuit's full structure, the
     library and the vectors; the row index is not stored, which the
     receiving circuit has.  Reading the report runs a pending eval's
-    timing.
+    timing.  Given ``base``, the parent eval ``ev`` was walked from, a
+    row ``ev`` shares with it travels as ``None``: a shard reply ships
+    only the rows its walk changed, and :func:`rebuild_eval` fills the
+    rest from the receiver's copy of ``base``.
     """
     report = ev.report
+    rows = ev.values.rows
+    if base is not None and ev.values.index is base.values.index:
+        pairs = zip(rows, base.values.rows)
+        rows = tuple([None if row is was else row for row, was in pairs])
     return (
         report.arrival_a,
         report.slew_a,
         report.load_a,
         report.unit_depth_a,
         report.critical_fanin_a,
-        ev.values.matrix,
+        rows,
     )
 
 
@@ -411,23 +420,26 @@ def _lay_payload(
     """The payload's report and value store on ``circuit``'s row index.
 
     Both share :func:`repro.sta.timing_index` of the circuit, and the
-    arrays are republished read-only (they arrive writable).  Raises
-    ``ValueError`` when the payload does not fit the circuit.
+    timing arrays are republished read-only (they arrive writable).
+    Raises ``ValueError`` when the payload does not fit the circuit:
+    the value rows must be a tuple of ``index.n + 2`` ints.
     """
     try:
-        arrival, slew, load, depth, critical, matrix = payload
+        arrival, slew, load, depth, critical, rows = payload
     except (TypeError, ValueError) as exc:
         raise ValueError(f"not an evaluation payload: {exc}") from exc
     index = timing_index(circuit)
     if (
         getattr(arrival, "shape", None) != (index.n + 1,)
-        or getattr(matrix, "shape", ())[:1] != (index.n + 2,)
+        or type(rows) is not tuple
+        or len(rows) != index.n + 2
+        or not all(type(row) is int for row in rows)
     ):
         raise ValueError("evaluation payload does not fit the circuit")
     report = TimingReport(
         circuit, index, arrival, slew, load, depth, critical, circuit.version
     )
-    return report, ValueStore(index, publish_array(matrix))
+    return report, ValueStore(index, rows)
 
 
 def restore_eval(
@@ -448,15 +460,24 @@ def rebuild_eval(
     circuit: Circuit,
     payload: EvalPayload,
     fields: EvalFields,
+    parents: "ParentEvals" = None,
 ) -> CircuitEval:
     """A shard reply's eval of ``circuit``: its payload and the
     sender's :func:`eval_fields`, restored with :func:`restore_eval`.
 
+    ``parents`` are the parent evals ``circuit`` was offered; the one
+    its provenance record matches, which the sender walked it from,
+    fills the rows the payload left out (see :func:`eval_payload`).
     Under ``REPRO_SANITIZE=1`` the metric tail re-runs against ``ctx``
     and a difference from the shipped fields raises.  Consumes the
     circuit's provenance record.  Raises ``ValueError`` when the
     payload does not fit the circuit.
     """
+    match = _match_parent(circuit, _normalize_parents(parents))
+    if match and len(payload[-1]) == len(match[0].values.rows):
+        pairs = zip(payload[-1], match[0].values.rows)
+        rows = tuple([was if row is None else row for row, was in pairs])
+        payload = (*payload[:-1], rows)
     ev = restore_eval(circuit, payload, fields)
     if sanitize_enabled():
         tail = _finish_eval(ctx, circuit, ev.report, ev.values)

@@ -310,7 +310,8 @@ def _worker_eval(
         evals = evaluate_batch(ctx, items)
         for (index, _, _, child_key), ev in zip(members, evals):
             cache[child_key] = ev
-            results.append((index, (eval_payload(ev), eval_fields(ev))))
+            shipped = (eval_payload(ev, parent), eval_fields(ev))
+            results.append((index, shipped))
     return results
 
 
@@ -857,7 +858,8 @@ class ShardDispatcher:
 
             def handle(reply: List[Tuple[int, _Shipped]]) -> None:
                 for index, shipped in reply:
-                    out[index] = rebuild_eval(ctx, items[index][0], *shipped)
+                    circuit, parents = items[index]
+                    out[index] = rebuild_eval(ctx, circuit, *shipped, parents)
 
             plans = self._plan(items, range(len(items)))
             tasks = [

@@ -18,12 +18,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..cells import FUNCTIONS, cell_name, split_cell_name
-from ..netlist import Circuit
+from ..netlist import CONST1, Circuit
 from ..sim import ValueStore
-from ..sim.vectors import count_ones
 
 #: Same-arity replacement candidates, cheaper/faster first.
 _FUNCTION_FAMILIES: Dict[int, Tuple[str, ...]] = {
@@ -77,13 +74,13 @@ def _agreement(
     values: ValueStore,
     candidate_fn: str,
     fanins: Sequence[int],
-    reference: np.ndarray,
+    reference: int,
     num_vectors: int,
 ) -> float:
     """Fraction of vectors where a rewritten gate matches its old output."""
     fn = FUNCTIONS[candidate_fn]
-    out = fn.word_eval([values[fi] for fi in fanins])
-    return 1.0 - count_ones(out ^ reference, num_vectors) / num_vectors
+    out = fn.word_eval([values[fi] for fi in fanins], values[CONST1])
+    return 1.0 - (out ^ reference).bit_count() / num_vectors
 
 
 def propose_simplification(

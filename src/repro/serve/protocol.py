@@ -132,6 +132,8 @@ class JobSpec:
                 raise SpecError("field 'deadline_s' must be a float") from None
         if spec.max_retries < 0:
             raise SpecError("'max_retries' must be >= 0")
+        if spec.jobs < 0:
+            raise SpecError("'jobs' must be >= 0")
         spec.tag = payload.get("tag")
         spec.method = str(payload.get("method", "Ours"))
         raw_methods = payload.get("methods")
@@ -147,6 +149,10 @@ class JobSpec:
                     f"unknown method {name!r}; "
                     f"one of {list(method_names())}"
                 ) from None
+        try:
+            spec.flow_config()
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
         return spec
 
     def to_payload(self) -> Dict[str, Any]:

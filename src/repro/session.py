@@ -67,7 +67,7 @@ from .sim import ErrorMode
 
 #: On-disk checkpoint format version (bump on layout changes); it is
 #: a checkpoint file's first line, checked before anything is unpickled.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 _CHECKPOINT_HEADER = b"repro-checkpoint %d\n" % CHECKPOINT_FORMAT
 
 
@@ -111,6 +111,19 @@ class FlowConfig:
     #: ``REPRO_CACHE`` environment.  Evaluation never reads it, so
     #: results never depend on it.
     cache_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # Each check states what must hold, so NaN is refused too.
+        for holds, name, rule in (
+            (self.num_vectors >= 1, "num_vectors", ">= 1"),
+            (self.effort > 0, "effort", "> 0"),
+            (self.error_bound >= 0, "error_bound", ">= 0"),
+            (self.jobs >= 0, "jobs", ">= 0"),
+        ):
+            if not holds:
+                raise ValueError(
+                    f"{name} must be {rule}, not {getattr(self, name)!r}"
+                )
 
 
 @dataclass

@@ -10,26 +10,22 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from ..netlist import CONST0, CONST1, PO_CELL, Circuit
 from .store import ValueStore
-from .vectors import count_ones, popcount_rows, tail_masked
 
 
 def similarity(
     values: ValueStore, a: int, b: int, num_vectors: int
 ) -> float:
     """Fraction of vectors on which gates ``a`` and ``b`` agree."""
-    return 1.0 - count_ones(values[a] ^ values[b], num_vectors) / num_vectors
+    return 1.0 - (values[a] ^ values[b]).bit_count() / num_vectors
 
 
 def constant_similarities(
     values: ValueStore, gid: int, num_vectors: int
 ) -> Tuple[float, float]:
     """``(sim_to_0, sim_to_1)`` of one gate's output."""
-    ones = count_ones(values[gid], num_vectors)
-    frac1 = ones / num_vectors
+    frac1 = values[gid].bit_count() / num_vectors
     return 1.0 - frac1, frac1
 
 
@@ -47,27 +43,21 @@ def rank_switches(
     the substitution cannot create a combinational loop) plus constants.
     Ties break on smaller |gate id| for determinism.
 
-    The whole table is computed with one gather of the candidate rows
-    and one batched XOR + population count rather than a Python loop
-    per candidate; the scores are bit-identical to the scalar
-    :func:`similarity` formula (same integer counts, same division).
+    Each candidate scores one XOR and one ``int.bit_count()`` against
+    the target's row: the scalar :func:`similarity` formula, the same
+    integer count and the same IEEE division.
     """
     if candidates is None:
         candidates = circuit.transitive_fanin(target)
     cells = circuit.cells
-    kept = [
-        cand
+    row, rows = values.index.row, values.rows
+    goal = values[target]
+    nv = float(num_vectors)
+    scored: List[Tuple[int, float]] = [
+        (cand, 1.0 - (rows[row[cand]] ^ goal).bit_count() / nv)
         for cand in candidates
         if cand != target and cells.get(cand) != PO_CELL
     ]
-    scored: List[Tuple[int, float]] = []
-    if kept:
-        row = values.index.row
-        stacked = values.matrix[[row[c] for c in kept]]
-        diff = stacked ^ values[target][np.newaxis, :]
-        counts = popcount_rows(tail_masked(diff, num_vectors))
-        sims = 1.0 - counts / float(num_vectors)
-        scored = [(c, float(s)) for c, s in zip(kept, sims)]
     if include_constants:
         sim0, sim1 = constant_similarities(values, target, num_vectors)
         scored.append((CONST0, sim0))

@@ -97,15 +97,8 @@ def exhaustive_vectors(num_inputs: int) -> VectorSet:
 
 
 def count_ones(row: np.ndarray, num_vectors: int) -> int:
-    """Population count of a packed row, ignoring tail bits.
-
-    Routed through :func:`tail_masked` so the packing convention (which
-    bits of the final word are real) lives in exactly one place.
-    """
-    row = tail_masked(row, num_vectors)
-    if hasattr(np, "bitwise_count"):
-        return int(np.bitwise_count(row).sum())
-    return int(np.unpackbits(row.view(np.uint8)).sum())
+    """Population count of a packed row, ignoring tail bits."""
+    return int(popcount_rows(tail_masked(row[np.newaxis], num_vectors))[0])
 
 
 def tail_masked(packed: np.ndarray, num_vectors: int) -> np.ndarray:

@@ -17,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-import numpy as np
-
 from ..cells import Library
 from ..netlist import Circuit
-from ..sim.vectors import VectorSet, count_ones
+from ..sim.vectors import VectorSet
 from .analyzer import STAEngine
 
 if TYPE_CHECKING:  # type-only: sim.store depends on sta at runtime,
@@ -34,17 +32,14 @@ DEFAULT_FREQ_GHZ = 1.0
 LEAKAGE_PER_UM2_NW = 15.0
 
 
-def toggle_rate(row: np.ndarray, num_vectors: int) -> float:
-    """Fraction of cycle boundaries where the packed signal toggles."""
+def toggle_rate(row: int, num_vectors: int) -> float:
+    """Fraction of cycle boundaries where a value row toggles: bit ``k``
+    of ``row ^ (row >> 1)`` compares vectors ``k`` and ``k + 1``, so
+    only the first ``num_vectors - 1`` lanes count."""
     if num_vectors < 2:
         return 0.0
-    shifted = (row >> np.uint64(1)) | (
-        np.roll(row, -1) << np.uint64(63)
-    )
-    toggles = row ^ shifted
-    # The final vector has no successor: mask it out.
-    total = count_ones(toggles, num_vectors - 1)
-    return total / (num_vectors - 1)
+    boundaries = (1 << (num_vectors - 1)) - 1
+    return ((row ^ (row >> 1)) & boundaries).bit_count() / (num_vectors - 1)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ Timing results live in dense arrays, not per-gate dicts:
   row numbering regardless of dict insertion order).  It is one of the
   circuit's structure memos (:meth:`Circuit._memo`): a child with a
   valid provenance record, the same gate-ID set and the same port
-  lists takes its parent's index object.  Value matrices are laid out
-  by the same index (:mod:`repro.sim.store`).
+  lists takes its parent's index object.  Value rows are laid out by
+  the same index (:mod:`repro.sim.store`).
 * :func:`walk_frontier` — the one per-gate timing loop: over every gate
   in topological order (the full pass, :meth:`STAEngine.analyze`), or
   seeded with the rows an edit touched, popping gates in ascending gate
@@ -24,7 +24,8 @@ source sentinel (arrival 0.0, slew = engine input slew, depth 0).  The
 arrays are treated as read-only once a report is published — consumers
 that need to mutate must copy (``update_timing`` does).  A report
 never travels on its own, nor its index: the shard pool and pickling
-move an eval's arrays and lay them on the receiving circuit's index (:func:`repro.core.fitness.eval_payload`, ``restore_eval``).
+move an eval's arrays and lay them on the receiving circuit's index
+(:func:`repro.core.fitness.eval_payload`, ``restore_eval``).
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class TimingIndex:
         row: ``gid -> row`` lookup dict.
         po_rows: rows of the circuit's POs, in ``po_ids`` order.
         n: number of real rows (timing arrays carry ``n + 1`` — the
-            extra row is the constant-source sentinel; value matrices
-            carry ``n + 2``, one sentinel row per constant).
+            extra row is the constant-source sentinel; a value store
+            has ``n + 2`` rows, one sentinel row per constant).
         vrow: lazily-built ``gid -> row`` map extended with the two
             constant value rows (see :func:`repro.sim.store.value_rows`;
             cached here because indices are shared parent → child).

@@ -131,7 +131,7 @@ from repro.analysis import (  # noqa: E402  (grouped with its tests)
     findings_to_json,
     lint_file,
     lint_paths,
-    publish_array,
+    publish_arrays,
     reset_lock_tracking,
     sanitize_enabled,
     verify_provenance,
@@ -416,15 +416,15 @@ class TestSanitizerPublish:
         monkeypatch.setenv("REPRO_SANITIZE", "0")
         assert not sanitize_enabled()
         arr = np.zeros(4)
-        assert publish_array(arr) is arr
+        publish_arrays(arr, None)
         assert arr.flags.writeable
 
     def test_enabled_freezes_arrays(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert sanitize_enabled()
-        arr = np.zeros(4)
-        publish_array(arr)
-        assert not arr.flags.writeable
+        arr, other = np.zeros(4), np.zeros(2)
+        publish_arrays(arr, None, other)
+        assert not arr.flags.writeable and not other.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -438,8 +438,12 @@ class TestSanitizerPublish:
         ev = _evaluate(ctx, fig3)
         with pytest.raises(ValueError):
             ev.report.arrival_a[0] = 0.0
-        with pytest.raises(ValueError):
-            ev.values.matrix[0, 0] = 0
+        # Value rows are a tuple: read-only by type, sanitizer or not.
+        with pytest.raises(TypeError):
+            ev.values.rows[0] = 0
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        with pytest.raises(TypeError):
+            _evaluate(ctx, fig3).values.rows[0] = 0
 
 
 class TestProvenanceTripwire:

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.cells import (
@@ -25,19 +24,16 @@ class TestCellFunctions:
         fn = FUNCTIONS[name]
         for assignment in range(2**fn.arity):
             bits = [(assignment >> i) & 1 for i in range(fn.arity)]
-            words = [
-                np.array(
-                    [0xFFFFFFFFFFFFFFFF if b else 0], dtype=np.uint64
-                )
-                for b in bits
-            ]
-            got = fn(words)[0]
-            expect = fn.bit_eval(bits)
-            assert (int(got) & 1) == expect
+            # One-lane rows: a row is exactly as wide as ``ones``.
+            assert fn(bits, 1) == fn.bit_eval(bits)
+            # The same assignment on every lane of a 70-lane row.
+            ones = (1 << 70) - 1
+            rows = [ones if b else 0 for b in bits]
+            assert fn(rows, ones) == (ones if fn.bit_eval(bits) else 0)
 
     def test_arity_mismatch_raises(self):
         with pytest.raises(ValueError):
-            FUNCTIONS["AND2"]([np.zeros(1, dtype=np.uint64)])
+            FUNCTIONS["AND2"]([0], 1)
 
     def test_mux2_selects(self):
         mux = FUNCTIONS["MUX2"]

@@ -76,6 +76,48 @@ class TestOptimizeCommand:
         assert "HEDALS" in capsys.readouterr().out
 
 
+
+class TestInvalidFlowSettings:
+    """A flow setting :class:`FlowConfig` refuses is a usage error: one
+    line on stderr and exit code 2, before the netlist is read."""
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("optimize", ["--vectors", "0"], "num_vectors must be >= 1, "
+             "not 0"),
+            ("optimize", ["--bound", "-0.1"], "error_bound must be >= 0, "
+             "not -0.1"),
+            ("optimize", ["--bound", "nan"], "error_bound must be >= 0, "
+             "not nan"),
+            ("optimize", ["--effort", "0"], "effort must be > 0, not 0.0"),
+            ("optimize", ["--effort", "-1"], "effort must be > 0, not -1.0"),
+            ("optimize", ["--jobs", "-3"], "jobs must be >= 0, not -3"),
+            ("compare", ["--vectors", "0"], "num_vectors must be >= 1, "
+             "not 0"),
+            ("compare", ["--jobs", "-1"], "jobs must be >= 0, not -1"),
+        ],
+    )
+    def test_refused_with_exit_2(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        path = str(tmp_path / "never-read.v")
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{command}: {message}\n"
+
+    def test_resume_refuses_negative_jobs(self, tmp_path, capsys):
+        path = str(tmp_path / "never-read.ckpt")
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--resume", path, "--jobs", "-2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "optimize: jobs must be >= 0, not -2\n"
+        )
+
 class TestUnreadableInput:
     """An unreadable input file is a usage error: one line on stderr
     and exit code 2, as argparse gives for a bad argument."""

@@ -1,24 +1,26 @@
 """Tests for the equivalence checker, power model, and incremental STA."""
 
+import random
+
 import pytest
 
 from repro.core import LAC, applied_copy
 from repro.netlist import (
     CONST0,
+    CONST1,
     CircuitBuilder,
     assert_equivalent,
     check_equivalence,
     pruned_copy,
 )
-from repro.sim import random_vectors, simulate
+from repro.sim import evaluate_single, random_vectors, simulate
+from repro.sim.vectors import VectorSet
 from repro.sta import (
     STAEngine,
     estimate_power,
     toggle_rate,
     update_timing,
 )
-
-import numpy as np
 
 
 class TestEquivalence:
@@ -63,6 +65,41 @@ class TestEquivalence:
         result = check_equivalence(wide, wide.copy(), num_vectors=512)
         assert result.equivalent and not result.proven
 
+    def test_padding_lanes_never_compared(self):
+        # Past num_vectors every PI is 0, so the OR tree is 0 there
+        # while the tied-off PO is 1; only real vectors may count.
+        or_tree, one = _or17(), _tied17(CONST1)
+        for num_vectors in (128, 100):
+            result = check_equivalence(or_tree, one, num_vectors=num_vectors)
+            assert result.equivalent and not result.proven, num_vectors
+            assert result.vectors_checked == num_vectors
+
+    @pytest.mark.parametrize("num_vectors", [1, 63, 65, 100, 1000])
+    def test_counterexample_index_below_num_vectors(
+        self, num_vectors, monkeypatch
+    ):
+        asked = []
+        vector = VectorSet.vector
+
+        def recording(self, k):
+            asked.append((k, self.num_vectors))
+            return vector(self, k)
+
+        monkeypatch.setattr(VectorSet, "vector", recording)
+        or_tree = _or17()
+        for other in (_tied17(CONST1), _tied17(CONST0), _pi17(16)):
+            result = check_equivalence(
+                or_tree, other, num_vectors=num_vectors
+            )
+            if result.equivalent:
+                continue
+            bits = result.counterexample
+            va = evaluate_single(or_tree, dict(zip(or_tree.pi_ids, bits)))
+            vb = evaluate_single(other, dict(zip(other.pi_ids, bits)))
+            assert va[or_tree.po_ids[0]] != vb[other.po_ids[0]]
+        assert asked  # the tied-to-0 PO differs on some real vector
+        assert all(k < nv == num_vectors for k, nv in asked), asked
+
     def test_interface_mismatch_rejected(self, adder4, adder8):
         with pytest.raises(ValueError):
             check_equivalence(adder4, adder8)
@@ -74,11 +111,32 @@ class TestEquivalence:
             assert_equivalent(adder4, child)
 
 
+def _or17():
+    """A 17-PI OR tree: above the exhaustive limit, so vectors are random."""
+    b = CircuitBuilder("or17")
+    b.po(b.reduce_tree("OR2", b.pis(17)), "y")
+    return b.done()
+
+
+def _tied17(constant):
+    """17 PIs, none read, and one PO tied to ``constant``."""
+    b = CircuitBuilder("tied17")
+    b.pis(17)
+    b.po(constant, "y")
+    return b.done()
+
+
+def _pi17(i):
+    """17 PIs and one PO that mirrors PI ``i``."""
+    b = CircuitBuilder("pi17")
+    xs = b.pis(17)
+    b.po(xs[i], "y")
+    return b.done()
+
+
 def _unpack_bits(row, num_vectors):
-    """Per-vector bit list of a packed row (test oracle)."""
-    return [
-        (int(row[k // 64]) >> (k % 64)) & 1 for k in range(num_vectors)
-    ]
+    """Per-vector bit list of a value row (test oracle)."""
+    return [row >> k & 1 for k in range(num_vectors)]
 
 
 def _toggle_oracle(row, num_vectors):
@@ -92,64 +150,53 @@ def _toggle_oracle(row, num_vectors):
 
 class TestToggleRate:
     def test_constant_signal_never_toggles(self):
-        row = np.zeros(2, dtype=np.uint64)
-        assert toggle_rate(row, 128) == 0.0
-        row = np.full(2, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
-        assert toggle_rate(row, 128) == 0.0
+        assert toggle_rate(0, 128) == 0.0
+        assert toggle_rate((1 << 128) - 1, 128) == 0.0
 
     def test_alternating_signal_always_toggles(self):
-        row = np.full(2, 0x5555555555555555, dtype=np.uint64)
-        assert toggle_rate(row, 128) == pytest.approx(1.0)
+        row = int("55" * 16, 16)  # vectors 0, 2, 4, ... are 1
+        assert toggle_rate(row, 128) == 1.0
 
     def test_cross_word_boundary_counted(self):
-        # Vector 63 = 1, vector 64 = 0 -> one toggle at the boundary.
-        row = np.array([1 << 63, 0], dtype=np.uint64)
-        assert toggle_rate(row, 128) == pytest.approx(2 / 127)
+        # Vector 63 = 1, vector 64 = 0: the 62->63 and 63->64 toggles
+        # both count, the second across the first 64-lane boundary.
+        row = 1 << 63
+        assert toggle_rate(row, 128) == 2 / 127
+        assert toggle_rate(row, 128) == _toggle_oracle(row, 128)
 
     def test_single_vector_no_toggles(self):
-        row = np.array([1], dtype=np.uint64)
-        assert toggle_rate(row, 1) == 0.0
+        assert toggle_rate(1, 1) == 0.0
 
     def test_exactly_one_full_word(self):
-        # num_vectors == 64: np.roll on a 1-word row wraps onto itself;
-        # the wrapped bit lands past the last boundary and must be
-        # masked out, never counted.
-        rng = np.random.default_rng(0)
+        # num_vectors == 64: the top lane has no successor, so the
+        # shifted-in 0 past it must never count as a toggle.
+        rng = random.Random(0)
         for _ in range(16):
-            row = rng.integers(0, 2**64, size=1, dtype=np.uint64)
-            assert toggle_rate(row, 64) == pytest.approx(
-                _toggle_oracle(row, 64)
-            )
+            row = rng.getrandbits(64)
+            assert toggle_rate(row, 64) == _toggle_oracle(row, 64)
 
     def test_single_word_partial(self):
-        # 37 vectors in one word: tail bits are simulation garbage by
-        # layout contract only beyond num_vectors; boundary count stops
-        # at vector 36.
-        rng = np.random.default_rng(1)
+        # 37 vectors: the boundary count stops at vector 36.
+        rng = random.Random(1)
         for _ in range(16):
-            row = rng.integers(0, 2**64, size=1, dtype=np.uint64)
-            row &= np.uint64((1 << 37) - 1)
-            assert toggle_rate(row, 37) == pytest.approx(
-                _toggle_oracle(row, 37)
-            )
+            row = rng.getrandbits(37)
+            assert toggle_rate(row, 37) == _toggle_oracle(row, 37)
 
     def test_non_multiple_of_64(self):
-        # 100 vectors over 2 words: one real cross-word boundary at
-        # 63->64 plus a masked tail in the final word.
-        rng = np.random.default_rng(2)
+        # 100 vectors: one boundary at 63->64 between the first two
+        # 64-lane blocks, and no lane past vector 99.
+        rng = random.Random(2)
         for _ in range(16):
-            row = rng.integers(0, 2**64, size=2, dtype=np.uint64)
-            row[-1] &= np.uint64((1 << 36) - 1)
-            assert toggle_rate(row, 100) == pytest.approx(
-                _toggle_oracle(row, 100)
-            )
+            row = rng.getrandbits(100)
+            assert toggle_rate(row, 100) == _toggle_oracle(row, 100)
 
     def test_wrap_bit_never_counts(self):
-        # Adversarial self-wrap: vector 63 = 1, vector 0 = 0.  The
-        # rolled-in bit differs from the last vector but there is no
-        # vector 64 — the rate must be driven by real boundaries only.
-        row = np.array([1 << 63], dtype=np.uint64)
-        assert toggle_rate(row, 64) == pytest.approx(1 / 63)
+        # Vector 63 = 1, vector 0 = 0.  The last vector differs from
+        # the first, but there is no vector 64: the rate counts real
+        # boundaries only.
+        row = 1 << 63
+        assert toggle_rate(row, 64) == 1 / 63
+        assert toggle_rate(row, 64) == _toggle_oracle(row, 64)
 
 
 class TestPowerModel:

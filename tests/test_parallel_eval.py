@@ -120,7 +120,7 @@ def _assert_same_eval(a, b):
     ra, rb = a.report.index.row, b.report.index.row
     for gid in a.circuit.gate_ids():
         assert a.report.arrival_a[ra[gid]] == b.report.arrival_a[rb[gid]], gid
-        assert (a.values[gid] == b.values[gid]).all(), gid
+        assert a.values[gid] == b.values[gid], gid
 
 
 def _run_signature(result):
@@ -547,7 +547,7 @@ class TestCrashSafety:
         try:
             parallel_mod.get_dispatcher(ctx, 2).warmup()
 
-            def cut_short(ctx, circuit, payload, fields):
+            def cut_short(ctx, circuit, payload, fields, parents):
                 raise RuntimeError("dispatch cut short")
 
             monkeypatch.setattr(parallel_mod, "rebuild_eval", cut_short)

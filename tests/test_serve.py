@@ -157,6 +157,22 @@ class TestJobSpec:
         with pytest.raises(SpecError, match=needle):
             JobSpec.from_payload(payload)
 
+    @pytest.mark.parametrize(
+        "field, value, needle",
+        [
+            ("vectors", 0, "num_vectors must be >= 1"),
+            ("effort", 0.0, "effort must be > 0"),
+            ("effort", -1.0, "effort must be > 0"),
+            ("bound", -0.1, "error_bound must be >= 0"),
+            ("bound", float("nan"), "error_bound must be >= 0"),
+            ("jobs", -3, "'jobs' must be >= 0"),
+        ],
+    )
+    def test_invalid_flow_settings_rejected(self, field, value, needle):
+        # Refused when the spec is built, not inside the running job.
+        with pytest.raises(SpecError, match=needle):
+            JobSpec.from_payload({"netlist": ADDER4, field: value})
+
     def test_flow_config_mapping(self):
         spec = quick_spec(seed=3, mode="nmed", bound=0.02)
         cfg = spec.flow_config()
@@ -598,6 +614,14 @@ class TestHttp:
             with pytest.raises(ServeError) as excinfo:
                 client.job("j99999")
             assert excinfo.value.status == 404
+
+    def test_invalid_flow_setting_is_a_400(self, tmp_path):
+        with _Daemon(tmp_path) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.submit(JobSpec(netlist=ADDER4, vectors=0))
+            assert excinfo.value.status == 400
+            assert "num_vectors must be >= 1" in str(excinfo.value)
+            assert client.jobs() == []
 
     def test_replay_after_completion(self, tmp_path):
         """A late subscriber still gets the full event history."""

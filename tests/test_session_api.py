@@ -116,7 +116,7 @@ def _assert_same_eval(a, b):
     ra, rb = a.report.index.row, b.report.index.row
     for gid in a.circuit.gate_ids():
         assert a.report.arrival_a[ra[gid]] == b.report.arrival_a[rb[gid]], gid
-        assert (a.values[gid] == b.values[gid]).all(), gid
+        assert a.values[gid] == b.values[gid], gid
 
 
 # ----------------------------------------------------------------------
@@ -426,6 +426,22 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="unsupported checkpoint"):
             Session.resume(str(path))
 
+    def test_format_2_refused_before_unpickling(self, tmp_path, monkeypatch):
+        """A format-2 checkpoint (whose evals carry a value matrix, not
+        int rows) is refused on its first line: its body is never
+        unpickled."""
+        import pickle
+
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(b"repro-checkpoint 2\n" + pickle.dumps({}))
+        loaded = []
+        monkeypatch.setattr(
+            pickle, "load", lambda *a, **k: loaded.append(a) or {}
+        )
+        with pytest.raises(ValueError, match="unsupported checkpoint"):
+            Session.resume(str(path))
+        assert loaded == []
+
     def test_failed_write_keeps_previous_checkpoint(
         self, adder8, tmp_path, monkeypatch
     ):
@@ -556,6 +572,28 @@ class TestSessionFacade:
 
     def test_methods_listing(self):
         assert Session.methods() == method_names()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_vectors", 0),
+            ("num_vectors", -5),
+            ("effort", 0.0),
+            ("effort", -1.0),
+            ("effort", float("nan")),
+            ("error_bound", -0.1),
+            ("error_bound", float("nan")),
+            ("jobs", -3),
+        ],
+    )
+    def test_flow_config_refuses_invalid_settings(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            FlowConfig(**{field: value})
+
+    def test_flow_config_accepts_the_boundaries(self):
+        cfg = FlowConfig(num_vectors=1, error_bound=0.0, jobs=0)
+        assert cfg.effort == 1.0
+        assert FlowConfig(effort=1e-9).effort == 1e-9
 
     def test_seed_with_diverged_gate_id_set_rejected(self, adder8):
         """Warm-start seeds must share the reference's gate-ID set."""

@@ -93,10 +93,11 @@ class TestSimulate:
         for k in range(vecs.num_vectors):
             bits = dict(zip(fig3.pi_ids, vecs.vector(k)))
             ref = evaluate_single(fig3, bits)
-            w, b = divmod(k, 64)
             for gid in fig3.fanins:
-                got = (int(values[gid][w]) >> b) & 1
+                got = values[gid] >> k & 1
                 assert got == ref[gid], f"gate {gid} vector {k}"
+        for gid in fig3.fanins:
+            assert 0 <= values[gid] < 1 << vecs.num_vectors, gid
 
     def test_adder_computes_sums(self, adder4):
         vecs = exhaustive_vectors(8)
@@ -111,8 +112,8 @@ class TestSimulate:
     def test_constants_materialised(self, fig3):
         vecs = exhaustive_vectors(4)
         values = simulate(fig3, vecs)
-        assert int(values[CONST0][0]) == 0
-        assert int(values[CONST1][0]) == 0xFFFFFFFFFFFFFFFF
+        assert values[CONST0] == 0
+        assert values[CONST1] == (1 << vecs.num_vectors) - 1
 
     def test_wrong_input_count_rejected(self, fig3):
         with pytest.raises(ValueError):
@@ -128,7 +129,7 @@ class TestSimulate:
         fast = resimulate_cone(approx, vecs, base, changed)
         full = simulate(approx, vecs)
         for gid in approx.fanins:
-            assert (fast[gid] == full[gid]).all(), gid
+            assert fast[gid] == full[gid], gid
 
     def test_cell_names_parsed_once(self, adder4, monkeypatch):
         parsed = []
@@ -142,7 +143,7 @@ class TestSimulate:
         vecs = exhaustive_vectors(8)
         want = simulate(adder4, vecs)
         got = simulate(adder4, vecs)
-        assert np.array_equal(got.matrix, want.matrix)
+        assert got.rows == want.rows
         logic = {adder4.cells[g] for g in adder4.logic_ids()}
         assert sorted(parsed) == sorted(logic)
 

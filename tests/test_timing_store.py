@@ -467,8 +467,10 @@ class TestTransport:
         assert eval_fields(clone) == eval_fields(ev)
         assert clone.circuit_version == ev.circuit_version
         _assert_same_timing(ev.circuit, clone.report, ev.report)
-        assert np.array_equal(clone.values.matrix, ev.values.matrix)
-        assert not any(a.flags.writeable for a in eval_payload(clone))
+        assert clone.values.rows == ev.values.rows
+        timing = eval_payload(clone)[:5]
+        assert not any(a.flags.writeable for a in timing)
+        assert type(eval_payload(clone)[5]) is tuple  # read-only by type
 
     def test_shipped_metrics_are_checked_under_the_sanitizer(
         self, library, monkeypatch
@@ -494,6 +496,35 @@ class TestTransport:
             restore_eval(ev.circuit.copy(), short, eval_fields(ev))
         with pytest.raises(ValueError, match="not an evaluation payload"):
             restore_eval(ev.circuit.copy(), None, eval_fields(ev))
+
+    def test_reply_ships_only_the_rows_its_walk_changed(self, library):
+        """Against the parent it was walked from, a payload leaves out
+        (as ``None``) every row the eval shares with that parent, and
+        ``rebuild_eval`` fills them back from the parent the circuit's
+        provenance record matches."""
+        ctx, ev = self._child_eval(library)
+        parent = ctx.reference_eval()
+        payload = eval_payload(ev, parent)
+        pairs = enumerate(zip(ev.values.rows, parent.values.rows))
+        changed = {r for r, (row, was) in pairs if row is not was}
+        assert 0 < len(changed) < len(payload[5])
+        kept = {r for r, row in enumerate(payload[5]) if row is not None}
+        assert kept == changed
+        shipped = pickle.loads(pickle.dumps((payload, eval_fields(ev))))
+        # The receiver's own copy of the child, provenance intact; a
+        # pickled copy has none, so nothing fills the left-out rows.
+        lac = LAC(ctx.reference.logic_ids()[4], -1)
+        twin = applied_copy(ctx.reference, lac)
+        orphan = pickle.loads(pickle.dumps(twin))
+        with pytest.raises(ValueError, match="does not fit"):
+            rebuild_eval(ctx, orphan, *shipped, (parent,))
+        clone = rebuild_eval(ctx, twin, *shipped, (parent,))
+        assert clone.values.rows == ev.values.rows
+        assert eval_fields(clone) == eval_fields(ev)
+        # An eval on a row index of its own ships every row.
+        full = evaluate(ctx, pickle.loads(pickle.dumps(ev.circuit)))
+        assert full.values.index is not parent.values.index
+        assert eval_payload(full, parent)[5] is full.values.rows
 
     def test_pack_ships_raw_arrays(self, library):
         _, ev = self._child_eval(library)

@@ -3,16 +3,20 @@
 Pins the value layer under the evaluation hot path:
 
 * every registered cell function's ``word_eval`` agrees with its scalar
-  ``bit_eval`` oracle on every lane of a block of random words;
+  ``bit_eval`` oracle on every lane of random int rows;
 * :class:`repro.sim.ValueStore`'s one per-gate accessor, ``store[gid]``
-  (constants included), agrees with the matrix rows ``value_rows``
-  names, and simulate's rows are bit-identical to a verbatim port of
-  the dict-based walk;
+  (constants included), returns the rows ``value_rows`` names, and
+  simulate's rows equal a dict-based walk that evaluates every gate
+  lane by lane through ``bit_eval``;
 * ``resimulate_cone`` reuses covering stores and simulates diverged
   gate-ID sets in full, both matching ``simulate``; its event-driven
   walk equals ``simulate`` on value-neutral, PO-reaching, PO-rewire,
   constant, cell-only and crossover changes, on any vector count, and
   evaluates only the seeded gates when no value changes;
+* a child's store shares with its parent's exactly the row objects
+  whose value did not change;
+* at odd vector counts every row stays ``num_vectors`` bits wide, and
+  the walks and the metrics equal a per-vector scalar computation;
 * ``evaluate_batch`` equals full ``evaluate`` per item across
   tie-heavy LAC generations, crossover generations, structure-diverged
   children, and ``jobs=2`` shard runs;
@@ -64,16 +68,21 @@ from repro.sim import (
     ErrorMode,
     ValueStore,
     best_switch,
+    error_rate,
+    evaluate_single,
     mean_error_distance,
     nmed,
+    per_po_error,
     po_words,
     random_vectors,
     resimulate_cone,
+    similarity,
     simulate,
 )
 from repro.sim import bitsim
 from repro.sim.error import _unpack_matrix
 from repro.sim.store import value_rows
+from repro.sta import toggle_rate
 
 
 @pytest.fixture(scope="module")
@@ -87,29 +96,37 @@ def _ctx(circuit, library, seed=4, num_vectors=256):
     )
 
 
+def _lanes(words, num_vectors):
+    """The 0/1 value of every vector in a packed uint64 word row."""
+    return [int(words[k // 64]) >> (k % 64) & 1 for k in range(num_vectors)]
+
+
+def _row(bits):
+    """The value row (bit ``k`` is vector ``k``) of a list of 0/1 lanes."""
+    return sum(bit << k for k, bit in enumerate(bits))
+
+
 def _legacy_simulate(circuit, vectors):
-    """Verbatim port of the pre-store dict-based simulation walk."""
-    values = {
-        CONST0: np.zeros(vectors.num_words, dtype=np.uint64),
-        CONST1: np.full(
-            vectors.num_words, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64
-        ),
-    }
+    """The pre-store dict-based simulation walk, with every gate
+    evaluated lane by lane through its scalar ``bit_eval`` oracle."""
+    nv = vectors.num_vectors
+    lanes = {CONST0: [0] * nv, CONST1: [1] * nv}
     for row, pi in enumerate(circuit.pi_ids):
-        values[pi] = vectors.words[row]
+        lanes[pi] = _lanes(vectors.words[row], nv)
     for gid in circuit.topological_order():
         cell = circuit.cells[gid]
         if cell == PI_CELL:
             continue
         fis = circuit.fanins[gid]
         if cell == PO_CELL:
-            values[gid] = values[fis[0]]
+            lanes[gid] = lanes[fis[0]]
             continue
         function, _ = split_cell_name(cell)
-        values[gid] = FUNCTIONS[function].word_eval(
-            [values[fi] for fi in fis]
-        )
-    return values
+        bit_eval = FUNCTIONS[function].bit_eval
+        lanes[gid] = [
+            bit_eval([lanes[fi][k] for fi in fis]) for k in range(nv)
+        ]
+    return {gid: _row(bits) for gid, bits in lanes.items()}
 
 
 def _lac_children(ctx, count, seed=3, allow_duplicates=False):
@@ -156,32 +173,30 @@ def _assert_same_eval(a, b):
         assert ta.arrival_a[i] == tb.arrival_a[j], gid
         assert ta.slew_a[i] == tb.slew_a[j], gid
         assert ta.unit_depth_a[i] == tb.unit_depth_a[j], gid
-        assert (a.values[gid] == b.values[gid]).all(), gid
+        assert a.values[gid] == b.values[gid], gid
 
 
 # ----------------------------------------------------------------------
 # word kernels
 # ----------------------------------------------------------------------
 class TestWordEvalMany:
-    """``word_eval`` over blocks of random words, lane by lane."""
+    """``word_eval`` over random int rows, lane by lane."""
 
     @pytest.mark.parametrize("name", sorted(FUNCTIONS))
     @pytest.mark.parametrize("batch", [1, 2, 7])
     def test_matches_word_eval_row_by_row(self, name, batch):
+        # ``batch`` rows of 3 words each, as one row of 192 * batch
+        # lanes less one, so the top lane of the last word is padding.
         fn = FUNCTIONS[name]
-        rng = np.random.default_rng(sum(map(ord, name)) + batch)
-        num_words = 3
-        inputs = [
-            rng.integers(0, 2**64, size=(batch, num_words), dtype=np.uint64)
-            for _ in range(fn.arity)
-        ]
-        block = fn.word_eval(inputs)
-        assert block.shape == (batch, num_words)
-        ins = [np.unpackbits(x.view(np.uint8)) for x in inputs]
-        out = np.unpackbits(block.view(np.uint8))
-        for lane in range(out.size):
-            bits = [int(x[lane]) for x in ins]
-            assert out[lane] == fn.bit_eval(bits), (name, lane)
+        rng = random.Random(sum(map(ord, name)) + batch)
+        num_vectors = 192 * batch - 1
+        ones = (1 << num_vectors) - 1
+        inputs = [rng.getrandbits(num_vectors) for _ in range(fn.arity)]
+        out = fn.word_eval(inputs, ones)
+        assert 0 <= out <= ones
+        for lane in range(num_vectors):
+            bits = [x >> lane & 1 for x in inputs]
+            assert out >> lane & 1 == fn.bit_eval(bits), (name, lane)
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +209,9 @@ class TestValueStore:
         store = simulate(circuit, vectors)
         legacy = _legacy_simulate(circuit, vectors)
         assert isinstance(store, ValueStore)
+        assert isinstance(store.rows, tuple)
         for gid in legacy:
-            assert np.array_equal(store[gid], legacy[gid]), gid
+            assert store[gid] == legacy[gid], gid
 
     def test_mapping_face(self):
         # ``store[gid]`` is the one per-gate accessor: gates through the
@@ -205,15 +221,16 @@ class TestValueStore:
         store = simulate(circuit, vectors)
         rows = value_rows(store.index)
         assert set(circuit.fanins) | {CONST0, CONST1} == set(rows)
-        assert len(store.matrix) == len(circuit.fanins) + 2
+        assert len(store.rows) == len(circuit.fanins) + 2
         assert CONST0 in rows and CONST1 in rows
-        assert int(store[CONST0][0]) == 0
-        assert int(store[CONST1][0]) == 0xFFFFFFFFFFFFFFFF
+        assert store[CONST0] == 0
+        assert store[CONST1] == 0xFFFFFFFFFFFFFFFF
+        assert store.num_vectors == 64
         with pytest.raises(KeyError):
             store[99999]
-        # Bulk readers gather matrix rows; the accessor agrees with them.
+        # Bulk readers index the rows; the accessor returns those rows.
         for gid, r in rows.items():
-            assert np.array_equal(store[gid], store.matrix[r]), gid
+            assert store[gid] is store.rows[r], gid
 
     def test_rows_shared_with_timing_index(self, library):
         from repro.sta.store import timing_index
@@ -231,8 +248,18 @@ class TestValueStore:
         vectors = random_vectors(len(circuit.pi_ids), 120, seed=3)
         store = simulate(circuit, vectors)
         direct = po_words(circuit, store)
-        stacked = np.stack([store[po] for po in circuit.po_ids])
+        # Word w of a PO holds vectors 64w .. 64w + 63; padding is 0.
+        stacked = np.array(
+            [
+                [store[po] >> (64 * w) & (2**64 - 1) for w in range(2)]
+                for po in circuit.po_ids
+            ],
+            dtype=np.uint64,
+        )
+        assert direct.dtype == np.uint64
+        assert direct.shape == (len(circuit.po_ids), 2)
         assert np.array_equal(direct, stacked)
+        assert not (direct[:, -1] >> np.uint64(120 - 64)).any()
 
     def test_resimulate_cone_store_path(self, library):
         circuit = build_adder(6)
@@ -242,10 +269,11 @@ class TestValueStore:
         changed = child.substitute(child.logic_ids()[4], CONST1)
         fast = resimulate_cone(child, vectors, base, changed)
         assert isinstance(fast, ValueStore)
-        assert fast.matrix is not base.matrix  # read-only once published
+        assert isinstance(fast.rows, tuple)  # read-only once published
+        assert fast.rows is not base.rows
         full = simulate(child, vectors)
         for gid in child.fanins:
-            assert np.array_equal(fast[gid], full[gid]), gid
+            assert fast[gid] == full[gid], gid
 
     def test_resimulate_cone_diverged_falls_back_to_dict(self, library):
         circuit = build_adder(6)
@@ -259,7 +287,7 @@ class TestValueStore:
         full = simulate(child, vectors)
         assert set(value_rows(fast.index)) == set(value_rows(full.index))
         for gid in value_rows(full.index):
-            assert np.array_equal(fast[gid], full[gid]), gid
+            assert fast[gid] == full[gid], gid
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +379,7 @@ class TestEventDrivenValueWalk:
         full = simulate(child, vectors)
         fast = resimulate_cone(child, vectors, base, changed)
         assert fast.index is base.index
-        assert np.array_equal(fast.matrix, full.matrix)
+        assert fast.rows == full.rows
         assert child.fanouts() == _scratch(child).fanouts()
 
     def test_reconvergent_paths_of_unequal_length(self):
@@ -369,8 +397,8 @@ class TestEventDrivenValueWalk:
         child.set_cell(a, "OR2D1")
         fast = resimulate_cone(child, vectors, base, {a})
         full = simulate(child, vectors)
-        assert not np.array_equal(full.matrix, base.matrix)
-        assert np.array_equal(fast.matrix, full.matrix)
+        assert full.rows != base.rows
+        assert fast.rows == full.rows
 
     def test_value_neutral_and_po_changes(self):
         circuit = build_adder(6)
@@ -379,7 +407,7 @@ class TestEventDrivenValueWalk:
         for change in (_swap_pins, _upsize):
             child, changed = change(circuit)
             fast = resimulate_cone(child, vectors, base, changed)
-            assert np.array_equal(fast.matrix, base.matrix)
+            assert all(f is b for f, b in zip(fast.rows, base.rows))
         child, changed = _reach_pos(circuit)
         fast = resimulate_cone(child, vectors, base, changed)
         assert not np.array_equal(
@@ -402,7 +430,7 @@ class TestEventDrivenValueWalk:
                 kid, ctx.vectors, parent.values, prov.changed
             )
             full = simulate(kid, ctx.vectors)
-            assert np.array_equal(fast.matrix, full.matrix)
+            assert fast.rows == full.rows
             assert kid.valid_provenance() is prov
             assert kid.fanouts() == _scratch(kid).fanouts()
 
@@ -422,9 +450,9 @@ class TestEventDrivenValueWalk:
         calls = []
 
         def counting(fn):
-            def word_eval(inputs):
+            def word_eval(inputs, ones):
                 calls.append(fn.name)
-                return fn.word_eval(inputs)
+                return fn.word_eval(inputs, ones)
 
             return dataclasses.replace(fn, word_eval=word_eval)
 
@@ -435,7 +463,7 @@ class TestEventDrivenValueWalk:
         )
         fast = resimulate_cone(child, vectors, base, changed)
         assert calls == [split_cell_name(child.cells[gid])[0]]
-        assert np.array_equal(fast.matrix, base.matrix)
+        assert all(f is b for f, b in zip(fast.rows, base.rows))
 
 
 def _random_lac_child(parent_eval, rng):
@@ -535,7 +563,11 @@ class TestStackedBatch:
         ev = evaluate_incremental(ctx, child, parent)
         assert isinstance(ev.values, ValueStore)
         payload = eval_payload(ev)
-        assert payload[5] is ev.values.matrix  # no per-gate key array
+        # The store's own tuple of int rows; no per-gate key array.
+        assert payload[5] is ev.values.rows
+        assert type(payload[5]) is tuple
+        assert len(payload[5]) == len(ev.circuit.fanins) + 2
+        assert all(type(row) is int for row in payload[5])
         # A parent eval crosses the pipe pickled.
         clone = pickle.loads(pickle.dumps(ev))
         _assert_same_eval(ev, clone)
@@ -563,6 +595,128 @@ class TestStackedBatch:
         solo = evaluate(ctx, ctx.reference.copy())
         _assert_same_eval(got[0], solo)
         _assert_same_eval(got[1], solo)
+
+
+# ----------------------------------------------------------------------
+# row sharing
+# ----------------------------------------------------------------------
+def _unshared_and_changed(child, parent, full):
+    """Rows ``child`` does not share with ``parent``, and rows whose
+    value in the full simulation ``full`` differs from the parent's."""
+    pairs = list(enumerate(zip(child.rows, parent.rows)))
+    unshared = {r for r, (c, p) in pairs if c is not p}
+    changed = {
+        r for r, (f, p) in enumerate(zip(full.rows, parent.rows)) if f != p
+    }
+    return unshared, changed
+
+
+class TestRowSharing:
+    """A child evaluated against its parent shares every row object it
+    did not change, and only those."""
+
+    def test_lac_and_crossover_children_share_unchanged_rows(self, library):
+        ctx = _ctx(build_adder(8), library, seed=5)
+        parent = ctx.reference_eval()
+        lac = _lac_children(ctx, 8, seed=51)
+        lac_evals = evaluate_batch(ctx, [(c, (parent,)) for c in lac])
+        pairs = [(ev, parent) for ev in lac_evals]
+        rng = random.Random(5)
+        items, parents = [], []
+        for _ in range(8):
+            a, b = rng.sample(lac_evals, 2)
+            kid = circuit_reproduce(a, b, ctx)
+            prov = kid.valid_provenance()
+            parents.append(next(e for e in (a, b) if e.circuit is prov.parent))
+            items.append((kid, (a, b)))
+        pairs += zip(evaluate_batch(ctx, items), parents)
+        partly_shared = 0
+        for ev, par in pairs:
+            full = simulate(ev.circuit, ctx.vectors)
+            assert ev.values.index is par.values.index
+            assert ev.values.rows == full.rows
+            unshared, changed = _unshared_and_changed(
+                ev.values, par.values, full
+            )
+            assert unshared == changed
+            partly_shared += 0 < len(unshared) < len(full.rows)
+        assert partly_shared >= 8
+
+
+# ----------------------------------------------------------------------
+# odd vector counts
+# ----------------------------------------------------------------------
+def _lane_values(circuit, vectors):
+    """``evaluate_single`` on every vector: one 0/1 dict per vector."""
+    return [
+        evaluate_single(circuit, dict(zip(circuit.pi_ids, vectors.vector(k))))
+        for k in range(vectors.num_vectors)
+    ]
+
+
+class TestOddVectorCounts:
+    """Rows are exactly ``num_vectors`` bits wide at any vector count,
+    and every reader of them equals a per-vector scalar computation."""
+
+    @pytest.mark.parametrize("num_vectors", [1, 63, 65, 100, 1000])
+    def test_walks_and_metrics_match_scalar(self, num_vectors):
+        circuit = build_adder(4)
+        nv = num_vectors
+        vectors = random_vectors(len(circuit.pi_ids), nv, seed=nv)
+        base = simulate(circuit, vectors)
+        child, changed = _reach_pos(circuit)
+        fast = resimulate_cone(child, vectors, base, changed)
+        for circ, store in ((circuit, base), (child, fast)):
+            lanes = _lane_values(circ, vectors)
+            assert store[CONST1] == (1 << nv) - 1
+            assert all(0 <= row < 1 << nv for row in store.rows)
+            for gid in circ.fanins:
+                row = store[gid]
+                for k in range(nv):
+                    assert row >> k & 1 == lanes[k][gid], (gid, k)
+        ref_lanes = _lane_values(circuit, vectors)
+        app_lanes = _lane_values(child, vectors)
+        pos = list(zip(circuit.po_ids, child.po_ids))
+        ref, app = po_words(circuit, base), po_words(child, fast)
+        # ER: vectors on which any PO differs.
+        wrong = sum(
+            any(r[p] != a[q] for p, q in pos)
+            for r, a in zip(ref_lanes, app_lanes)
+        )
+        assert error_rate(ref, app, nv) == wrong / nv
+        # Per-PO flip rates.
+        flips = [
+            sum(r[p] != a[q] for r, a in zip(ref_lanes, app_lanes)) / nv
+            for p, q in pos
+        ]
+        assert per_po_error(ErrorMode.ER, ref, app, nv) == flips
+        denom = 2 ** len(pos) - 1
+        weighted = per_po_error(ErrorMode.NMED, ref, app, nv)
+        for i, (got, rate) in enumerate(zip(weighted, flips)):
+            assert got == pytest.approx(rate * 2**i / denom, rel=1e-15)
+        # NMED: mean |V_ref - V_app| / (2^n - 1) over the vectors.
+        distance = sum(
+            abs(
+                sum(r[p] << i for i, (p, _) in enumerate(pos))
+                - sum(a[q] << i for i, (_, q) in enumerate(pos))
+            )
+            for r, a in zip(ref_lanes, app_lanes)
+        )
+        assert nmed(ref, app, nv) == pytest.approx(
+            distance / denom / nv, rel=1e-12, abs=1e-15
+        )
+        # Similarity and toggle rate of every gate pair / gate.
+        gids = sorted(circuit.fanins)
+        for a, b in zip(gids, gids[1:]):
+            agree = sum(lane[a] == lane[b] for lane in ref_lanes)
+            assert similarity(base, a, b, nv) == 1.0 - (nv - agree) / nv
+        for gid in gids:
+            toggles = sum(
+                ref_lanes[k][gid] != ref_lanes[k + 1][gid]
+                for k in range(nv - 1)
+            )
+            want = toggles / (nv - 1) if nv > 1 else 0.0
+            assert toggle_rate(base[gid], nv) == want, gid
 
 
 # ----------------------------------------------------------------------
