@@ -22,7 +22,8 @@ things:
 * **transport size** — pickled bytes of one child's evaluation
   payload (:func:`repro.core.fitness.eval_payload`, the unit that
   crosses a worker pipe every generation), next to what the same
-  payload would cost with the pre-SoA per-gate timing dicts, and the
+  payload would cost with per-gate timing dicts instead of the timing
+  tuples, and the
   value rows alone (the store's tuple of int rows vs a gid-keyed dict
   of the same rows).  Tracked alongside evals/s so packing regressions
   are as visible as throughput regressions.
@@ -128,15 +129,15 @@ def run_scaling():
 
 
 def _legacy_timing_dicts(report):
-    """The five per-gate timing dicts the SoA arrays replaced."""
+    """The five per-gate timing dicts the row-indexed tuples replaced."""
     row = report.index.row
     cf = report.critical_fanin_a
     return (
-        {gid: float(report.arrival_a[r]) for gid, r in row.items()},
-        {gid: float(report.slew_a[r]) for gid, r in row.items()},
-        {gid: float(report.load_a[r]) for gid, r in row.items()},
-        {gid: int(report.unit_depth_a[r]) for gid, r in row.items()},
-        {gid: None if cf[r] < 0 else int(cf[r]) for gid, r in row.items()},
+        {gid: report.arrival_a[r] for gid, r in row.items()},
+        {gid: report.slew_a[r] for gid, r in row.items()},
+        {gid: report.load_a[r] for gid, r in row.items()},
+        {gid: report.unit_depth_a[r] for gid, r in row.items()},
+        {gid: None if cf[r] < 0 else cf[r] for gid, r in row.items()},
     )
 
 
@@ -144,22 +145,22 @@ def _legacy_pack_bytes(ev):
     """Pickled size of the payload with five per-gate timing dicts.
 
     The value rows are kept; only the timing store differs, so the
-    delta isolates what the SoA arrays save on the wire.
+    delta isolates what the timing tuples save on the wire.
     """
     legacy = (*_legacy_timing_dicts(ev.report), ev.values.rows)
     return len(pickle.dumps(legacy))
 
 
 def run_transport_sizes():
-    """Per-eval payload bytes (shard pipes): SoA arrays vs legacy
+    """Per-eval payload bytes (shard pipes): timing tuples vs legacy
     dicts."""
     library = default_library()
     # Published in kB so values fit format_series's fixed-width columns.
     rows = {
-        "soa_kb": [],
+        "tuples_kb": [],
         "dict_kb": [],
         "ratio": [],
-        "rpt_soa_kb": [],
+        "rpt_tuples_kb": [],
         "rpt_dict_kb": [],
         "val_rows_kb": [],
         "val_keyed_kb": [],
@@ -172,11 +173,11 @@ def run_transport_sizes():
         child = applied_copy(circuit, LAC(circuit.logic_ids()[-1], -1))
         ev = evaluate_incremental(ctx, child, parent)
         payload = eval_payload(ev)
-        soa = len(pickle.dumps(payload))
+        packed = len(pickle.dumps(payload))
         legacy = _legacy_pack_bytes(ev)
-        rows["soa_kb"].append(soa / 1024.0)
+        rows["tuples_kb"].append(packed / 1024.0)
         rows["dict_kb"].append(legacy / 1024.0)
-        rows["ratio"].append(soa / legacy)
+        rows["ratio"].append(packed / legacy)
         # The value rows alone: the store's tuple (no keys on the
         # wire) vs a gid-keyed packing of the same rows.
         values = ev.values
@@ -186,8 +187,10 @@ def run_transport_sizes():
         rows["val_rows_kb"].append(dense / 1024.0)
         rows["val_keyed_kb"].append(keyed / 1024.0)
         rows["val_ratio"].append(dense / keyed)
-        # The timing arrays alone (what the SoA store changed).
-        rows["rpt_soa_kb"].append(len(pickle.dumps(payload[:5])) / 1024.0)
+        # The timing tuples alone (what the row-indexed store changed).
+        rows["rpt_tuples_kb"].append(
+            len(pickle.dumps(payload[:5])) / 1024.0
+        )
         rows["rpt_dict_kb"].append(
             len(pickle.dumps(_legacy_timing_dicts(ev.report))) / 1024.0
         )
@@ -248,15 +251,15 @@ def test_runtime_scaling(benchmark):
     )
     transport_rows = run_transport_sizes()
     text += "\n\n" + format_series(
-        "Per-eval transport (pickled kB of eval_payload: SoA timing "
-        "arrays vs pre-SoA per-gate dicts)",
+        "Per-eval transport (pickled kB of eval_payload: timing "
+        "tuples vs per-gate dicts)",
         "width",
         list(PARALLEL_WIDTHS),
         transport_rows,
     )
     publish("runtime_scaling", text)
-    # The SoA packing must actually be smaller than the dict packing it
-    # replaced — a transport regression fails the bench like a
+    # The tuple packing must actually be smaller than the dict packing
+    # it replaced — a transport regression fails the bench like a
     # throughput regression would.  Same for the tuple of value rows vs
     # a keyed packing of the same rows.
     assert all(r < 1.0 for r in transport_rows["ratio"])

@@ -11,9 +11,9 @@ them a machine-checked form:
   AST-based static pass behind ``repro lint`` (rule families R1-R5;
   stdlib :mod:`ast` only).
 * :mod:`repro.analysis.sanitize` — the ``REPRO_SANITIZE=1`` runtime
-  layer: published arrays become physically read-only, provenance
-  records are verified against actual structural diffs, and the
-  registry locks report acquisition-order inversions.
+  layer: provenance records are verified against actual structural
+  diffs, and the registry locks report acquisition-order inversions
+  (published stores are tuples, read-only by type).
 
 This is a *distinct* concern from :mod:`repro.core.analysis`, which
 post-processes optimization results (circuit diffs, Pareto fronts).
@@ -30,7 +30,6 @@ from .rules import ALL_RULES
 from .sanitize import (
     SanitizerError,
     TrackedLock,
-    publish_arrays,
     reset_lock_tracking,
     sanitize_enabled,
     verify_provenance,
@@ -47,7 +46,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "parse_allows",
-    "publish_arrays",
     "reset_lock_tracking",
     "sanitize_enabled",
     "verify_provenance",

@@ -3,12 +3,13 @@
 Each rule turns one prose contract from ROADMAP.md into an AST check
 (stdlib :mod:`ast`, no third-party dependencies):
 
-R1  Containers/arrays obtained from memoized accessors
+R1  Containers obtained from memoized accessors
     (``topological_order``, ``fanouts``, ``timing_index``,
-    ``_cached``/``_store``, ...) and published timing arrays
+    ``_cached``/``_store``, ...) and published timing rows
     (``TimingReport.*_a``) are returned by reference and must not be
-    mutated outside whitelisted fork/copy/publish sites.  Value rows
-    need no rule: ``ValueStore.rows`` is a tuple, so a write raises.
+    mutated outside whitelisted fork/copy/publish sites.  Timing rows
+    are tuples, so a write raises at run time too; the rule reports it
+    before the code runs.  ``ValueStore.rows`` is a tuple as well.
 R2  A ``Circuit`` obtained from ``.copy()`` and mutated in the same
     function must declare its edit (``extend_provenance``) or
     explicitly drop the record (``provenance = ...``) there.
@@ -52,7 +53,7 @@ MEMO_ACCESSORS = frozenset(
     }
 )
 
-#: Attributes holding published store arrays (read-only by contract).
+#: Attributes holding a report's published timing rows (tuples).
 PUBLISHED_ARRAYS = frozenset(
     {
         "arrival_a",
@@ -183,7 +184,7 @@ class _Scoped(ast.NodeVisitor):
 
 
 class R1MemoizedMutation(_Scoped):
-    """Mutation of by-reference memoized containers / published arrays."""
+    """Mutation of by-reference memoized containers / published rows."""
 
     rule = "R1"
 

@@ -1,15 +1,11 @@
 """Runtime sanitizer: make contract violations crash, not corrupt.
 
 Everything here is gated on ``REPRO_SANITIZE=1`` and costs one env
-lookup when disabled.  Three layers, one per contract family:
+lookup when disabled.  Published stores need no layer here: a
+:class:`~repro.sta.TimingReport` holds its rows in tuples and a
+:class:`~repro.sim.ValueStore` its value rows, and a tuple refuses
+writes with or without the sanitizer.  Two layers remain:
 
-* :func:`publish_arrays` — called where a timing report is built
-  (STA, shard receive, unpickling).  Under the sanitizer it clears
-  ``ndarray.flags.writeable``, so any consumer that writes into a
-  published array instead of copying raises ``ValueError: assignment
-  destination is read-only`` at the offending store instruction.  Value rows need no such step: a
-  :class:`~repro.sim.ValueStore` holds them in a tuple, which refuses
-  writes with or without the sanitizer.
 * the provenance tripwire — :class:`repro.netlist.circuit.Circuit`
   calls :func:`verify_provenance` at ``copy()`` /
   ``extend_provenance`` boundaries; it diffs the circuit against its
@@ -25,7 +21,7 @@ lookup when disabled.  Three layers, one per contract family:
   (the static shape of an ABBA deadlock), before the acquire blocks.
 
 This module must stay import-light (stdlib only, no ``repro``
-imports): the netlist/sta/sim layers import it at module load.
+imports): the netlist layer imports it at module load.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 __all__ = [
     "SanitizerError",
     "TrackedLock",
-    "publish_arrays",
     "sanitize_enabled",
     "verify_derived",
     "verify_provenance",
@@ -51,18 +46,6 @@ class SanitizerError(AssertionError):
 def sanitize_enabled() -> bool:
     """True when the runtime sanitizer is switched on via the env."""
     return os.environ.get("REPRO_SANITIZE", "0") not in ("", "0")
-
-
-# ----------------------------------------------------------------------
-# published-array layer
-# ----------------------------------------------------------------------
-def publish_arrays(*arrays) -> None:
-    """Mark published arrays read-only under the sanitizer (one env
-    lookup); ``None`` entries are skipped."""
-    if sanitize_enabled():
-        for array in arrays:
-            if array is not None:
-                array.flags.writeable = False
 
 
 # ----------------------------------------------------------------------

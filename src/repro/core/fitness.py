@@ -36,7 +36,7 @@ the reference eval, shard replies and unpickled evals — builds complete
 evals.
 
 An evaluation leaves a process in one codec, decided here: its
-:func:`eval_payload` (the report's five timing arrays and the tuple of
+:func:`eval_payload` (the report's five timing tuples and the tuple of
 value rows) plus the sender's :func:`eval_fields`.  :func:`restore_eval`
 takes the fields as they are (pickling), and :func:`rebuild_eval` does
 the same for a shard reply, re-checking the fields under
@@ -370,7 +370,7 @@ def _finish_eval(
 
 
 #: What pickling and the shard pool carry for one evaluation: the
-#: report's arrival, slew, load, unit-depth and critical-fan-in arrays,
+#: report's arrival, slew, load, unit-depth and critical-fan-in tuples,
 #: then the value store's tuple of rows.
 EvalPayload = Tuple[Any, ...]
 
@@ -382,15 +382,16 @@ EvalFields = Tuple[float, float, float, List[float], float, float, float]
 def eval_payload(
     ev: CircuitEval, base: Optional[CircuitEval] = None
 ) -> EvalPayload:
-    """The arrays :func:`rebuild_eval` and :func:`restore_eval` lay out.
+    """The tuples :func:`rebuild_eval` and :func:`restore_eval` lay out.
 
     They are a pure function of the circuit's full structure, the
     library and the vectors; the row index is not stored, which the
     receiving circuit has.  Reading the report runs a pending eval's
     timing.  Given ``base``, the parent eval ``ev`` was walked from, a
-    row ``ev`` shares with it travels as ``None``: a shard reply ships
-    only the rows its walk changed, and :func:`rebuild_eval` fills the
-    rest from the receiver's copy of ``base``.
+    value row ``ev`` shares with it travels as ``None``: a shard reply
+    ships only the value rows its walk changed, and :func:`rebuild_eval`
+    fills the rest from the receiver's copy of ``base``.  Timing rows
+    always travel whole.
     """
     report = ev.report
     rows = ev.values.rows
@@ -419,18 +420,20 @@ def _lay_payload(
 ) -> Tuple[TimingReport, ValueStore]:
     """The payload's report and value store on ``circuit``'s row index.
 
-    Both share :func:`repro.sta.timing_index` of the circuit, and the
-    timing arrays are republished read-only (they arrive writable).
-    Raises ``ValueError`` when the payload does not fit the circuit:
-    the value rows must be a tuple of ``index.n + 2`` ints.
+    Both share :func:`repro.sta.timing_index` of the circuit; the
+    tuples are taken as they are.  Raises ``ValueError`` when the
+    payload does not fit the circuit: the five timing rows must be
+    tuples of ``index.n + 1`` and the value rows a tuple of
+    ``index.n + 2`` ints.
     """
     try:
-        arrival, slew, load, depth, critical, rows = payload
+        *timing, rows = payload
+        arrival, slew, load, depth, critical = timing
     except (TypeError, ValueError) as exc:
         raise ValueError(f"not an evaluation payload: {exc}") from exc
     index = timing_index(circuit)
     if (
-        getattr(arrival, "shape", None) != (index.n + 1,)
+        any(type(t) is not tuple or len(t) != index.n + 1 for t in timing)
         or type(rows) is not tuple
         or len(rows) != index.n + 2
         or not all(type(row) is int for row in rows)

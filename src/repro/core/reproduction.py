@@ -29,8 +29,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..netlist import Circuit
 from .fitness import CircuitEval, EvalContext
 
@@ -65,9 +63,9 @@ def po_levels(
 ) -> Dict[int, float]:
     """Eq. 3 Level score for every PO of one evaluated circuit.
 
-    One array expression over the POs' arrival times (gathered through
-    ``report.index.po_rows``, in ``po_ids`` order) and their errors;
-    each element is the same float operation as the scalar formula.
+    Reads the POs' arrival times through ``report.index.po_rows`` (in
+    ``po_ids`` order) next to their errors, with Ta and the error
+    floored.
     """
     floor = _error_floor(ctx.vectors.num_vectors)
     # POs driven by constants/PIs arrive at ~0; floor Ta at 1% of the
@@ -75,10 +73,14 @@ def po_levels(
     # drowning out the error term.
     ta_floor = max(0.01 * ctx.cpd_ori, 1e-9)
     report = ev.report
-    ta = np.maximum(report.arrival_a[report.index.po_rows], ta_floor)
-    err = np.maximum(np.array(ev.per_po_error, dtype=np.float64), floor)
-    levels = weights.wt / ta + weights.we / err
-    return dict(zip(ev.circuit.po_ids, levels.tolist()))
+    arrival = report.arrival_a
+    wt, we = weights.wt, weights.we
+    return {
+        po: wt / max(arrival[r], ta_floor) + we / max(err, floor)
+        for po, r, err in zip(
+            ev.circuit.po_ids, report.index.po_rows, ev.per_po_error
+        )
+    }
 
 
 def po_bits(circuit: Circuit) -> Dict[int, int]:

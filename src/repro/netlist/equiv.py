@@ -7,11 +7,11 @@ ALS correctness arguments need two checks over and over:
 * *bounded difference* — an approximate circuit must differ from the
   accurate one by no more than the error constraint.
 
-For circuits with up to 20 primary inputs the check is exhaustive and
-therefore a proof; above that it falls back to a seeded Monte-Carlo
-miter, which can prove inequivalence (a counterexample) but only gives
-statistical confidence for equivalence — the standard trade-off for a
-SAT-free checker.
+For circuits with up to ``EXHAUSTIVE_LIMIT`` (16) primary inputs the
+check is exhaustive and therefore a proof; above that it falls back to
+a seeded Monte-Carlo miter, which can prove inequivalence (a
+counterexample) but only gives statistical confidence for equivalence —
+the standard trade-off for a SAT-free checker.
 """
 
 from __future__ import annotations

@@ -59,19 +59,17 @@ def _estimate_gain(
 ) -> float:
     """Estimated CPD gain of swapping ``gid`` to ``new_cell``.
 
-    Reads slews and loads straight from the report's SoA arrays (one
-    dense row lookup per fan-in instead of a dict probe).
+    Reads slews and loads straight from the report's timing tuples
+    (one dense row lookup per fan-in instead of a dict probe).
     """
     row = report.index.row
     slew_a = report.slew_a
     load_a = report.load_a
     old_cell = library.cell(circuit.cells[gid])
-    load = float(load_a[row[gid]])
+    load = load_a[row[gid]]
     # Worst input slew among fan-ins (matches the arc STA would pick).
     slews = [
-        float(slew_a[row[fi]])
-        for fi in circuit.fanins[gid]
-        if not is_const(fi)
+        slew_a[row[fi]] for fi in circuit.fanins[gid] if not is_const(fi)
     ]
     slew = max(slews) if slews else 10.0
     gain = old_cell.delay(slew, load) - new_cell.delay(slew, load)
@@ -83,12 +81,10 @@ def _estimate_gain(
                 continue
             drv = library.cell(circuit.cells[fi])
             drv_slews = [
-                float(slew_a[row[g]])
-                for g in circuit.fanins[fi]
-                if not is_const(g)
+                slew_a[row[g]] for g in circuit.fanins[fi] if not is_const(g)
             ]
             drv_slew = max(drv_slews) if drv_slews else 10.0
-            drv_load = float(load_a[row[fi]])
+            drv_load = load_a[row[fi]]
             gain -= drv.delay(drv_slew, drv_load + dcap) - drv.delay(
                 drv_slew, drv_load
             )

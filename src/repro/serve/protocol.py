@@ -123,13 +123,14 @@ class JobSpec:
                     raise SpecError(
                         f"field {name!r} must be a {cast.__name__}"
                     ) from None
-        if payload.get("area_con") is not None:
-            spec.area_con = float(payload["area_con"])
-        if payload.get("deadline_s") is not None:
-            try:
-                spec.deadline_s = float(payload["deadline_s"])
-            except (TypeError, ValueError):
-                raise SpecError("field 'deadline_s' must be a float") from None
+        for name in ("area_con", "deadline_s"):
+            if payload.get(name) is not None:
+                try:
+                    setattr(spec, name, float(payload[name]))
+                except (TypeError, ValueError):
+                    raise SpecError(
+                        f"field {name!r} must be a float"
+                    ) from None
         if spec.max_retries < 0:
             raise SpecError("'max_retries' must be >= 0")
         if spec.jobs < 0:

@@ -67,7 +67,7 @@ from .sim import ErrorMode
 
 #: On-disk checkpoint format version (bump on layout changes); it is
 #: a checkpoint file's first line, checked before anything is unpickled.
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 _CHECKPOINT_HEADER = b"repro-checkpoint %d\n" % CHECKPOINT_FORMAT
 
 
@@ -119,6 +119,11 @@ class FlowConfig:
             (self.effort > 0, "effort", "> 0"),
             (self.error_bound >= 0, "error_bound", ">= 0"),
             (self.jobs >= 0, "jobs", ">= 0"),
+            (
+                self.area_con is None or self.area_con >= 0,
+                "area_con",
+                ">= 0",
+            ),
         ):
             if not holds:
                 raise ValueError(

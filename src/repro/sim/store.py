@@ -3,7 +3,7 @@
 * :class:`ValueStore` — a tuple of value rows, one Python int per gate:
   bit ``k`` is the gate's value on vector ``k``, and a row is exactly
   ``num_vectors`` bits wide.  Rows are laid out by the **same** dense
-  sorted-gid row numbering as the timing arrays
+  sorted-gid row numbering as the timing tuples
   (:func:`repro.sta.timing_index`, a structure memo a LAC child takes
   from its parent); row ``n`` is CONST0 (``0``) and row ``n + 1`` is
   CONST1 (all ``num_vectors`` bits set).

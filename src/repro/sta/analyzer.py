@@ -7,46 +7,44 @@ capacitances plus a wire-load estimate.  Produces per-PO arrival times
 (``Ta`` in Eq. 3), the critical-path delay (CPD), unit logic depth, and
 critical-path backtraces.
 
-Results live in a **structure-of-arrays timing store**
-(:mod:`repro.sta.store`): numpy ``float64`` arrays for arrival/slew/load
-and ``int32`` arrays for unit depth / critical fan-in, indexed by the
-dense per-structure :class:`~repro.sta.store.TimingIndex`.  The full
-pass runs :func:`~repro.sta.store.walk_frontier`, the one per-gate
-timing loop the incremental walk also runs, over every gate in
-topological order; the floats equal the historical per-gate scalar
-walk exactly.
+Results live in the **timing store** (:mod:`repro.sta.store`): one
+tuple per quantity, Python floats for arrival/slew/load and Python ints
+for unit depth / critical fan-in, indexed by the dense per-structure
+:class:`~repro.sta.store.TimingIndex`.  The full pass runs
+:func:`~repro.sta.store.walk_frontier`, the one per-gate timing loop
+the incremental walk also runs, over every gate in topological order
+into lists, and publishes them as tuples; the floats equal the
+historical per-gate scalar walk exactly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ..analysis.sanitize import publish_arrays
 from ..cells import Library
 from ..netlist import Circuit
 from .store import TimingIndex, timing_index, walk_frontier
 
 
 class TimingReport:
-    """Results of one STA run, stored as a structure of arrays.
+    """Results of one STA run, one tuple per quantity.
 
-    The per-gate arrays (``arrival_a`` etc.) have ``index.n + 1`` rows:
+    The per-gate tuples (``arrival_a`` etc.) have ``index.n + 1`` rows:
     row ``index.row[gid]`` belongs to gate ``gid`` and the final row is
-    the constant-source sentinel.  They are read-only by contract —
-    incremental updates copy before writing.  Per-gate reads go through
-    the index: ``report.arrival_a[report.index.row[gid]]``.
+    the constant-source sentinel.  A tuple refuses writes, so a report
+    is read-only by type; incremental updates start from ``list()``
+    copies.  Per-gate reads go through the index:
+    ``report.arrival_a[report.index.row[gid]]``.
 
     Attributes:
         circuit: the analyzed circuit.
-        index: dense gate-id → row index the arrays are laid out by.
-        arrival_a: worst output arrival time per row (ps, float64).
-        slew_a: output transition per row (ps, float64).
-        load_a: capacitive load per row (fF, float64).
-        unit_depth_a: logic depth per row (int32; PIs at 0).
+        index: dense gate-id → row index the tuples are laid out by.
+        arrival_a: worst output arrival time per row (ps, floats).
+        slew_a: output transition per row (ps, floats).
+        load_a: capacitive load per row (fF, floats).
+        unit_depth_a: logic depth per row (ints; PIs at 0).
         critical_fanin_a: fan-in realising each row's worst arrival
-            (int32; -1 encodes "none" — PIs and constant sources).
+            (ints; -1 encodes "none" — PIs and constant sources).
         circuit_version: the circuit's structure version at analysis
             time; consumers use it to detect reports staled by in-place
             mutation.
@@ -67,11 +65,11 @@ class TimingReport:
         self,
         circuit: Circuit,
         index: TimingIndex,
-        arrival_a: np.ndarray,
-        slew_a: np.ndarray,
-        load_a: np.ndarray,
-        unit_depth_a: np.ndarray,
-        critical_fanin_a: np.ndarray,
+        arrival_a: Tuple[float, ...],
+        slew_a: Tuple[float, ...],
+        load_a: Tuple[float, ...],
+        unit_depth_a: Tuple[int, ...],
+        critical_fanin_a: Tuple[int, ...],
         circuit_version: int,
     ):
         self.circuit = circuit
@@ -82,12 +80,6 @@ class TimingReport:
         self.unit_depth_a = unit_depth_a
         self.critical_fanin_a = critical_fanin_a
         self.circuit_version = circuit_version
-        # Constructing a report *is* publication: under REPRO_SANITIZE=1
-        # the arrays become physically read-only, so any consumer that
-        # writes in place instead of copying raises at the store site.
-        publish_arrays(
-            arrival_a, slew_a, load_a, unit_depth_a, critical_fanin_a
-        )
 
     # ------------------------------------------------------------------
     # queries
@@ -97,25 +89,23 @@ class TimingReport:
         """Critical-path delay: the worst PO arrival time (ps)."""
         if not self.circuit.po_ids:
             raise ValueError("circuit has no POs")
-        return float(np.max(self.arrival_a[self.index.po_rows]))
+        return max(map(self.arrival_a.__getitem__, self.index.po_rows))
 
     @property
     def max_unit_depth(self) -> int:
         """Deepest PO in gate levels (the unit-delay depth metric)."""
         if not self.circuit.po_ids:
             raise ValueError("circuit has no POs")
-        return int(np.max(self.unit_depth_a[self.index.po_rows]))
+        return max(map(self.unit_depth_a.__getitem__, self.index.po_rows))
 
     def po_arrival(self, po_id: int) -> float:
         """Maximum arrival time ``Ta`` at one PO (ps)."""
-        return float(self.arrival_a[self.index.row[po_id]])
+        return self.arrival_a[self.index.row[po_id]]
 
     def worst_po(self) -> int:
         """The PO with the largest arrival time (ties: largest ID)."""
-        arrivals = self.arrival_a[self.index.po_rows]
-        best = np.flatnonzero(arrivals == arrivals.max())
-        po_ids = self.circuit.po_ids
-        return max(po_ids[i] for i in best)
+        arrivals = map(self.arrival_a.__getitem__, self.index.po_rows)
+        return max(zip(arrivals, self.circuit.po_ids))[1]
 
     def critical_path(self, po_id: Optional[int] = None) -> List[int]:
         """Backtrace the worst path ending at ``po_id`` (default worst PO).
@@ -132,7 +122,7 @@ class TimingReport:
             if r is None:
                 break
             nxt = cf[r]
-            gid = None if nxt < 0 else int(nxt)
+            gid = None if nxt < 0 else nxt
         path.reverse()
         return path
 
@@ -161,9 +151,9 @@ class STAEngine:
         self.wire_cap_per_fanout = wire_cap_per_fanout
 
     # ------------------------------------------------------------------
-    def _loads_array(self, circuit: Circuit, index: TimingIndex) -> np.ndarray:
+    def _load_rows(self, circuit: Circuit, index: TimingIndex) -> List[float]:
         """Capacitive load per row (fF), padded with the sentinel row."""
-        loads = np.zeros(index.n + 1, dtype=np.float64)
+        loads = [0.0] * (index.n + 1)
         self._write_loads(circuit, circuit.fanins, loads, index.row)
         return loads
 
@@ -195,9 +185,9 @@ class STAEngine:
     def compute_loads(self, circuit: Circuit) -> Dict[int, float]:
         """Capacitive load on every gate output (fF), as a dict."""
         index = timing_index(circuit)
-        loads = self._loads_array(circuit, index)
+        loads = self._load_rows(circuit, index)
         row = index.row
-        return {gid: float(loads[row[gid]]) for gid in circuit.fanins}
+        return {gid: loads[row[gid]] for gid in circuit.fanins}
 
     # ------------------------------------------------------------------
     def analyze(self, circuit: Circuit) -> TimingReport:
@@ -205,19 +195,20 @@ class STAEngine:
 
         Runs :func:`~repro.sta.store.walk_frontier` without seeds: every
         gate, in :meth:`Circuit.topological_order`, so any DAG is
-        accepted.
+        accepted.  The walk writes lists, published as tuples.
         """
         index = timing_index(circuit)
-        n = index.n
-        loads = self._loads_array(circuit, index)
+        size = index.n + 1
+        loads = self._load_rows(circuit, index)
         # Every gate's row is written by the walk; the initial values are
         # the sentinel row's: arrival 0, slew = input slew, depth 0, no
         # critical fan-in.
-        arr = np.zeros(n + 1, dtype=np.float64)
-        slew = np.full(n + 1, self.input_slew, dtype=np.float64)
-        depth = np.zeros(n + 1, dtype=np.int32)
-        cf = np.full(n + 1, -1, dtype=np.int32)
+        arr = [0.0] * size
+        slew = [self.input_slew] * size
+        depth = [0] * size
+        cf = [-1] * size
         walk_frontier(self, circuit, index, loads, arr, slew, depth, cf)
         return TimingReport(
-            circuit, index, arr, slew, loads, depth, cf, circuit.version
+            circuit, index, tuple(arr), tuple(slew), tuple(loads),
+            tuple(depth), tuple(cf), circuit.version,
         )

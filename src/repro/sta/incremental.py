@@ -3,9 +3,10 @@
 A LAC or a resize perturbs timing only from a few seeds: the gates whose
 fan-in tuples or cells changed and every gate whose capacitive load
 changed (the old and new switch drivers, or a resized gate's fan-ins).
-:func:`update_timing` copies the parent report's arrays and seeds exactly
-those rows into :func:`~repro.sta.store.walk_frontier`, the timing loop
-a full :meth:`STAEngine.analyze` runs over every gate.  Seeded, it pops
+:func:`update_timing` starts from ``list()`` copies of the parent
+report's tuples and seeds exactly those gates into
+:func:`~repro.sta.store.walk_frontier`, the timing loop a full
+:meth:`STAEngine.analyze` runs over every gate.  Seeded, it pops
 gates in ascending gate ID and goes on past a gate only when its timing
 changed — the trick PrimeTime's incremental mode uses to make
 optimization loops affordable.  Results are **bit-identical** to a fresh
@@ -22,8 +23,6 @@ package; perfbench's tracer still binds it.
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
-
-import numpy as np
 
 from ..netlist import Circuit
 from .analyzer import STAEngine, TimingReport
@@ -46,10 +45,13 @@ def update_timing(
     whose fan-in tuple or library cell was rewritten; load changes are
     rederived around them.
 
-    The child shares the parent's dense index and starts from copies of
-    its five arrays; the changed rows and every row whose load changed
-    seed :func:`~repro.sta.store.walk_frontier`, which takes consumers
-    from the child's fan-out map (:meth:`Circuit.fanouts`).  The child
+    The child shares the parent's dense index and starts from ``list()``
+    copies of its five tuples; the changed gates and every driver whose
+    load changed seed :func:`~repro.sta.store.walk_frontier`, which
+    takes consumers from the child's fan-out map
+    (:meth:`Circuit.fanouts`), and the lists are published as tuples.
+    The child shares every row object the walk did not rewrite with the
+    parent, and every load outside the rederived drivers.  The child
     must be gid-topological (every population member is).
     """
     parent = previous.circuit
@@ -67,33 +69,34 @@ def update_timing(
         # PO list, so the parent's is the child's: no per-child sort and
         # row-dict build in the hottest path of the optimizer.
         index = circuit._store("timing_index", previous.index)
-    n = index.n
+    row_of = index.row
     # Only the changed gates' old and new fan-ins see a new load; the
     # parent is unmutated since its report, so its tuples are the old.
     drivers = set()
     for g in changed:
         drivers.update(parent.fanins.get(g, ()))
         drivers.update(circuit.fanins.get(g, ()))
-    loads = previous.load_a.copy()
-    engine._write_loads(circuit, drivers, loads, index.row)
-    arr = previous.arrival_a.copy()
-    slew = previous.slew_a.copy()
-    depth = previous.unit_depth_a.copy()
-    cf = previous.critical_fanin_a.copy()
-
-    # Exact comparison: any load delta, however tiny, dirties the gate.
-    dirty = loads[:n] != previous.load_a[:n]
-    row_of = index.row
-    for g in changed:
-        r = row_of.get(g)
-        if r is not None:
-            dirty[r] = True
+    loads = list(previous.load_a)
+    engine._write_loads(circuit, drivers, loads, row_of)
+    # Exact comparison: any load delta, however tiny, seeds the driver.
+    # ``_write_loads`` wrote only the drivers' rows (constants have
+    # none), so no other load can differ from the parent's.
+    old = previous.load_a
+    seeds = {g for g in changed if g in row_of}
+    seeds.update(
+        d for d in drivers if d >= 0 and loads[row_of[d]] != old[row_of[d]]
+    )
+    arr = list(previous.arrival_a)
+    slew = list(previous.slew_a)
+    depth = list(previous.unit_depth_a)
+    cf = list(previous.critical_fanin_a)
     walk_frontier(
         engine, circuit, index, loads, arr, slew, depth, cf,
-        np.flatnonzero(dirty), circuit.fanouts(),
+        sorted(seeds), circuit.fanouts(),
     )
     return TimingReport(
-        circuit, index, arr, slew, loads, depth, cf, circuit.version
+        circuit, index, tuple(arr), tuple(slew), tuple(loads),
+        tuple(depth), tuple(cf), circuit.version,
     )
 
 

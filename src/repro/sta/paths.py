@@ -4,8 +4,8 @@ The circuit-searching operator (paper §III-B) asks for "the critical paths
 with maximum propagation time from PI to PO"; these helpers extract the
 worst path per endpoint and rank endpoints by arrival, which is exactly
 the ``report_timing -max_paths`` slice of PrimeTime the flow consumes.
-All queries read the SoA timing store directly (one gather over
-``po_rows`` instead of a dict probe per PO).
+All queries read the timing store's tuples directly, gathering PO
+rows through ``po_rows``.
 """
 
 from __future__ import annotations
@@ -17,21 +17,19 @@ from .analyzer import TimingReport
 
 
 def po_arrivals(report: TimingReport) -> Dict[int, float]:
-    """Arrival time ``Ta`` per PO gate ID."""
-    arrivals = report.arrival_a[report.index.po_rows]
+    """Arrival time ``Ta`` per PO gate ID, in ``po_ids`` order."""
+    arrival = report.arrival_a
     return {
-        po: float(a) for po, a in zip(report.circuit.po_ids, arrivals)
+        po: arrival[r]
+        for po, r in zip(report.circuit.po_ids, report.index.po_rows)
     }
 
 
 def worst_endpoints(report: TimingReport, count: int) -> List[int]:
     """The ``count`` POs with the largest arrival times, worst first."""
-    po_ids = report.circuit.po_ids
-    arrivals = report.arrival_a[report.index.po_rows]
-    order = sorted(
-        range(len(po_ids)), key=lambda i: (-arrivals[i], po_ids[i])
-    )
-    return [po_ids[i] for i in order[: max(count, 0)]]
+    arrivals = po_arrivals(report)
+    order = sorted(arrivals, key=lambda po: (-arrivals[po], po))
+    return order[: max(count, 0)]
 
 
 def critical_paths(
@@ -66,17 +64,13 @@ def path_logic_gates(circuit: Circuit, path: List[int]) -> List[int]:
 
 def path_delay(report: TimingReport, path: List[int]) -> float:
     """Arrival time at the endpoint of a backtraced path (ps)."""
-    return float(report.arrival_a[report.index.row[path[-1]]])
+    return report.arrival_a[report.index.row[path[-1]]]
 
 
 def slack_profile(
     report: TimingReport, clock_period: float
 ) -> List[Tuple[int, float]]:
     """Per-PO slack against ``clock_period``, most negative first."""
-    arrivals = report.arrival_a[report.index.po_rows]
-    rows = [
-        (po, clock_period - float(a))
-        for po, a in zip(report.circuit.po_ids, arrivals)
-    ]
+    rows = [(po, clock_period - a) for po, a in po_arrivals(report).items()]
     rows.sort(key=lambda r: (r[1], r[0]))
     return rows

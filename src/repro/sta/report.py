@@ -34,11 +34,11 @@ def format_path(report: TimingReport, po_id: Optional[int] = None) -> str:
             label = f"{circuit.po_names[gid]} (out)"
         else:
             label = f"U{gid} ({circuit.cells[gid]})"
-        arr = float(report.arrival_a[row[gid]])
+        arr = report.arrival_a[row[gid]]
         lines.append(f"{label:<28}{arr - prev_arrival:>10.2f}{arr:>10.2f}")
         prev_arrival = arr
     lines.append("-" * 48)
-    end_arrival = float(report.arrival_a[row[endpoint]])
+    end_arrival = report.arrival_a[row[endpoint]]
     lines.append(f"data arrival time {end_arrival:>29.2f}")
     return "\n".join(lines)
 

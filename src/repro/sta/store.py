@@ -1,6 +1,7 @@
-"""Structure-of-arrays timing store shared by all STA paths.
+"""Timing store shared by all STA paths: one tuple per quantity.
 
-Timing results live in dense arrays, not per-gate dicts:
+Timing results live in five tuples on a dense row index, not per-gate
+dicts:
 
 * :class:`TimingIndex` — a dense gate-id → row mapping (rows are the
   *sorted* gate IDs, so any two circuits over the same ID set agree on
@@ -11,20 +12,21 @@ Timing results live in dense arrays, not per-gate dicts:
   the same index (:mod:`repro.sim.store`).
 * :func:`walk_frontier` — the one per-gate timing loop: over every gate
   in topological order (the full pass, :meth:`STAEngine.analyze`), or
-  seeded with the rows an edit touched, popping gates in ascending gate
+  seeded with the gates an edit touched, popping gates in ascending gate
   ID and stopping at every gate whose timing did not change (the
   incremental walk, :func:`update_timing`).  Its NLDM interpolation is
   **bit-identical** to :meth:`NLDMTable.lookup` (same index selection,
   same IEEE-754 operation order) while locating each table axis once
   per gate or fan-in instead of once per lookup.
 
-Array layout contract: every timing array has ``index.n + 1`` rows; row
+Row layout contract: every timing tuple has ``index.n + 1`` rows; row
 ``index.row[gid]`` holds gate ``gid`` and the final row is the constant
 source sentinel (arrival 0.0, slew = engine input slew, depth 0).  The
-arrays are treated as read-only once a report is published — consumers
-that need to mutate must copy (``update_timing`` does).  A report
-never travels on its own, nor its index: the shard pool and pickling
-move an eval's arrays and lay them on the receiving circuit's index
+walk writes into lists, and a report publishes them as tuples, so a
+published report refuses writes by type; ``update_timing`` starts from
+``list()`` copies of the parent's tuples.  A report never travels on
+its own, nor its index: the shard pool and pickling move an eval's
+tuples and lay them on the receiving circuit's index
 (:func:`repro.core.fitness.eval_payload`, ``restore_eval``).
 """
 
@@ -32,10 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heappop, heappush
-from operator import itemgetter
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from ..cells.timing_model import _interp_index
 from ..netlist import Circuit, PI_CELL, PO_CELL
@@ -45,10 +44,11 @@ class TimingIndex:
     """Dense gate-id → row index over one circuit structure.
 
     Attributes:
-        gids: sorted gate IDs, one per row (``int64``).
+        gids: sorted gate IDs, one per row (a tuple).
         row: ``gid -> row`` lookup dict.
-        po_rows: rows of the circuit's POs, in ``po_ids`` order.
-        n: number of real rows (timing arrays carry ``n + 1`` — the
+        po_rows: rows of the circuit's POs, in ``po_ids`` order (a
+            tuple).
+        n: number of real rows (timing tuples carry ``n + 1`` — the
             extra row is the constant-source sentinel; a value store
             has ``n + 2`` rows, one sentinel row per constant).
         vrow: lazily-built ``gid -> row`` map extended with the two
@@ -58,20 +58,23 @@ class TimingIndex:
 
     __slots__ = ("gids", "row", "po_rows", "n", "vrow")
 
-    def __init__(self, gids: np.ndarray, row: Dict[int, int], po_rows: np.ndarray):
+    def __init__(
+        self,
+        gids: Tuple[int, ...],
+        row: Dict[int, int],
+        po_rows: Tuple[int, ...],
+    ):
         self.gids = gids
         self.row = row
         self.po_rows = po_rows
-        self.n = int(len(gids))
+        self.n = len(gids)
         self.vrow: Optional[Dict[int, int]] = None
 
     def __eq__(self, other: object) -> bool:
         # ``row`` and ``vrow`` follow from ``gids``.
         if not isinstance(other, TimingIndex):
             return NotImplemented
-        return np.array_equal(self.gids, other.gids) and np.array_equal(
-            self.po_rows, other.po_rows
-        )
+        return self.gids == other.gids and self.po_rows == other.po_rows
 
 
 def timing_index(circuit: Circuit) -> TimingIndex:
@@ -88,16 +91,9 @@ def timing_index(circuit: Circuit) -> TimingIndex:
 
 
 def _build_index(circuit: Circuit) -> TimingIndex:
-    fanins = circuit.fanins
-    gids = np.fromiter(fanins.keys(), dtype=np.int64, count=len(fanins))
-    gids.sort()
-    row = {int(g): i for i, g in enumerate(gids)}
-    po_rows = np.fromiter(
-        (row[p] for p in circuit.po_ids),
-        dtype=np.int64,
-        count=len(circuit.po_ids),
-    )
-    return TimingIndex(gids, row, po_rows)
+    gids = tuple(sorted(circuit.fanins))
+    row = {g: i for i, g in enumerate(gids)}
+    return TimingIndex(gids, row, tuple([row[p] for p in circuit.po_ids]))
 
 
 #: Per-pass table entries of the two pseudo-cells (see walk_frontier).
@@ -115,26 +111,29 @@ def walk_frontier(
     engine,
     circuit: Circuit,
     index: TimingIndex,
-    loads: np.ndarray,
-    arr: np.ndarray,
-    slew: np.ndarray,
-    depth: np.ndarray,
-    cf: np.ndarray,
-    seeds: Optional[np.ndarray] = None,
+    loads: List[float],
+    arr: List[float],
+    slew: List[float],
+    depth: List[int],
+    cf: List[int],
+    seeds: Optional[List[int]] = None,
     fanouts=None,
 ) -> None:
-    """Evaluate gates into ``arr``, ``slew``, ``depth`` and ``cf``.
+    """Evaluate gates into the lists ``arr``, ``slew``, ``depth`` and
+    ``cf``, laid out by ``index``, reading each gate's load from
+    ``loads``.
 
     Without ``seeds``: every gate, in :meth:`Circuit.topological_order`
-    (any DAG).  With ``seeds`` (unique ascending rows, so their gate IDs
-    form a heap): gates pop in ascending gate ID, a topological order on
-    the gid-topological circuits :func:`update_timing` serves, and a gate
-    queues its consumers from ``fanouts`` (anything with a ``get(gid,
-    default)``) when **any** of its four outputs (arrival, slew, unit
-    depth, critical fan-in) changed, compared exactly: a tolerance would
-    let floats drift from a fresh analysis, and arrival/slew alone would
-    leave depth and backtrace rows stale when a tie resolves differently.
-    Either way a gate is evaluated once, after all of its fan-ins.
+    (any DAG).  With ``seeds`` (unique gate IDs in ascending order, so
+    the list is a heap, which the walk consumes): gates pop in ascending
+    gate ID, a topological order on the gid-topological circuits
+    :func:`update_timing` serves, and a gate queues its consumers from
+    ``fanouts`` (anything with a ``get(gid, default)``) when **any** of
+    its four outputs (arrival, slew, unit depth, critical fan-in)
+    changed, compared exactly: a tolerance would let floats drift from a
+    fresh analysis, and arrival/slew alone would leave depth and
+    backtrace rows stale when a tie resolves differently.  Either way a
+    gate is evaluated once, after all of its fan-ins.
 
     A PI launches at 0 with the input slew, a PO mirrors its fan-in, and
     a logic gate takes the first-wins max of ``arrival + delay(slew,
@@ -147,8 +146,7 @@ def walk_frontier(
     :func:`_interp_index`'s and :meth:`NLDMTable.lookup`'s, operation for
     operation.  Tables come from ``TimingArc.loop_tables`` through a
     per-pass dict; a cell missing from the library raises
-    ``Library.cell``'s ``KeyError``.  The loop runs on Python lists (one
-    ``tolist()`` per array) and writes the rows it evaluated back.
+    ``Library.cell``'s ``KeyError``.
     """
     row_of = index.row
     fanins_map = circuit.fanins
@@ -156,15 +154,12 @@ def walk_frontier(
     lib_cell = engine.library.cell
     input_slew = engine.input_slew
     tables = {PI_CELL: _LAUNCH, PO_CELL: _MIRROR}
-    arr_l, slew_l = arr.tolist(), slew.tolist()
-    depth_l, cf_l, load_l = depth.tolist(), cf.tolist(), loads.tolist()
     if seeds is None:
         gates = circuit.topological_order()
     else:
-        heap = index.gids[seeds].tolist()
+        heap = seeds
         queued = set(heap)
         gates = _drain(heap)
-    touched = []
     for gid in gates:
         r = row_of[gid]
         name = cells_map[gid]
@@ -179,10 +174,10 @@ def walk_frontier(
                 na, ns, nd, ncf = 0.0, input_slew, 0, -1
             else:
                 sr = row_of[src]
-                na, ns, nd, ncf = arr_l[sr], slew_l[sr], depth_l[sr], src
+                na, ns, nd, ncf = arr[sr], slew[sr], depth[sr], src
         else:
             sax, s_lo, s_hi, s_top, lax, l_lo, l_hi, l_top, dv, ov, own = k
-            load = load_l[r]
+            load = loads[r]
             if load <= l_lo:
                 j, fl = 0, 0.0
             elif load >= l_hi:
@@ -198,7 +193,7 @@ def walk_frontier(
                     a, s = 0.0, input_slew
                 else:
                     fr = row_of[fi]
-                    a, s = arr_l[fr], slew_l[fr]
+                    a, s = arr[fr], slew[fr]
                 if s <= s_lo:
                     i, fs = 0, 0.0
                 elif s >= s_hi:
@@ -224,7 +219,7 @@ def walk_frontier(
                 if win < 0:
                     nd, ncf = 1, -1
                 else:
-                    nd, ncf = depth_l[row_of[win]] + 1, win
+                    nd, ncf = depth[row_of[win]] + 1, win
                 if own is not None:
                     wi, wfs = _interp_index(own[0], ws)
                     j, fl = _interp_index(own[1], load)
@@ -234,22 +229,16 @@ def walk_frontier(
                     hi[j] * gl + hi[j + 1] * fl
                 ) * wfs
         if seeds is not None and (
-            na != arr_l[r]
-            or ns != slew_l[r]
-            or nd != depth_l[r]
-            or ncf != cf_l[r]
+            na != arr[r]
+            or ns != slew[r]
+            or nd != depth[r]
+            or ncf != cf[r]
         ):
             for fo in fanouts.get(gid, ()):
                 if fo not in queued:
                     queued.add(fo)
                     heappush(heap, fo)
-        arr_l[r] = na
-        slew_l[r] = ns
-        depth_l[r] = nd
-        cf_l[r] = ncf
-        touched.append(r)
-    if touched:
-        rows = np.array(touched)
-        pick = itemgetter(*touched)
-        arr[rows], slew[rows] = pick(arr_l), pick(slew_l)
-        depth[rows], cf[rows] = pick(depth_l), pick(cf_l)
+        arr[r] = na
+        slew[r] = ns
+        depth[r] = nd
+        cf[r] = ncf

@@ -8,7 +8,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -131,11 +130,10 @@ from repro.analysis import (  # noqa: E402  (grouped with its tests)
     findings_to_json,
     lint_file,
     lint_paths,
-    publish_arrays,
     reset_lock_tracking,
-    sanitize_enabled,
     verify_provenance,
 )
+from repro.analysis.rules import PUBLISHED_ARRAYS  # noqa: E402
 from repro.core import evaluate as _evaluate  # noqa: E402
 
 
@@ -412,38 +410,25 @@ class TestLintCli:
 # Runtime sanitizer (REPRO_SANITIZE=1)
 # ----------------------------------------------------------------------
 class TestSanitizerPublish:
-    def test_disabled_leaves_arrays_writable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
-        assert not sanitize_enabled()
-        arr = np.zeros(4)
-        publish_arrays(arr, None)
-        assert arr.flags.writeable
-
-    def test_enabled_freezes_arrays(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert sanitize_enabled()
-        arr, other = np.zeros(4), np.zeros(2)
-        publish_arrays(arr, None, other)
-        assert not arr.flags.writeable and not other.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
-
     def test_published_eval_arrays_reject_writes(
         self, fig3, library, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        ctx = EvalContext.build(
-            fig3, library, ErrorMode.NMED, num_vectors=64, seed=1
-        )
-        ev = _evaluate(ctx, fig3)
-        with pytest.raises(ValueError):
-            ev.report.arrival_a[0] = 0.0
-        # Value rows are a tuple: read-only by type, sanitizer or not.
-        with pytest.raises(TypeError):
-            ev.values.rows[0] = 0
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
-        with pytest.raises(TypeError):
-            _evaluate(ctx, fig3).values.rows[0] = 0
+        """A report's five timing rows and a store's value rows are
+        tuples: a write raises ``TypeError``, sanitizer or not."""
+        for sanitize in ("0", "1"):
+            monkeypatch.setenv("REPRO_SANITIZE", sanitize)
+            ctx = EvalContext.build(
+                fig3, library, ErrorMode.NMED, num_vectors=64, seed=1
+            )
+            ev = _evaluate(ctx, fig3)
+            assert len(PUBLISHED_ARRAYS) == 5
+            for name in PUBLISHED_ARRAYS:
+                rows = getattr(ev.report, name)
+                assert type(rows) is tuple, name
+                with pytest.raises(TypeError):
+                    rows[0] = rows[0]
+            with pytest.raises(TypeError):
+                ev.values.rows[0] = 0
 
 
 class TestProvenanceTripwire:

@@ -96,6 +96,10 @@ class TestInvalidFlowSettings:
             ("compare", ["--vectors", "0"], "num_vectors must be >= 1, "
              "not 0"),
             ("compare", ["--jobs", "-1"], "jobs must be >= 0, not -1"),
+            ("optimize", ["--area-con", "nan"], "area_con must be >= 0, "
+             "not nan"),
+            ("optimize", ["--area-con", "-1"], "area_con must be >= 0, "
+             "not -1.0"),
         ],
     )
     def test_refused_with_exit_2(

@@ -151,6 +151,14 @@ class TestJobSpec:
                 "non-empty list",
             ),
             ([1, 2], "JSON object"),
+            (
+                {"bench": "Adder", "area_con": "big"},
+                "field 'area_con' must be a float",
+            ),
+            (
+                {"bench": "Adder", "area_con": [1.0]},
+                "field 'area_con' must be a float",
+            ),
         ],
     )
     def test_rejects(self, payload, needle):
@@ -165,6 +173,8 @@ class TestJobSpec:
             ("effort", -1.0, "effort must be > 0"),
             ("bound", -0.1, "error_bound must be >= 0"),
             ("bound", float("nan"), "error_bound must be >= 0"),
+            ("area_con", -1.0, "area_con must be >= 0"),
+            ("area_con", float("nan"), "area_con must be >= 0"),
             ("jobs", -3, "'jobs' must be >= 0"),
         ],
     )
@@ -621,6 +631,26 @@ class TestHttp:
                 client.submit(JobSpec(netlist=ADDER4, vectors=0))
             assert excinfo.value.status == 400
             assert "num_vectors must be >= 1" in str(excinfo.value)
+            assert client.jobs() == []
+
+    @pytest.mark.parametrize(
+        "area_con, needle",
+        [
+            ("big", "field 'area_con' must be a float"),
+            (float("nan"), "area_con must be >= 0, not nan"),
+        ],
+    )
+    def test_invalid_area_con_is_a_400(self, tmp_path, area_con, needle):
+        """A non-number or NaN ``area_con`` (Python's json reads NaN) is
+        answered with a 400, not a dropped connection."""
+        with _Daemon(tmp_path) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client._request(
+                    "POST", "/jobs",
+                    body={"bench": "Adder", "area_con": area_con},
+                )
+            assert excinfo.value.status == 400
+            assert needle in str(excinfo.value)
             assert client.jobs() == []
 
     def test_replay_after_completion(self, tmp_path):

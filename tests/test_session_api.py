@@ -426,14 +426,13 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="unsupported checkpoint"):
             Session.resume(str(path))
 
-    def test_format_2_refused_before_unpickling(self, tmp_path, monkeypatch):
-        """A format-2 checkpoint (whose evals carry a value matrix, not
-        int rows) is refused on its first line: its body is never
-        unpickled."""
+    def _assert_refused_unread(self, tmp_path, monkeypatch, version):
         import pickle
 
-        path = tmp_path / "v2.ckpt"
-        path.write_bytes(b"repro-checkpoint 2\n" + pickle.dumps({}))
+        path = tmp_path / f"v{version}.ckpt"
+        path.write_bytes(
+            b"repro-checkpoint %d\n" % version + pickle.dumps({})
+        )
         loaded = []
         monkeypatch.setattr(
             pickle, "load", lambda *a, **k: loaded.append(a) or {}
@@ -441,6 +440,17 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="unsupported checkpoint"):
             Session.resume(str(path))
         assert loaded == []
+
+    def test_format_2_refused_before_unpickling(self, tmp_path, monkeypatch):
+        """A format-2 checkpoint (whose evals carry a value matrix, not
+        int rows) is refused on its first line: its body is never
+        unpickled."""
+        self._assert_refused_unread(tmp_path, monkeypatch, 2)
+
+    def test_format_3_refused_before_unpickling(self, tmp_path, monkeypatch):
+        """A format-3 checkpoint (whose evals carry numpy timing arrays,
+        not tuples) is refused on its first line, unread."""
+        self._assert_refused_unread(tmp_path, monkeypatch, 3)
 
     def test_failed_write_keeps_previous_checkpoint(
         self, adder8, tmp_path, monkeypatch
@@ -584,6 +594,8 @@ class TestSessionFacade:
             ("error_bound", -0.1),
             ("error_bound", float("nan")),
             ("jobs", -3),
+            ("area_con", -1.0),
+            ("area_con", float("nan")),
         ],
     )
     def test_flow_config_refuses_invalid_settings(self, field, value):
@@ -593,6 +605,8 @@ class TestSessionFacade:
     def test_flow_config_accepts_the_boundaries(self):
         cfg = FlowConfig(num_vectors=1, error_bound=0.0, jobs=0)
         assert cfg.effort == 1.0
+        assert cfg.area_con is None
+        assert FlowConfig(area_con=0.0).area_con == 0.0
         assert FlowConfig(effort=1e-9).effort == 1e-9
 
     def test_seed_with_diverged_gate_id_set_rejected(self, adder8):

@@ -1,9 +1,9 @@
-"""Structure-of-arrays timing store: layout, the gate kernel, and the
-stale-propagation bugfixes in incremental STA.
+"""Timing store: layout, the gate kernel, and the stale-propagation
+bugfixes in incremental STA.
 
-Four contracts are pinned here:
+Five contracts are pinned here:
 
-* the SoA analyzer is **bit-identical** to the historical per-gate
+* the analyzer is **bit-identical** to the historical per-gate
   scalar walk (a verbatim port of which lives in this file as the
   reference), on thin and wide circuits, and on a library whose delay
   and output-slew tables have different axes;
@@ -15,9 +15,12 @@ Four contracts are pinned here:
   tolerance-drift bugs both lived in that predicate (a constant-delay
   tie library reproduces them deterministically and property-style) —
   and stops at a gate whose outputs did not change;
-* the transport contract: an eval travels as its raw arrays (and, when
-  pickled or shipped by the pool, its fields) and is laid on one row
-  index of the receiving circuit, which its report and values share.
+* the transport contract: an eval travels as its five timing tuples
+  and its value rows (and, when pickled or shipped by the pool, its
+  fields) and is laid on one row index of the receiving circuit, which
+  its report and values share;
+* a child's timing tuples share every row the walk did not rewrite
+  with its parent's.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import pickle
 import random
 from heapq import heappop
 
-import numpy as np
 import pytest
 
 from eval_oracle import assert_matches_full_evaluation
@@ -313,25 +315,28 @@ def _loop_gate(cell, fan_timing, load, input_slew):
     gid = circuit.add_gate(cell.name, fanins)
     circuit.add_po(gid)
     index = timing_index(circuit)
-    n = index.n
-    arr = np.zeros(n + 1)
-    slew = np.full(n + 1, input_slew)
-    depth = np.zeros(n + 1, dtype=np.int32)
-    cf = np.full(n + 1, -1, dtype=np.int32)
+    size = index.n + 1
+    arr = [0.0] * size
+    slew = [input_slew] * size
+    depth = [0] * size
+    cf = [-1] * size
     srcs = {-1: -1}
     for fi, (a, s, d, src) in zip(fanins, fan_timing):
         if fi >= 0:
             r = index.row[fi]
             arr[r], slew[r], depth[r] = a, s, d
             srcs[fi] = src
-    loads = np.zeros(n + 1)
+    loads = [0.0] * size
     r = index.row[gid]
     loads[r] = load
+    heap = [gid]
     walk_frontier(
-        engine, circuit, index, loads, arr, slew, depth, cf,
-        np.array([r]), {},
+        engine, circuit, index, loads, arr, slew, depth, cf, heap, {}
     )
-    return float(arr[r]), float(slew[r]), int(depth[r]), srcs[int(cf[r])]
+    assert heap == []  # the walk consumes its seed heap
+    assert type(arr[r]) is float and type(slew[r]) is float
+    assert type(depth[r]) is int and type(cf[r]) is int
+    return arr[r], slew[r], depth[r], srcs[cf[r]]
 
 
 def _random_fan_timing(rng, cell, slews):
@@ -384,12 +389,24 @@ def _mixed_axes_library():
 class TestStoreLayout:
     def test_rows_are_sorted_gids(self, library, adder8):
         report = STAEngine(library).analyze(adder8)
-        gids = report.index.gids
-        assert list(gids) == sorted(adder8.fanins)
-        # one sentinel row past the real ones
-        assert len(report.arrival_a) == report.index.n + 1
-        assert report.critical_fanin_a.dtype == np.int32
-        assert report.unit_depth_a.dtype == np.int32
+        index = report.index
+        assert index.gids == tuple(sorted(adder8.fanins))
+        assert index.po_rows == tuple(
+            index.row[po] for po in adder8.po_ids
+        )
+        assert all(type(r) is int for r in index.gids + index.po_rows)
+        # Five tuples, one sentinel row past the real ones: floats for
+        # arrival, slew and load, ints for depth and critical fan-in.
+        for rows, kind in (
+            (report.arrival_a, float),
+            (report.slew_a, float),
+            (report.load_a, float),
+            (report.unit_depth_a, int),
+            (report.critical_fanin_a, int),
+        ):
+            assert type(rows) is tuple
+            assert len(rows) == index.n + 1
+            assert all(type(v) is kind for v in rows)
 
     def test_mapping_views_behave_like_dicts(self, library, fig3):
         # Per-gate reads go through the index's gid -> row dict, which
@@ -468,9 +485,8 @@ class TestTransport:
         assert clone.circuit_version == ev.circuit_version
         _assert_same_timing(ev.circuit, clone.report, ev.report)
         assert clone.values.rows == ev.values.rows
-        timing = eval_payload(clone)[:5]
-        assert not any(a.flags.writeable for a in timing)
-        assert type(eval_payload(clone)[5]) is tuple  # read-only by type
+        # Every row of the payload is a tuple: read-only by type.
+        assert all(type(rows) is tuple for rows in eval_payload(clone))
 
     def test_shipped_metrics_are_checked_under_the_sanitizer(
         self, library, monkeypatch
@@ -487,13 +503,18 @@ class TestTransport:
             rebuild_eval(ctx, circuit, payload, (depth, area + 1.0, *rest))
 
     def test_payload_that_does_not_fit_is_refused(self, library):
-        """``restore_eval`` raises ``ValueError`` on arrays that do not
+        """``restore_eval`` raises ``ValueError`` on rows that do not
         fit the receiving circuit's row index, and on anything that is
         not a payload at all."""
         _, ev = self._child_eval(library)
-        short = tuple(a[:-1] for a in eval_payload(ev))
+        payload = eval_payload(ev)
+        short = tuple(a[:-1] for a in payload)
         with pytest.raises(ValueError, match="does not fit"):
             restore_eval(ev.circuit.copy(), short, eval_fields(ev))
+        # Timing rows that could be written (lists) are refused too.
+        writable = (*map(list, payload[:5]), payload[5])
+        with pytest.raises(ValueError, match="does not fit"):
+            restore_eval(ev.circuit.copy(), writable, eval_fields(ev))
         with pytest.raises(ValueError, match="not an evaluation payload"):
             restore_eval(ev.circuit.copy(), None, eval_fields(ev))
 
@@ -527,11 +548,22 @@ class TestTransport:
         assert eval_payload(full, parent)[5] is full.values.rows
 
     def test_pack_ships_raw_arrays(self, library):
-        _, ev = self._child_eval(library)
-        payload = eval_payload(ev)
-        assert all(
-            isinstance(a, np.ndarray) for a in payload[:5]
-        )  # no per-gate dicts cross the pipe
+        """The payload carries the report's own five tuples, not copies
+        and no per-gate dicts, even given the parent it was walked
+        from: only value rows are left out as ``None``."""
+        ctx, ev = self._child_eval(library)
+        report = ev.report
+        timing = (
+            report.arrival_a,
+            report.slew_a,
+            report.load_a,
+            report.unit_depth_a,
+            report.critical_fanin_a,
+        )
+        for payload in (
+            eval_payload(ev), eval_payload(ev, ctx.reference_eval())
+        ):
+            assert all(a is b for a, b in zip(payload[:5], timing))
 
 
 class TestReferenceReportStaleness:
@@ -1018,3 +1050,84 @@ class TestParentGroups:
             assert g.depth == r.depth
             assert g.error == r.error
             _assert_same_timing(g.circuit, g.report, r.report)
+
+
+class TestRowSharing:
+    """A child's report shares every timing row its walk did not
+    rewrite with its parent's report, object for object, and equals a
+    fresh ``analyze`` row for row."""
+
+    def _walked(self, monkeypatch):
+        """Record every gate the timing walk pops from its heap."""
+        popped = []
+
+        def counting(heap):
+            gid = heappop(heap)
+            popped.append(gid)
+            return gid
+
+        monkeypatch.setattr(store, "heappop", counting)
+        return popped
+
+    def _check(self, ctx, ev, parent_ev, changed, popped):
+        popped.clear()
+        report = ev.report  # runs the pending timing walk
+        previous = parent_ev.report
+        index = report.index
+        assert index is previous.index
+        walked = {index.row[g] for g in popped}
+        assert 0 < len(walked) < index.n
+        old, new = parent_ev.circuit.fanins, ev.circuit.fanins
+        drivers = {
+            index.row[d]
+            for g in changed
+            for d in (*old.get(g, ()), *new.get(g, ()))
+            if d >= 0
+        }
+        for name in (
+            "arrival_a", "slew_a", "unit_depth_a", "critical_fanin_a"
+        ):
+            pairs = zip(getattr(report, name), getattr(previous, name))
+            for r, (mine, theirs) in enumerate(pairs):
+                if r not in walked:
+                    assert mine is theirs, (name, r)
+        pairs = zip(report.load_a, previous.load_a)
+        for r, (mine, theirs) in enumerate(pairs):
+            if r not in drivers:
+                assert mine is theirs, ("load_a", r)
+        fresh = ctx.sta.analyze(ev.circuit)
+        for name in (
+            "arrival_a", "slew_a", "load_a", "unit_depth_a",
+            "critical_fanin_a",
+        ):
+            assert getattr(report, name) == getattr(fresh, name), name
+
+    def test_lac_and_crossover_children_share_rows(
+        self, library, monkeypatch
+    ):
+        circuit = build_adder(8)
+        ctx = EvalContext.build(
+            circuit, library, ErrorMode.ER, num_vectors=128, seed=13
+        )
+        ref = ctx.reference_eval()
+        popped = self._walked(monkeypatch)
+        rng = random.Random(13)
+        lacs = [_random_lac_child(circuit, rng) for _ in range(4)]
+        changed = [_changed_of(c) for c in lacs]
+        evs = evaluate_batch(ctx, [(c, ref) for c in lacs])
+        for ev, ch in zip(evs, changed):
+            self._check(ctx, ev, ref, ch, popped)
+        kids = [
+            circuit_reproduce(evs[i], evs[j], ctx)
+            for i, j in [(0, 1), (1, 2), (2, 3), (0, 3)]
+        ]
+        records = [k.valid_provenance() for k in kids]
+        got = evaluate_batch(ctx, [(k, tuple(evs)) for k in kids])
+        checked = 0
+        for ev, prov in zip(got, records):
+            if not prov.changed:
+                continue  # a clone of its base parent: nothing to walk
+            parent_ev = next(e for e in evs if e.circuit is prov.parent)
+            self._check(ctx, ev, parent_ev, prov.changed, popped)
+            checked += 1
+        assert checked >= 2
